@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._grid import check_increasing, date_span
 from .errors import LabError, RangeError, ValidationError
 from .panels import MarketPanel
 from .signals import CoverageReport
@@ -58,6 +59,7 @@ class EquityCurve:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
+        check_increasing(self.dates)
         for name in ("wealth", "daily_returns", "cost_paid"):
             arr = np.array(getattr(self, name), dtype=float, copy=True)
             if arr.shape != (len(self.dates),):
@@ -75,12 +77,6 @@ class EquityCurve:
             raise ValidationError("cost_paid must be non-negative")
         if np.any(holdings < -1e-12) or np.any(holdings.sum(axis=1) > 1.0 + 1e-9):
             raise ValidationError("holdings must be long-only weights summing to <= 1")
-
-    def slice_indices(self, start: str, end: str) -> tuple[int, int]:
-        keep = [i for i, d in enumerate(self.dates) if start <= d <= end]
-        if not keep:
-            raise RangeError(f"no curve dates in [{start}, {end}]")
-        return keep[0], keep[-1]
 
 
 def write_equity_curve(curve: EquityCurve, path: str, holdings_path: str | None = None) -> None:
@@ -262,6 +258,12 @@ def baseline(
     sub = panel if config.universe is None else panel.restrict(config.universe)
     period = config.period or (sub.dates[0], sub.dates[-1])
 
+    def first_in_period() -> int:
+        first = date_span(sub.dates, period[0], sub.dates[-1]).start
+        if first == sub.n_dates:
+            raise RangeError(f"no panel dates at or after {period[0]}")
+        return first
+
     if kind == "ew_buy_and_hold":
         view = sub.slice_dates(*period)
         targets = np.zeros((view.n_dates, view.n_tickers))
@@ -269,11 +271,7 @@ def baseline(
         return run_weight_schedule(view, targets, 0.0, label="ew-buy-and-hold")
 
     if kind == "momentum_topk":
-        in_period = [d for d in sub.dates if d >= period[0]]
-        if not in_period:
-            raise RangeError(f"no panel dates at or after {period[0]}")
-        first = sub.date_index(in_period[0])
-        if first < lookback:
+        if first_in_period() < lookback:
             raise RangeError(
                 f"momentum lookback {lookback} needs {lookback} rows before {period[0]}"
             )
@@ -287,22 +285,18 @@ def baseline(
         return replace(curve, label=f"momentum-top{config.k}")
 
     if kind == "equal_vol":
-        in_period = [d for d in sub.dates if d >= period[0]]
-        if not in_period:
-            raise RangeError(f"no panel dates at or after {period[0]}")
+        first = first_in_period()
         rets = np.full_like(sub.close, np.nan)
         rets[1:] = sub.close[1:] / sub.close[:-1] - 1.0
         vol = np.full_like(sub.close, np.nan)
         for d in range(vol_window + 1, sub.n_dates):
             vol[d] = rets[d - vol_window : d].std(axis=0, ddof=1)
-        first = sub.date_index(in_period[0])
         if first < vol_window + 1:
             raise RangeError(
                 f"equal-vol window {vol_window} needs {vol_window + 1} rows before {period[0]}"
             )
         view = sub.slice_dates(*period)
-        offset = sub.date_index(view.dates[0])
-        vol_view = vol[offset : offset + view.n_dates]
+        vol_view = vol[date_span(sub.dates, *period)]
         if np.any(vol_view <= 0):
             vol_view = np.where(vol_view <= 0, np.nan, vol_view)
         inv = 1.0 / vol_view
@@ -416,11 +410,9 @@ def subperiod_report(
             if start <= e2 and s2 <= end:
                 raise ValidationError(f"period {name} overlaps an earlier period")
         seen.append((start, end))
-        idx = [
-            i for i, d in enumerate(curve.dates)
-            if start <= d <= end and i > 0
-        ]
-        if not idx:
+        span = date_span(curve.dates, start, end)
+        idx = slice(max(span.start, 1), span.stop)
+        if idx.start >= idx.stop:
             raise RangeError(f"period {name}: no return observations in [{start}, {end}]")
         r = curve.daily_returns[idx]
         rb = benchmark.daily_returns[idx]
@@ -434,7 +426,7 @@ def subperiod_report(
             "period": name,
             "start": start,
             "end": end,
-            "days": len(idx),
+            "days": idx.stop - idx.start,
             "cr": cr,
             "benchmark_cr": cr_b,
             "excess_cr": cr - cr_b,

@@ -23,7 +23,7 @@ import numpy as np
 from .backtest import EquityCurve
 from .errors import PolicyFaultError, RangeError, ValidationError
 from .panels import FeaturePanel, MarketPanel, TurbulenceSeries
-from .signals import AXES, NEUTRAL, SignalPanel
+from .signals import AXES, NEUTRAL, SignalPanel, _mask_axis_set
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ class TradingEnv:
         new_state = self._state_at(idx + 1, cash, holdings, state.peak_wealth)
         delta_wealth = new_state.wealth - state.wealth
         penalty = drawdown_penalty(new_state.wealth, new_state.peak_wealth, cfg.drawdown_alpha)
-        reward = delta_wealth / cfg.initial_cash * cfg.reward_scale - penalty
+        reward = step_reward(delta_wealth, new_state.wealth, new_state.peak_wealth, cfg)
         info = {
             "done": new_state.date_index >= self.last_index,
             "cost": sell_cost + buy_cost,
@@ -375,18 +375,8 @@ def run_policy(
     Returns the normalised equity curve, the reward trace, and per-step info
     dicts (with date/wealth/peak attached, ready for the episode log).
     """
-    mask_axes_set: set[str] = set()
-    if mask is not None:
-        if isinstance(mask, str):
-            if mask != "ALL":
-                raise ValidationError(f"unknown mask {mask!r} (did you mean 'ALL'?)")
-            mask_axes_set = set(AXES)
-        else:
-            unknown = set(mask) - set(AXES)
-            if unknown:
-                raise ValidationError(f"unknown axis names: {sorted(unknown)}")
-            mask_axes_set = set(mask)
-    mask_slices = [env.layout.signal_slice(a) for a in sorted(mask_axes_set)]
+    masked = frozenset() if mask is None else _mask_axis_set(mask)
+    mask_slices = [env.layout.signal_slice(a) for a in sorted(masked)]
 
     policy.reset(seed)
     state = env.reset(start_date)

@@ -14,12 +14,15 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 import scipy
 
 from . import __version__
+from ._grid import date_span, gaps_error
 from .backtest import (
     BacktestConfig,
     EquityCurve,
@@ -41,9 +44,13 @@ from .env import (
 )
 from .errors import ConfigError, LabError, ValidationError
 from .factors import (
+    DEFAULT_RIDGE,
     LAMBDA_GRID,
     TEMPERATURE_GRID,
     TILT_GRID,
+    CompositeScore,
+    FactorModel,
+    ResidualModel,
     composite,
     fit_equal_weight_composite,
     fit_forecaster,
@@ -284,6 +291,13 @@ class ArtifactWriter:
             writer.writerows(rows)
         return p
 
+    def write_json(self, name: str, payload: dict) -> str:
+        p = self.path(name)
+        with open(p, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return p
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -295,178 +309,146 @@ def _fmt(x) -> str:
 # Kind implementations
 # ---------------------------------------------------------------------------
 
-def _bt_config(cfg: ExperimentConfig) -> BacktestConfig:
-    return BacktestConfig(
-        k=int(cfg.params.get("k", 10)),
-        cost_rate=float(cfg.params.get("cost_rate", 0.001)),
-        period=cfg.test,
-    )
+@dataclass
+class _Study:
+    """One run's config, inputs and artifact writer, plus the steps every
+    factor study shares: fit, score the test range, backtest the top-k
+    portfolio, and report it next to the equal-weight buy-and-hold index."""
 
+    cfg: ExperimentConfig
+    ws: Workspace
+    out: ArtifactWriter
 
-def _validation_score_scale(model, ws: Workspace, cfg: ExperimentConfig):
-    """Composite scores on the validation slice plus their pooled dispersion.
-
-    Softmax temperatures are quoted in standardised-score units, and the
-    validation range is the only leakage-free population available once the
-    final model is refit through it.
-    """
-    if cfg.validation is None:
-        raise ConfigError("this kind needs a validation range")
-    val_scores = composite(ws.signals.slice_dates(*cfg.validation), model)
-    scale = float(val_scores.values.std(ddof=1))
-    if scale == 0.0:
-        raise ValidationError("validation scores are constant; cannot standardise")
-    return val_scores, scale
-
-
-def _run_sfp(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    lam = float(cfg.params.get("ridge_strength", 1e-3))
-    span = cfg.fit_span()
-    bt = _bt_config(cfg)
-    model = fit_sfp(ws.signals, ws.returns_fwd, span, lam=lam)
-    sent_model = fit_sfp(ws.signals, ws.returns_fwd, span, lam=lam, axes=("sentiment",))
-    rows = []
-    curves: dict[str, EquityCurve] = {}
-    for label, m in (("sfp-4axis", model), ("sfp-sentiment-only", sent_model)):
-        scores = composite(ws.signals.slice_dates(*cfg.test), m)
-        curve = backtest_topk(scores, ws.panel, bt)
-        curves[label] = curve
-        rows.append(metrics(curve).row(label))
-    bh = baseline(ws.panel, "ew_buy_and_hold", bt)
-    rows.append(metrics(bh).row("ew-buy-and-hold"))
-    write_report_table(rows, out.path("report.csv"))
-    save_factor_model(model, out.path("model.json"))
-    write_equity_curve(curves["sfp-4axis"], out.path("equity_curve.csv"),
-                       out.path("holdings.csv"))
-    write_equity_curve(bh, out.path("benchmark_curve.csv"))
-    diag = [
-        paired_comparison(
-            curves["sfp-4axis"].daily_returns[1:],
-            curves["sfp-sentiment-only"].daily_returns[1:],
-            "sfp-4axis vs sfp-sentiment-only", seed=cfg.seed,
-        ),
-        paired_comparison(
-            curves["sfp-4axis"].daily_returns[1:], bh.daily_returns[1:],
-            "sfp-4axis vs ew-buy-and-hold", seed=cfg.seed,
-        ),
-    ]
-    write_test_results(diag, out.path("diagnostics.csv"))
-
-
-def _run_srf(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    lam = float(cfg.params.get("ridge_strength", 1e-3))
-    span = cfg.fit_span()
-    bt = _bt_config(cfg)
-    resid, model = fit_srf(ws.signals, ws.returns_fwd, span, lam=lam)
-    scores = composite(ws.signals.slice_dates(*cfg.test), model, resid)
-    curve = backtest_topk(scores, ws.panel, bt)
-    sfp_model = fit_sfp(ws.signals, ws.returns_fwd, span, lam=lam)
-    sfp_curve = backtest_topk(
-        composite(ws.signals.slice_dates(*cfg.test), sfp_model), ws.panel, bt
-    )
-    bh = baseline(ws.panel, "ew_buy_and_hold", bt)
-    rows = [
-        metrics(curve).row("srf-residual-axes"),
-        metrics(sfp_curve).row("sfp-4axis"),
-        metrics(bh).row("ew-buy-and-hold"),
-    ]
-    write_report_table(rows, out.path("report.csv"))
-    save_factor_model(model, out.path("model.json"))
-    with open(out.path("residual_params.json"), "w") as fh:
-        json.dump(
-            {axis: {"intercept": a, "slope": b} for axis, (a, b) in sorted(resid.params.items())},
-            fh, indent=2, sort_keys=True,
+    @cached_property
+    def bt(self) -> BacktestConfig:
+        return BacktestConfig(
+            k=int(self.cfg.params.get("k", 10)),
+            cost_rate=float(self.cfg.params.get("cost_rate", 0.001)),
+            period=self.cfg.test,
         )
-        fh.write("\n")
-    write_equity_curve(curve, out.path("equity_curve.csv"), out.path("holdings.csv"))
+
+    @cached_property
+    def lam(self) -> float:
+        return float(self.cfg.params.get("ridge_strength", DEFAULT_RIDGE))
+
+    @cached_property
+    def test_signals(self) -> SignalPanel:
+        return self.ws.signals.slice_dates(*self.cfg.test)
+
+    @cached_property
+    def benchmark(self) -> EquityCurve:
+        return baseline(self.ws.panel, "ew_buy_and_hold", self.bt)
+
+    def sfp_model(self, fit_range: tuple[str, str] | None = None, axes=AXES) -> FactorModel:
+        """SFP weights fitted on ``fit_range`` (default: train through validation)."""
+        return fit_sfp(self.ws.signals, self.ws.returns_fwd, fit_range or self.cfg.fit_span(),
+                       lam=self.lam, axes=axes)
+
+    def scores(self, model: FactorModel, resid: ResidualModel | None = None) -> CompositeScore:
+        return composite(self.test_signals, model, resid)
+
+    def backtest(self, scores: CompositeScore, weighting="equal") -> EquityCurve:
+        return backtest_topk(scores, self.ws.panel, self.bt, weighting=weighting)
+
+    def report(self, legs: list[tuple[str, EquityCurve]], model: FactorModel) -> None:
+        """report.csv (the legs, then ew-buy-and-hold), model.json, and the
+        equity curve and holdings of the first leg."""
+        rows = [metrics(curve).row(label) for label, curve in legs]
+        rows.append(metrics(self.benchmark).row("ew-buy-and-hold"))
+        write_report_table(rows, self.out.path("report.csv"))
+        save_factor_model(model, self.out.path("model.json"))
+        write_equity_curve(legs[0][1], self.out.path("equity_curve.csv"),
+                           self.out.path("holdings.csv"))
+
+    def diagnostics(self, pairs: list[tuple[str, EquityCurve, EquityCurve]]) -> None:
+        """diagnostics.csv: one paired comparison of daily returns per (name, a, b)."""
+        results = [
+            paired_comparison(a.daily_returns[1:], b.daily_returns[1:], name, seed=self.cfg.seed)
+            for name, a, b in pairs
+        ]
+        write_test_results(results, self.out.path("diagnostics.csv"))
 
 
-def _run_scw(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    lam = float(cfg.params.get("ridge_strength", 1e-3))
+def _run_sfp(s: _Study) -> None:
+    model = s.sfp_model()
+    four_axis = s.backtest(s.scores(model))
+    sentiment = s.backtest(s.scores(s.sfp_model(axes=("sentiment",))))
+    s.report([("sfp-4axis", four_axis), ("sfp-sentiment-only", sentiment)], model)
+    write_equity_curve(s.benchmark, s.out.path("benchmark_curve.csv"))
+    s.diagnostics([
+        ("sfp-4axis vs sfp-sentiment-only", four_axis, sentiment),
+        ("sfp-4axis vs ew-buy-and-hold", four_axis, s.benchmark),
+    ])
+
+
+def _run_srf(s: _Study) -> None:
+    resid, model = fit_srf(s.ws.signals, s.ws.returns_fwd, s.cfg.fit_span(), lam=s.lam)
+    s.report([
+        ("srf-residual-axes", s.backtest(s.scores(model, resid))),
+        ("sfp-4axis", s.backtest(s.scores(s.sfp_model()))),
+    ], model)
+    s.out.write_json("residual_params.json", {
+        axis: {"intercept": a, "slope": b} for axis, (a, b) in sorted(resid.params.items())
+    })
+
+
+def _run_scw(s: _Study) -> None:
+    cfg, ws = s.cfg, s.ws
     grid = tuple(cfg.params.get("temperature_grid", TEMPERATURE_GRID))
     if cfg.validation is None:
         raise ConfigError("scw needs a validation range for temperature selection")
-    bt = _bt_config(cfg)
 
-    # select on validation with a train-only fit, then refit on the full span
-    sel_model = fit_sfp(ws.signals, ws.returns_fwd, cfg.train, lam=lam)
-    val_scores, scale = _validation_score_scale(sel_model, ws, cfg)
+    # Temperatures are quoted in standardised-score units. Select on
+    # validation with a train-only fit: once the final model is refit through
+    # the validation range, no leakage-free population is left to scale by.
+    sel_model = s.sfp_model(cfg.train)
+    val_scores = composite(ws.signals.slice_dates(*cfg.validation), sel_model)
+    scale = float(val_scores.values.std(ddof=1))
+    if scale == 0.0:
+        raise ValidationError("validation scores are constant; cannot standardise")
+    scaled_val = _scale_scores(val_scores, 1.0 / scale)
     val_panel = ws.panel.slice_dates(*cfg.validation)
-    val_cfg = BacktestConfig(k=bt.k, cost_rate=bt.cost_rate, period=cfg.validation)
+    val_cfg = replace(s.bt, period=cfg.validation)
 
     def evaluate(t: float) -> float:
-        scaled = _scale_scores(val_scores, 1.0 / scale)
-        curve = backtest_topk(scaled, val_panel, val_cfg, weighting=("scw", t))
+        curve = backtest_topk(scaled_val, val_panel, val_cfg, weighting=("scw", t))
         return sharpe_ratio(curve.daily_returns[1:])
 
     temperature, table = select_temperature(grid, evaluate)
 
-    final_model = fit_sfp(ws.signals, ws.returns_fwd, cfg.fit_span(), lam=lam)
-    test_scores = composite(ws.signals.slice_dates(*cfg.test), final_model)
-    scaled_test = _scale_scores(test_scores, 1.0 / scale)
-    scw_curve = backtest_topk(scaled_test, ws.panel, bt, weighting=("scw", temperature))
-    equal_curve = backtest_topk(test_scores, ws.panel, bt)
-    bh = baseline(ws.panel, "ew_buy_and_hold", bt)
-    rows = [
-        metrics(scw_curve).row(f"scw(T={temperature:g})"),
-        metrics(equal_curve).row("sfp-equal-weight"),
-        metrics(bh).row("ew-buy-and-hold"),
-    ]
-    write_report_table(rows, out.path("report.csv"))
-    out.write_rows(
+    model = s.sfp_model()
+    test_scores = s.scores(model)
+    scw = s.backtest(_scale_scores(test_scores, 1.0 / scale), ("scw", temperature))
+    equal = s.backtest(test_scores)
+    s.report([(f"scw(T={temperature:g})", scw), ("sfp-equal-weight", equal)], model)
+    s.out.write_rows(
         "temperature_selection.csv",
         ["temperature", "validation_sharpe"],
         [[_fmt(float(t)), _fmt(table[t])] for t in sorted(table)],
     )
-    save_factor_model(final_model, out.path("model.json"))
-    write_equity_curve(scw_curve, out.path("equity_curve.csv"), out.path("holdings.csv"))
-    diag = [paired_comparison(
-        scw_curve.daily_returns[1:], equal_curve.daily_returns[1:],
-        "scw vs sfp-equal-weight", seed=cfg.seed,
-    )]
-    write_test_results(diag, out.path("diagnostics.csv"))
+    s.diagnostics([("scw vs sfp-equal-weight", scw, equal)])
 
 
-def _scale_scores(scores, factor: float):
-    from .factors import CompositeScore
-
-    return CompositeScore(
-        dates=scores.dates, tickers=scores.tickers,
-        values=scores.values * factor,
-        provenance=scores.provenance + f"|scaled({factor:.6g})",
-    )
+def _scale_scores(scores: CompositeScore, factor: float) -> CompositeScore:
+    return replace(scores, values=scores.values * factor,
+                   provenance=scores.provenance + f"|scaled({factor:.6g})")
 
 
-def _run_pc1(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    span = cfg.fit_span()
-    bt = _bt_config(cfg)
-    model = fit_pc1_composite(ws.signals, span)
-    scores = composite(ws.signals.slice_dates(*cfg.test), model)
-    curve = backtest_topk(scores, ws.panel, bt)
-    bh = baseline(ws.panel, "ew_buy_and_hold", bt)
-    rows = [metrics(curve).row("pc1-composite"), metrics(bh).row("ew-buy-and-hold")]
-    write_report_table(rows, out.path("report.csv"))
-    loadings, explained = pca_effective_dim(ws.signals.slice_dates(*span))
-    out.write_rows(
+def _run_pc1(s: _Study) -> None:
+    span = s.cfg.fit_span()
+    model = fit_pc1_composite(s.ws.signals, span)
+    s.report([("pc1-composite", s.backtest(s.scores(model)))], model)
+    loadings, explained = pca_effective_dim(s.ws.signals.slice_dates(*span))
+    s.out.write_rows(
         "pca.csv",
         ["axis", "pc1_loading", "explained_fraction"],
         [[AXES[i], _fmt(float(loadings[i])), _fmt(float(explained[i]))] for i in range(4)],
     )
-    save_factor_model(model, out.path("model.json"))
-    write_equity_curve(curve, out.path("equity_curve.csv"), out.path("holdings.csv"))
 
 
-def _run_softmax(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    span = cfg.fit_span()
-    bt = _bt_config(cfg)
-    model = fit_equal_weight_composite(ws.signals, span)
-    scores = composite(ws.signals.slice_dates(*cfg.test), model)
-    curve = backtest_topk(scores, ws.panel, bt)
-    bh = baseline(ws.panel, "ew_buy_and_hold", bt)
-    rows = [metrics(curve).row("equal-weight-composite"), metrics(bh).row("ew-buy-and-hold")]
-    write_report_table(rows, out.path("report.csv"))
-    save_factor_model(model, out.path("model.json"))
-    write_equity_curve(curve, out.path("equity_curve.csv"), out.path("holdings.csv"))
+def _run_softmax(s: _Study) -> None:
+    model = fit_equal_weight_composite(s.ws.signals, s.cfg.fit_span())
+    s.report([("equal-weight-composite", s.backtest(s.scores(model)))], model)
 
 
 def _feature_blocks(cfg: ExperimentConfig, ws: Workspace) -> dict[str, np.ndarray]:
@@ -493,7 +475,12 @@ def _feature_blocks(cfg: ExperimentConfig, ws: Workspace) -> dict[str, np.ndarra
 
 
 def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
-    """Dense feature file: header date,ticker,<col...>; missing rows become 0."""
+    """Dense feature file: header date,ticker,<col...>, one row per workspace cell.
+
+    Rows for dates or tickers outside the workspace are skipped (a universe
+    restriction drops them on purpose); a workspace cell with no row raises
+    an AlignmentError listing the gaps, never a silent zero.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -505,6 +492,7 @@ def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
         date_idx = {d: i for i, d in enumerate(dates)}
         tick_idx = {t: j for j, t in enumerate(tickers)}
         arr = np.zeros((len(dates), len(tickers), k))
+        seen = np.zeros((len(dates), len(tickers)), dtype=bool)
         for row in reader:
             if not row:
                 continue
@@ -513,13 +501,16 @@ def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
             if i is None or j is None:
                 continue
             arr[i, j] = [float(x) for x in row[2:]]
+            seen[i, j] = True
+    if not seen.all():
+        raise gaps_error(path, [(tickers[j], dates[i]) for j, i in np.argwhere(~seen.T)])
     return arr
 
 
-def _run_forecaster(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
+def _run_forecaster(s: _Study) -> None:
+    cfg, ws = s.cfg, s.ws
     if cfg.validation is None:
         raise ConfigError("forecaster needs a validation range")
-    bt = _bt_config(cfg)
     blocks = _feature_blocks(cfg, ws)
     lam_grid = tuple(cfg.params.get("lambda_grid", LAMBDA_GRID))
     tilt_grid = tuple(cfg.params.get("tilt_grid", TILT_GRID if cfg.params.get("tilt") else (0.0,)))
@@ -527,39 +518,29 @@ def _run_forecaster(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -
         blocks, ws.returns_fwd, ws.panel, ws.signals,
         cfg.train, cfg.validation,
         lam_grid=lam_grid, tilt_grid=tilt_grid,
-        top_k=bt.k, cost_rate=bt.cost_rate,
+        top_k=s.bt.k, cost_rate=s.bt.cost_rate,
         min_stock_days=int(cfg.params.get("min_stock_days", 100)),
     )
-    test_mask = [i for i, d in enumerate(ws.panel.dates) if cfg.test[0] <= d <= cfg.test[1]]
-    test_blocks = {n: np.asarray(b)[test_mask] for n, b in blocks.items()}
     test_panel = ws.panel.slice_dates(*cfg.test)
+    test = date_span(ws.panel.dates, *cfg.test)
     scores = fc.score_panel(
-        test_blocks, test_panel.dates, test_panel.tickers,
-        ws.signals.slice_dates(*cfg.test),
+        {n: np.asarray(b)[test] for n, b in blocks.items()},
+        test_panel.dates, test_panel.tickers, s.test_signals,
     )
-    curve = backtest_topk(scores, ws.panel, bt)
-    bh = baseline(ws.panel, "ew_buy_and_hold", bt)
+    curve = s.backtest(scores)
     label = f"forecaster[{'+'.join(fc.block_names)}]"
     if fc.tilt is not None:
         label += f"+tilt(a={fc.tilt.alpha:g})"
-    rows = [metrics(curve).row(label), metrics(bh).row("ew-buy-and-hold")]
-    write_report_table(rows, out.path("report.csv"))
-    out.write_rows(
+    s.report([(label, curve)], fc.model)
+    s.out.write_rows(
         "selection.csv",
         ["ridge_strength", "tilt_alpha", "validation_sharpe"],
-        [[_fmt(l), _fmt(a), _fmt(s)] for l, a, s in fc.validation_table],
+        [[_fmt(l), _fmt(a), _fmt(v)] for l, a, v in fc.validation_table],
     )
-    save_factor_model(fc.model, out.path("model.json"))
-    write_equity_curve(curve, out.path("equity_curve.csv"), out.path("holdings.csv"))
-    diag = [paired_comparison(
-        curve.daily_returns[1:], bh.daily_returns[1:],
-        f"{label} vs ew-buy-and-hold", seed=cfg.seed,
-    )]
-    write_test_results(diag, out.path("diagnostics.csv"))
+    s.diagnostics([(f"{label} vs ew-buy-and-hold", curve, s.benchmark)])
 
 
-def _run_baselines(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    bt = _bt_config(cfg)
+def _run_baselines(s: _Study) -> None:
     rows = []
     for kind, label in (
         ("ew_buy_and_hold", "ew-buy-and-hold"),
@@ -567,22 +548,19 @@ def _run_baselines(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) ->
         ("equal_vol", "equal-vol"),
     ):
         curve = baseline(
-            ws.panel, kind, bt,
-            lookback=int(cfg.params.get("momentum_lookback", 126)),
-            vol_window=int(cfg.params.get("vol_window", 63)),
+            s.ws.panel, kind, s.bt,
+            lookback=int(s.cfg.params.get("momentum_lookback", 126)),
+            vol_window=int(s.cfg.params.get("vol_window", 63)),
         )
         rows.append(metrics(curve).row(label))
-        write_equity_curve(curve, out.path(f"curve_{label}.csv"))
-    write_report_table(rows, out.path("report.csv"))
+        write_equity_curve(curve, s.out.path(f"curve_{label}.csv"))
+    write_report_table(rows, s.out.path("report.csv"))
 
 
-def _run_cost_sweep(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    lam = float(cfg.params.get("ridge_strength", 1e-3))
-    costs = tuple(cfg.params.get("costs", (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)))
-    model = fit_sfp(ws.signals, ws.returns_fwd, cfg.fit_span(), lam=lam)
-    scores = composite(ws.signals.slice_dates(*cfg.test), model)
-    rows = cost_sweep(scores, ws.panel, _bt_config(cfg), costs)
-    out.write_rows(
+def _run_cost_sweep(s: _Study) -> None:
+    costs = tuple(s.cfg.params.get("costs", (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)))
+    rows = cost_sweep(s.scores(s.sfp_model()), s.ws.panel, s.bt, costs)
+    s.out.write_rows(
         "sweep.csv",
         ["cost", "cr_pct", "sharpe", "mdd_pct", "benchmark_cr_pct", "benchmark_sharpe"],
         [
@@ -593,13 +571,11 @@ def _run_cost_sweep(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -
     )
 
 
-def _run_stratified(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    lam = float(cfg.params.get("ridge_strength", 1e-3))
-    k_stratum = int(cfg.params.get("k_per_stratum", 5))
-    model = fit_sfp(ws.signals, ws.returns_fwd, cfg.fit_span(), lam=lam)
-    scores = composite(ws.signals.slice_dates(*cfg.test), model)
-    coverage = coverage_stats(ws.signals.slice_dates(*cfg.test))
-    strata = stratified_backtest(scores, ws.panel, coverage, _bt_config(cfg), k_stratum)
+def _run_stratified(s: _Study) -> None:
+    k_stratum = int(s.cfg.params.get("k_per_stratum", 5))
+    scores = s.scores(s.sfp_model())
+    coverage = coverage_stats(s.test_signals)
+    strata = stratified_backtest(scores, s.ws.panel, coverage, s.bt, k_stratum)
     rows = []
     for label in ("Low", "Mid", "High"):
         entry = strata[label]
@@ -609,7 +585,7 @@ def _run_stratified(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -
                 label, name, len(entry["tickers"]),
                 _fmt(rep.cr * 100), _fmt(rep.sharpe), _fmt(rep.mdd * 100),
             ])
-    out.write_rows(
+    s.out.write_rows(
         "stratified.csv",
         ["tercile", "leg", "n_tickers", "cr_pct", "sharpe", "mdd_pct"], rows,
     )
@@ -617,32 +593,27 @@ def _run_stratified(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -
         [t, _fmt(coverage.any_fraction[t]), coverage.terciles[t]]
         for t in sorted(coverage.tickers)
     ]
-    out.write_rows("coverage.csv", ["ticker", "any_axis_fraction", "tercile"], cov_rows)
+    s.out.write_rows("coverage.csv", ["ticker", "any_axis_fraction", "tercile"], cov_rows)
 
 
 def _default_periods(test: tuple[str, str], dates: tuple[str, ...]) -> list[tuple[str, str, str]]:
-    years = sorted({d[:4] for d in dates if test[0] <= d <= test[1]})
-    out = []
-    for y in years:
-        in_year = [d for d in dates if d[:4] == y and test[0] <= d <= test[1]]
-        out.append((y, in_year[0], in_year[-1]))
-    return out
+    """One (year, first day, last day) period per calendar year of the test range."""
+    periods = []
+    for year, days in groupby(dates[date_span(dates, *test)], key=lambda d: d[:4]):
+        days = list(days)
+        periods.append((year, days[0], days[-1]))
+    return periods
 
 
-def _run_subperiod(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    lam = float(cfg.params.get("ridge_strength", 1e-3))
-    bt = _bt_config(cfg)
-    model = fit_sfp(ws.signals, ws.returns_fwd, cfg.fit_span(), lam=lam)
-    scores = composite(ws.signals.slice_dates(*cfg.test), model)
-    curve = backtest_topk(scores, ws.panel, bt)
-    bench = baseline(ws.panel, "ew_buy_and_hold", bt)
-    raw_periods = cfg.params.get("periods")
+def _run_subperiod(s: _Study) -> None:
+    curve = s.backtest(s.scores(s.sfp_model()))
+    raw_periods = s.cfg.params.get("periods")
     periods = (
         [(str(p[0]), str(p[1]), str(p[2])) for p in raw_periods]
-        if raw_periods else _default_periods(cfg.test, ws.panel.dates)
+        if raw_periods else _default_periods(s.cfg.test, s.ws.panel.dates)
     )
-    rows = subperiod_report(curve, bench, periods)
-    out.write_rows(
+    rows = subperiod_report(curve, s.benchmark, periods)
+    s.out.write_rows(
         "subperiod.csv",
         ["period", "start", "end", "days", "cr_pct", "benchmark_cr_pct",
          "excess_cr_pp", "sharpe"],
@@ -655,7 +626,8 @@ def _run_subperiod(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) ->
     )
 
 
-def _run_env_eval(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
+def _run_env_eval(s: _Study) -> None:
+    cfg, ws, out = s.cfg, s.ws, s.out
     p = cfg.params
     names = tuple(p.get("indicators", INDICATORS_ALL))
     features = compute_indicators(ws.panel, names)
@@ -703,8 +675,7 @@ def _run_env_eval(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> 
             policy = make_policy(seed)
             curve, rewards, infos = run_policy(
                 env, policy, start_date=start,
-                mask=None if mask is None else (mask if isinstance(mask, str) else set(mask)),
-                seed=seed, label=f"{policy_name}/{mask_label}",
+                mask=mask, seed=seed, label=f"{policy_name}/{mask_label}",
             )
             cr = float(np.prod(1.0 + curve.daily_returns[1:]) - 1.0)
             try:
@@ -744,8 +715,9 @@ def _run_env_eval(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> 
                    summary_rows)
 
 
-def _run_validation_suite(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWriter) -> None:
-    sig = ws.signals.slice_dates(*cfg.test)
+def _run_validation_suite(s: _Study) -> None:
+    cfg, ws, out = s.cfg, s.ws, s.out
+    sig = s.test_signals
     rows = []
     for a, axis in enumerate(AXES):
         vals = sig.values[:, :, a][sig.non_neutral]
@@ -770,13 +742,11 @@ def _run_validation_suite(cfg: ExperimentConfig, ws: Workspace, out: ArtifactWri
         cov_rows,
     )
 
-    fwd = forward_returns(ws.panel, ws.horizon)
-    test_mask = np.array([cfg.test[0] <= d <= cfg.test[1] for d in ws.panel.dates])
+    y = ws.returns_fwd[date_span(ws.panel.dates, *cfg.test)].ravel()
+    y_abs = np.abs(y)
     ic_rows = []
     for a, axis in enumerate(AXES):
-        x = ws.signals.values[test_mask][:, :, a].ravel()
-        y = fwd[test_mask].ravel()
-        y_abs = np.abs(y)
+        x = sig.values[:, :, a].ravel()
         try:
             r1 = spearman_ic(x, y)
             r2 = spearman_ic(x, y_abs)
@@ -823,7 +793,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
     out = ArtifactWriter(cfg.output_dir)
     try:
         ws = load_workspace(cfg)
-        _RUNNERS[cfg.kind](cfg, ws, out)
+        _RUNNERS[cfg.kind](_Study(cfg, ws, out))
         manifest = {
             "kind": cfg.kind,
             "seed": cfg.seed,
@@ -837,9 +807,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
             },
             "artifacts": sorted(os.path.basename(p) for p in out.created),
         }
-        with open(out.path("manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        out.write_json("manifest.json", manifest)
         return sorted(out.created)
     except BaseException:
         out.cleanup()

@@ -28,15 +28,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
+from ._grid import check_increasing, date_span, ticker_positions
 from .errors import (
     DegenerateFitError,
     LeakageError,
     ConfigError,
+    NumericalError,
     RankError,
     ValidationError,
 )
 from .panels import MarketPanel
-from .signals import AXES, NEUTRAL, SignalPanel
+from .signals import AXES, NEUTRAL, SignalPanel, pca_effective_dim
 
 LAMBDA_GRID = (1e-5, 1e-3, 1e-1, 1.0, 10.0)
 TILT_GRID = (0.0, 0.5, 1.0)
@@ -152,11 +154,14 @@ class FactorModel:
         return h.hexdigest()
 
     def check_disjoint(self, dates: tuple[str, ...]) -> None:
+        """Raise LeakageError if any of the strictly increasing ``dates`` lies
+        inside the fit range."""
         lo, hi = self.fit_range
-        inside = [d for d in dates if lo <= d <= hi]
-        if inside:
+        inside = date_span(dates, lo, hi)
+        if inside.start < inside.stop:
             raise LeakageError(
-                f"evaluation dates {inside[0]}..{inside[-1]} fall inside fit range {lo}..{hi}"
+                f"evaluation dates {dates[inside.start]}..{dates[inside.stop - 1]} "
+                f"fall inside fit range {lo}..{hi}"
             )
 
 
@@ -183,6 +188,7 @@ class CompositeScore:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
+        check_increasing(self.dates)
         values = np.array(self.values, dtype=float, copy=True)
         if values.shape != (len(self.dates), len(self.tickers)):
             raise ValidationError(f"scores shape {values.shape} does not match axes")
@@ -190,21 +196,14 @@ class CompositeScore:
         object.__setattr__(self, "values", values)
 
     def slice_dates(self, start: str, end: str) -> "CompositeScore":
-        keep = [i for i, d in enumerate(self.dates) if start <= d <= end]
-        if not keep:
+        sl = date_span(self.dates, start, end)
+        if sl.start == sl.stop:
             raise ValidationError(f"no score dates in [{start}, {end}]")
-        sl = slice(keep[0], keep[-1] + 1)
-        return CompositeScore(
-            dates=self.dates[sl], tickers=self.tickers,
-            values=self.values[sl], provenance=self.provenance,
-        )
+        return replace(self, dates=self.dates[sl], values=self.values[sl])
 
     def restrict(self, tickers: list[str] | tuple[str, ...]) -> "CompositeScore":
-        idx = [self.tickers.index(t) for t in tickers]
-        return CompositeScore(
-            dates=self.dates, tickers=tuple(tickers),
-            values=self.values[:, idx], provenance=self.provenance,
-        )
+        idx = ticker_positions(self.tickers, tickers, "scores")
+        return replace(self, tickers=tuple(tickers), values=self.values[:, idx])
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,9 @@ def _range_mask(dates: tuple[str, ...], fit_range: tuple[str, str]) -> np.ndarra
     lo, hi = fit_range
     if lo > hi:
         raise ValidationError(f"bad fit range {fit_range}")
-    return np.array([lo <= d <= hi for d in dates])
+    mask = np.zeros(len(dates), dtype=bool)
+    mask[date_span(dates, lo, hi)] = True
+    return mask
 
 
 def _pool_rows(
@@ -310,7 +311,10 @@ def fit_srf(
         a = float(col.mean() - b * sent.mean())
         params[axis] = (a, b)
         resid = col - a - b * sent
-        assert abs(resid.mean()) < 1e-10
+        if not abs(resid.mean()) < 1e-10:
+            raise NumericalError(
+                f"{axis} residuals on sentiment have mean {resid.mean():.3g}, not zero"
+            )
         feats.append(resid)
         names.append(f"resid:{axis}")
     X = np.column_stack(feats)
@@ -356,7 +360,7 @@ def fit_pc1_composite(panel: SignalPanel, fit_range: tuple[str, str]) -> FactorM
     """
     mean, std = _train_axis_stats(panel, fit_range)
     sub = panel.slice_dates(fit_range[0], fit_range[1])
-    loadings, _ = pca_loadings_for(sub)
+    loadings, _ = pca_effective_dim(sub)
     return FactorModel(
         feature_names=AXES,
         weights=loadings,
@@ -366,13 +370,6 @@ def fit_pc1_composite(panel: SignalPanel, fit_range: tuple[str, str]) -> FactorM
         ridge_strength=0.0,
         fit_range=fit_range,
     )
-
-
-def pca_loadings_for(panel: SignalPanel) -> tuple[np.ndarray, np.ndarray]:
-    # thin wrapper so factor fitting and the diagnostics share one code path
-    from .signals import pca_effective_dim
-
-    return pca_effective_dim(panel)
 
 
 def fit_equal_weight_composite(

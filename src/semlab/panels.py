@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._grid import check_increasing, date_span, gaps_error, ticker_positions
 from .errors import (
     AlignmentError,
     NumericalError,
@@ -76,9 +78,7 @@ class MarketPanel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
-        for d1, d2 in zip(self.dates, self.dates[1:]):
-            if d2 <= d1:
-                raise ValidationError(f"dates not strictly increasing at {d1!r} -> {d2!r}")
+        check_increasing(self.dates)
         shape = (len(self.dates), len(self.tickers))
         for name in ("close", "volume", "open", "high", "low"):
             arr = getattr(self, name)
@@ -93,6 +93,13 @@ class MarketPanel:
             raise ValidationError(
                 f"non-positive close at ({self.dates[d]}, {self.tickers[t]})"
             )
+        for name in ("close", "open", "high", "low", "volume"):
+            arr = getattr(self, name)
+            if arr is not None and not np.all(np.isfinite(arr)):
+                d, t = np.argwhere(~np.isfinite(arr))[0]
+                raise ValidationError(
+                    f"non-finite {name} at ({self.dates[d]}, {self.tickers[t]})"
+                )
 
     @property
     def n_dates(self) -> int:
@@ -103,42 +110,26 @@ class MarketPanel:
         return len(self.tickers)
 
     def date_index(self, date: str) -> int:
-        try:
-            return self.dates.index(date)
-        except ValueError:
-            raise RangeError(f"date {date} not in panel calendar") from None
+        span = date_span(self.dates, date, date)
+        if span.start == span.stop:
+            raise RangeError(f"date {date} not in panel calendar")
+        return span.start
 
     def slice_dates(self, start: str, end: str) -> "MarketPanel":
         """Sub-panel with start <= date <= end (ISO strings compare correctly)."""
-        keep = [i for i, d in enumerate(self.dates) if start <= d <= end]
-        if not keep:
+        sl = date_span(self.dates, start, end)
+        if sl.start == sl.stop:
             raise RangeError(f"no panel dates in [{start}, {end}]")
-        sl = slice(keep[0], keep[-1] + 1)
-        return MarketPanel(
-            dates=self.dates[sl],
-            tickers=self.tickers,
-            close=self.close[sl],
-            volume=None if self.volume is None else self.volume[sl],
-            open=None if self.open is None else self.open[sl],
-            high=None if self.high is None else self.high[sl],
-            low=None if self.low is None else self.low[sl],
-        )
+        return self._select(sl, self.tickers, slice(None))
 
     def restrict(self, tickers: list[str] | tuple[str, ...]) -> "MarketPanel":
         """Sub-panel keeping only the given tickers, in the given order."""
-        missing = [t for t in tickers if t not in self.tickers]
-        if missing:
-            raise ValidationError(f"tickers not in panel: {missing}")
-        idx = [self.tickers.index(t) for t in tickers]
-        return MarketPanel(
-            dates=self.dates,
-            tickers=tuple(tickers),
-            close=self.close[:, idx],
-            volume=None if self.volume is None else self.volume[:, idx],
-            open=None if self.open is None else self.open[:, idx],
-            high=None if self.high is None else self.high[:, idx],
-            low=None if self.low is None else self.low[:, idx],
-        )
+        return self._select(slice(None), tuple(tickers), ticker_positions(self.tickers, tickers))
+
+    def _select(self, rows: slice, tickers: tuple[str, ...], cols) -> "MarketPanel":
+        arrays = {name: None if getattr(self, name) is None else getattr(self, name)[rows, cols]
+                  for name in ("close", "volume", "open", "high", "low")}
+        return MarketPanel(dates=self.dates[rows], tickers=tickers, **arrays)
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -248,6 +239,10 @@ def load_price_panel(path: str, fmt: str = "long") -> MarketPanel:
                 o, h, lo, c, v = (float(x) for x in row[2:7])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, (o, h, lo, c, v))):
+                raise ValidationError(
+                    f"{path}: non-finite value at ({date}, {ticker}), line {lineno}"
+                )
             if c <= 0 or o <= 0 or h <= 0 or lo <= 0:
                 raise ValidationError(
                     f"{path}: non-positive price at ({date}, {ticker}), line {lineno}"
@@ -262,9 +257,7 @@ def load_price_panel(path: str, fmt: str = "long") -> MarketPanel:
         raise AlignmentError(f"{path}: no data rows")
     missing = [(t, d) for t in tickers for d in dates if (d, t) not in rows]
     if missing:
-        gaps = "; ".join(f"{t} missing {d}" for t, d in missing[:20])
-        more = "" if len(missing) <= 20 else f" (+{len(missing) - 20} more)"
-        raise AlignmentError(f"{path}: calendar gaps: {gaps}{more}")
+        raise gaps_error(path, missing)
 
     shape = (len(dates), len(tickers))
     o = np.empty(shape)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._grid import check_increasing, date_span, ticker_positions
 from .errors import ParseError, RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -81,6 +82,7 @@ class SignalPanel:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "masked_axes", frozenset(self.masked_axes))
+        check_increasing(self.dates)
         values = _frozen_array(self.values, float)
         flags = _frozen_array(self.non_neutral, bool)
         shape = (len(self.dates), len(self.tickers))
@@ -109,25 +111,18 @@ class SignalPanel:
         return self.values[:, :, AXES.index(name)]
 
     def slice_dates(self, start: str, end: str) -> "SignalPanel":
-        keep = [i for i, d in enumerate(self.dates) if start <= d <= end]
-        if not keep:
+        sl = date_span(self.dates, start, end)
+        if sl.start == sl.stop:
             raise ValidationError(f"no signal dates in [{start}, {end}]")
-        sl = slice(keep[0], keep[-1] + 1)
-        return SignalPanel(
-            dates=self.dates[sl], tickers=self.tickers,
-            values=self.values[sl], non_neutral=self.non_neutral[sl],
-            masked_axes=self.masked_axes,
-        )
+        return self._select(sl, self.tickers, slice(None))
 
     def restrict(self, tickers: list[str] | tuple[str, ...]) -> "SignalPanel":
-        missing = [t for t in tickers if t not in self.tickers]
-        if missing:
-            raise ValidationError(f"tickers not in panel: {missing}")
-        idx = [self.tickers.index(t) for t in tickers]
+        return self._select(slice(None), tuple(tickers), ticker_positions(self.tickers, tickers))
+
+    def _select(self, rows: slice, tickers: tuple[str, ...], cols) -> "SignalPanel":
         return SignalPanel(
-            dates=self.dates, tickers=tuple(tickers),
-            values=self.values[:, idx], non_neutral=self.non_neutral[:, idx],
-            masked_axes=self.masked_axes,
+            dates=self.dates[rows], tickers=tickers, values=self.values[rows, cols],
+            non_neutral=self.non_neutral[rows, cols], masked_axes=self.masked_axes,
         )
 
     def content_hash(self) -> str:
@@ -236,9 +231,10 @@ def aggregate_signals(
 ) -> tuple[SignalPanel, AggregationReport]:
     """Aggregate article scores onto the trading calendar.
 
-    Each (day d, ticker) cell averages, per axis, every article published in
-    the trailing window of ``window`` trading days ending at d (both ends
-    inclusive). Articles dated between trading days roll forward to the next
+    Each (day d, ticker) cell averages, per axis, every article placed on a
+    trading day in [d - window, d], counted in trading days with both ends
+    inclusive: ``window + 1`` trading days, so ``window=0`` is same-day
+    only. Articles dated between trading days roll forward to the next
     trading day. Cells with no articles get the neutral default and a cleared
     presence flag. Articles for unknown tickers or beyond the calendar are
     returned in the report, never silently dropped.
@@ -249,9 +245,7 @@ def aggregate_signals(
         raise ValidationError("calendar is empty")
     if window < 0:
         raise ValidationError(f"window must be >= 0, got {window}")
-    for d1, d2 in zip(calendar, calendar[1:]):
-        if d2 <= d1:
-            raise ValidationError(f"calendar not strictly increasing at {d1!r} -> {d2!r}")
+    check_increasing(calendar, "calendar")
     ticker_idx = {t: j for j, t in enumerate(tickers)}
 
     n_d, n_t = len(calendar), len(tickers)
@@ -323,6 +317,19 @@ def coverage_stats(panel: SignalPanel) -> CoverageReport:
     )
 
 
+def _mask_axis_set(axes: set[str] | frozenset[str] | str) -> frozenset[str]:
+    """The axes a mask names: a set of axis names, or the string "ALL"."""
+    if isinstance(axes, str):
+        if axes != "ALL":
+            raise ValidationError(f"unknown axis name {axes!r} (did you mean 'ALL'?)")
+        return frozenset(AXES)
+    axes = frozenset(axes)
+    unknown = axes - set(AXES)
+    if unknown:
+        raise ValidationError(f"unknown axis names: {sorted(unknown)}")
+    return axes
+
+
 def mask_axes(panel: SignalPanel, axes: set[str] | frozenset[str] | str) -> SignalPanel:
     """Return a copy with the selected coordinates pinned to 3.0 everywhere.
 
@@ -332,15 +339,7 @@ def mask_axes(panel: SignalPanel, axes: set[str] | frozenset[str] | str) -> Sign
     flags clear. Masking is a projection — repeating or splitting the same
     mask set gives an identical panel.
     """
-    if isinstance(axes, str):
-        if axes != "ALL":
-            raise ValidationError(f"unknown axis name {axes!r} (did you mean 'ALL'?)")
-        axes = set(AXES)
-    axes = set(axes)
-    unknown = axes - set(AXES)
-    if unknown:
-        raise ValidationError(f"unknown axis names: {sorted(unknown)}")
-    masked = frozenset(panel.masked_axes | axes)
+    masked = panel.masked_axes | _mask_axis_set(axes)
     values = np.array(panel.values, copy=True)
     for a, axis in enumerate(AXES):
         if axis in masked:

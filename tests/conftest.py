@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from semlab import MarketPanel, SignalPanel, SyntheticSpec, synth_panel
+
+# property tests draw the same examples on every run, so tier-1 stays
+# deterministic; no example database is written
+settings.register_profile("semlab", derandomize=True, database=None, deadline=None)
+settings.load_profile("semlab")
 
 
 def business_days(start: str, count: int) -> tuple[str, ...]:

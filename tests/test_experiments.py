@@ -1,12 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from semlab import ExperimentConfig, run, validate_inputs
 from semlab.cli import main as cli_main
-from semlab.errors import ConfigError
-from semlab.experiments import KINDS
+from semlab.errors import AlignmentError, ConfigError
+from semlab.experiments import KINDS, _load_dense_block
 
 from conftest import business_days
 
@@ -135,6 +136,33 @@ class TestRunKinds:
             run(cfg)
         leftovers = list((tmp_path / "broken").glob("*")) if (tmp_path / "broken").exists() else []
         assert leftovers == []
+
+
+class TestDenseBlock:
+    DATES = ("2020-01-02", "2020-01-03")
+    TICKERS = ("AA", "BB")
+
+    def _write(self, tmp_path, rows):
+        path = tmp_path / "dense.csv"
+        path.write_text("date,ticker,f0,f1\n" + "".join(r + "\n" for r in rows))
+        return str(path)
+
+    def test_full_grid_loads_and_outside_rows_are_skipped(self, tmp_path):
+        path = self._write(tmp_path, [
+            "2020-01-02,AA,1,2", "2020-01-02,BB,3,4",
+            "2020-01-03,AA,5,6", "2020-01-03,BB,7,8",
+            "2020-01-03,ZZ,9,9",  # ticker outside the workspace universe
+            "2019-12-31,AA,9,9",  # date outside the workspace calendar
+        ])
+        arr = _load_dense_block(path, self.DATES, self.TICKERS)
+        np.testing.assert_array_equal(arr, [[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+
+    def test_missing_cell_is_alignment_error(self, tmp_path):
+        path = self._write(tmp_path, [
+            "2020-01-02,AA,1,2", "2020-01-02,BB,3,4", "2020-01-03,AA,5,6",
+        ])
+        with pytest.raises(AlignmentError, match=r"calendar gaps: BB missing 2020-01-03$"):
+            _load_dense_block(path, self.DATES, self.TICKERS)
 
 
 class TestDeterminism:

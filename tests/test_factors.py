@@ -21,6 +21,7 @@ from semlab.errors import (
     ConfigError,
     DegenerateFitError,
     LeakageError,
+    NumericalError,
     RankError,
     ValidationError,
 )
@@ -182,6 +183,17 @@ class TestFitSrf:
             srf_model.weights[1:], sfp_model.weights[1:], atol=5e-3
         )
 
+    def test_near_constant_sentiment_breaks_residual_mean(self):
+        # sentiment one ulp apart: the slope blows up and the training
+        # residuals lose their zero mean, which raises rather than asserts
+        rng = np.random.default_rng(0)
+        values = rng.integers(1, 6, size=(60, 5, 4)).astype(float)
+        values[:, :, 0] = np.where(rng.random((60, 5)) < 0.5, 3.0, np.nextafter(3.0, 4.0))
+        panel = make_signal_panel(values, np.ones((60, 5), dtype=bool))
+        y = rng.normal(0, 0.01, size=(60, 5))
+        with pytest.raises(NumericalError, match="residuals on sentiment"):
+            fit_srf(panel, y, (panel.dates[0], panel.dates[-1]))
+
     def test_constant_sentiment_rejected(self):
         rng = np.random.default_rng(11)
         values = rng.integers(1, 6, size=(60, 3, 4)).astype(float)
@@ -266,6 +278,13 @@ class TestComposite:
         model = fit_equal_weight_composite(panel, train)
         with pytest.raises(LeakageError):
             composite(panel, model)  # full panel includes the fit range
+
+    def test_restrict_unknown_ticker_is_validation_error(self):
+        scores = CompositeScore(dates=("2020-01-02",), tickers=("AA", "BB"),
+                                values=np.ones((1, 2)))
+        assert scores.restrict(["BB"]).tickers == ("BB",)
+        with pytest.raises(ValidationError, match=r"tickers not in scores: \['ZZ'\]"):
+            scores.restrict(["BB", "ZZ"])
 
     def test_frozen_model_hash_stable_across_evaluation(self):
         panel, train, test_panel = self._fit_and_split(seed=17)

@@ -1,0 +1,95 @@
+"""Calendar lookups: the bisecting date span against the linear scan it
+replaced, and date slicing commuting with ticker restriction on every panel
+type."""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from semlab import CompositeScore, EquityCurve, MarketPanel, SignalPanel
+from semlab._grid import date_span
+from semlab.errors import LabError, ValidationError
+
+TICKERS = ("AA", "BB", "CC", "DD")
+ARRAYS = ("close", "volume", "open", "high", "low", "values", "non_neutral")
+
+
+def scan_span(dates, start, end):
+    """Oracle: the linear scan the panels used before bisection."""
+    keep = [i for i, d in enumerate(dates) if start <= d <= end]
+    return (keep[0], keep[-1] + 1) if keep else None
+
+
+def iso(day: int) -> str:
+    return str(np.datetime64("2020-01-01") + day)
+
+
+# trading days are a random subset of 60 calendar days; bounds range from
+# before the first day to after the last and land between trading days
+calendars = st.sets(st.integers(0, 60), max_size=25).map(lambda s: tuple(iso(n) for n in sorted(s)))
+bounds = st.integers(-5, 65).map(iso)
+universes = st.permutations(TICKERS).flatmap(
+    lambda perm: st.integers(0, len(perm)).map(lambda k: list(perm[:k]))
+)
+
+
+@given(calendars, bounds, bounds)
+def test_date_span_matches_linear_scan(dates, start, end):
+    span = date_span(dates, start, end)
+    assert span.start <= span.stop
+    got = (span.start, span.stop) if span.start < span.stop else None
+    assert got == scan_span(dates, start, end)
+
+
+def _panels(dates, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(dates), len(TICKERS))
+    prices = {n: 1.0 + rng.random(shape) for n in ("close", "open", "high", "low", "volume")}
+    values = rng.integers(1, 6, size=shape + (4,)).astype(float)
+    flags = rng.random(shape) < 0.5
+    values[~flags] = 3.0
+    return (
+        MarketPanel(dates=dates, tickers=TICKERS, **prices),
+        SignalPanel(dates=dates, tickers=TICKERS, values=values, non_neutral=flags),
+        CompositeScore(dates=dates, tickers=TICKERS, values=rng.normal(size=shape)),
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except LabError as exc:
+        return type(exc)
+
+
+@given(calendars.filter(len), universes, bounds, bounds, st.integers(0, 2**16))
+def test_slice_dates_and_restrict_commute(dates, keep, start, end, seed):
+    expected = scan_span(dates, start, end)
+    for panel in _panels(dates, seed):
+        a = _outcome(lambda: panel.slice_dates(start, end).restrict(keep))
+        b = _outcome(lambda: panel.restrict(keep).slice_dates(start, end))
+        if expected is None:
+            assert a is b and issubclass(a, LabError)
+            continue
+        rows = slice(*expected)
+        cols = [TICKERS.index(t) for t in keep]
+        for sub in (a, b):
+            assert sub.dates == dates[rows]
+            assert sub.tickers == tuple(keep)
+            for name in ARRAYS:
+                if getattr(panel, name, None) is not None:
+                    np.testing.assert_array_equal(getattr(sub, name),
+                                                  getattr(panel, name)[rows][:, cols])
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: SignalPanel(dates=d, tickers=("AA",), values=np.full((2, 1, 4), 3.0),
+                          non_neutral=np.zeros((2, 1), dtype=bool)),
+    lambda d: CompositeScore(dates=d, tickers=("AA",), values=np.ones((2, 1))),
+    lambda d: EquityCurve(dates=d, wealth=np.ones(2), daily_returns=np.zeros(2),
+                          holdings=np.zeros((2, 1)), cost_paid=np.zeros(2), tickers=("AA",)),
+], ids=["SignalPanel", "CompositeScore", "EquityCurve"])
+def test_unsorted_calendar_rejected(build):
+    build(("2020-01-02", "2020-01-03"))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        build(("2020-01-03", "2020-01-02"))

@@ -48,6 +48,17 @@ class TestLoadPricePanel:
         with pytest.raises(AlignmentError, match="BB missing 2020-01-03"):
             load_price_panel(str(p))
 
+    @pytest.mark.parametrize("row", [
+        "2020-01-03,AA,5,5,5,inf,10",
+        "2020-01-03,AA,5,nan,5,5,10",
+        "2020-01-03,AA,5,5,5,5,inf",
+    ])
+    def test_non_finite_value_carries_cell_and_line(self, tmp_path, row):
+        p = tmp_path / "prices.csv"
+        _write_rows(p, ["2020-01-02,AA,5,5,5,5,10", row])
+        with pytest.raises(ValidationError, match=r"non-finite value at \(2020-01-03, AA\), line 3"):
+            load_price_panel(str(p))
+
     def test_malformed_row_carries_line_number(self, tmp_path):
         p = tmp_path / "prices.csv"
         _write_rows(p, ["2020-01-02,AA,5,5,5,5,10", "2020-01-03,AA,5,5,bad,5,10"])
@@ -71,6 +82,14 @@ class TestPanelInvariants:
                 dates=("2020-01-03", "2020-01-02"), tickers=("A",),
                 close=np.ones((2, 1)),
             )
+
+    @pytest.mark.parametrize("name", ["close", "open", "high", "low", "volume"])
+    def test_non_finite_prices_rejected(self, name):
+        arrays = {n: np.full((3, 2), 10.0) for n in ("close", "open", "high", "low", "volume")}
+        arrays[name][1, 1] = np.inf if name != "volume" else np.nan
+        with pytest.raises(ValidationError, match=rf"non-finite {name} at \(2020-01-03, T01\)"):
+            MarketPanel(dates=("2020-01-02", "2020-01-03", "2020-01-06"),
+                        tickers=("T00", "T01"), **arrays)
 
     def test_arrays_are_frozen(self):
         panel = make_panel(np.full((3, 2), 10.0))
