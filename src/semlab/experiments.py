@@ -42,7 +42,7 @@ from .env import (
     write_episode_log,
     write_observation_layout,
 )
-from .errors import ConfigError, LabError, ValidationError
+from .errors import ConfigError, LabError, ParseError, ValidationError
 from .factors import (
     DEFAULT_RIDGE,
     LAMBDA_GRID,
@@ -477,13 +477,17 @@ def _feature_blocks(cfg: ExperimentConfig, ws: Workspace) -> dict[str, np.ndarra
 def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
     """Dense feature file: header date,ticker,<col...>, one row per workspace cell.
 
-    Rows for dates or tickers outside the workspace are skipped (a universe
-    restriction drops them on purpose); a workspace cell with no row raises
-    an AlignmentError listing the gaps, never a silent zero.
+    Every row must hold one number per header column, or a ParseError names
+    the line. Rows for dates or tickers outside the workspace are then
+    skipped (a universe restriction drops them on purpose); a workspace cell
+    with no row raises an AlignmentError listing the gaps, never a silent zero.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: line 1: empty file, expected a date,ticker,... header") from None
         if header[:2] != ["date", "ticker"]:
             raise ConfigError(f"{path}: dense block header must start with date,ticker")
         k = len(header) - 2
@@ -496,11 +500,19 @@ def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                features = [float(x) for x in row[2:]]
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
             i = date_idx.get(row[0])
             j = tick_idx.get(row[1])
             if i is None or j is None:
                 continue
-            arr[i, j] = [float(x) for x in row[2:]]
+            arr[i, j] = features
             seen[i, j] = True
     if not seen.all():
         raise gaps_error(path, [(tickers[j], dates[i]) for j, i in np.argwhere(~seen.T)])

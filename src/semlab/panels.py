@@ -295,6 +295,10 @@ def write_price_panel(panel: MarketPanel, path: str) -> None:
 # Technical indicators
 # ---------------------------------------------------------------------------
 
+# Every helper runs down axis 0 (time) and works on a single series or on a
+# whole (dates, tickers) grid alike; recursions step once per date over the
+# ticker vector.
+
 def _ema(x: np.ndarray, span: int) -> np.ndarray:
     """Recursive exponential mean, seeded with the first observation."""
     alpha = 2.0 / (span + 1.0)
@@ -305,93 +309,95 @@ def _ema(x: np.ndarray, span: int) -> np.ndarray:
     return out
 
 
-def _wilder(x: np.ndarray, n: int, seed_rows: int | None = None) -> np.ndarray:
+def _wilder(x: np.ndarray, n: int) -> np.ndarray:
     """Wilder smoothing: simple-average seed over the first n rows, then
     s[i] = s[i-1] + (x[i] - s[i-1]) / n. Leading rows before the seed are NaN."""
-    k = n if seed_rows is None else seed_rows
-    out = np.full(len(x), np.nan)
-    if len(x) < k:
+    out = np.full(x.shape, np.nan)
+    if len(x) < n:
         return out
-    out[k - 1] = np.mean(x[:k])
-    for i in range(k, len(x)):
+    # each series' seed is summed along one contiguous row, in the order
+    # np.mean sums a lone series, so it does not depend on the ticker count
+    out[n - 1] = np.mean(np.ascontiguousarray(x[:n].T), axis=-1)
+    for i in range(n, len(x)):
         out[i] = out[i - 1] + (x[i] - out[i - 1]) / n
     return out
 
 
+def _windows(x: np.ndarray, n: int) -> list[np.ndarray]:
+    """The n offset views x[k : k + m], k = 0..n-1; row r of them together
+    holds the trailing window that ends at row r + n - 1."""
+    m = len(x) - n + 1
+    return [x[k : k + m] for k in range(n)] if m > 0 else []
+
+
 def _rolling_mean(x: np.ndarray, n: int) -> np.ndarray:
-    out = np.full(len(x), np.nan)
+    out = np.full(x.shape, np.nan)
     if len(x) >= n:
-        c = np.concatenate([[0.0], np.cumsum(x)])
+        c = np.concatenate([np.zeros((1,) + x.shape[1:]), np.cumsum(x, axis=0)])
         out[n - 1 :] = (c[n:] - c[:-n]) / n
     return out
 
 
 def _rolling_std(x: np.ndarray, n: int) -> np.ndarray:
-    # Population std over the window; two-pass per window keeps it robust
-    # to the catastrophic cancellation the cumsum-of-squares shortcut invites.
-    out = np.full(len(x), np.nan)
-    for i in range(n - 1, len(x)):
-        out[i] = np.std(x[i - n + 1 : i + 1])
+    # Population std over the window, two-pass per window: the window mean
+    # first, then the squared deviations from it, which keeps it robust to
+    # the catastrophic cancellation the cumsum-of-squares shortcut invites.
+    # Both passes accumulate over the n window offsets, so no
+    # (days x tickers x n) temporary is ever built.
+    out = np.full(x.shape, np.nan)
+    windows = _windows(x, n)
+    mean = sum(windows) / n
+    out[n - 1 :] = np.sqrt(sum((w - mean) ** 2 for w in windows) / n)
     return out
 
 
 def _rsi(close: np.ndarray, n: int) -> np.ndarray:
-    delta = np.diff(close, prepend=close[0])
+    delta = np.diff(close, axis=0, prepend=close[:1])
     gains = np.maximum(delta, 0.0)
     losses = np.maximum(-delta, 0.0)
-    # skip the synthetic first delta when seeding
-    avg_gain = _wilder(gains[1:], n)
-    avg_loss = _wilder(losses[1:], n)
-    out = np.full(len(close), np.nan)
-    for i in range(n, len(close)):
-        g, l = avg_gain[i - 1], avg_loss[i - 1]
-        if g == 0.0 and l == 0.0:
-            out[i] = 50.0  # flat-series convention
-        elif l == 0.0:
-            out[i] = 100.0
-        else:
-            out[i] = 100.0 - 100.0 / (1.0 + g / l)
+    # skip the synthetic first delta when seeding; row i reads the averages
+    # through row i - 1
+    g = _wilder(gains[1:], n)[n - 1 :]
+    l = _wilder(losses[1:], n)[n - 1 :]
+    out = np.full(close.shape, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rsi = 100.0 - 100.0 / (1.0 + g / l)
+    # flat-series convention: 50 with no moves at all, 100 with no losses
+    out[n:] = np.where(l == 0.0, np.where(g == 0.0, 50.0, 100.0), rsi)
     return out
 
 
 def _cci(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.ndarray:
     tp = (high + low + close) / 3.0
-    sma = _rolling_mean(tp, n)
-    out = np.full(len(close), np.nan)
-    for i in range(n - 1, len(close)):
-        window = tp[i - n + 1 : i + 1]
-        md = np.mean(np.abs(window - sma[i]))
-        out[i] = 0.0 if md == 0.0 else (tp[i] - sma[i]) / (0.015 * md)
+    sma = _rolling_mean(tp, n)[n - 1 :]
+    # mean absolute deviation from the window's SMA, accumulated over offsets
+    md = sum(np.abs(w - sma) for w in _windows(tp, n)) / n
+    out = np.full(tp.shape, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[n - 1 :] = np.where(md == 0.0, 0.0, (tp[n - 1 :] - sma) / (0.015 * md))
     return out
 
 
 def _adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.ndarray:
-    m = len(close)
-    up = np.zeros(m)
-    dn = np.zeros(m)
-    tr = np.zeros(m)
-    for i in range(1, m):
-        up_move = high[i] - high[i - 1]
-        dn_move = low[i - 1] - low[i]
-        up[i] = up_move if (up_move > dn_move and up_move > 0) else 0.0
-        dn[i] = dn_move if (dn_move > up_move and dn_move > 0) else 0.0
-        tr[i] = max(high[i] - low[i], abs(high[i] - close[i - 1]), abs(low[i] - close[i - 1]))
-    s_up = _wilder(up[1:], n)
-    s_dn = _wilder(dn[1:], n)
-    s_tr = _wilder(tr[1:], n)
-    dx = np.full(m, np.nan)
-    for i in range(n, m):
-        atr = s_tr[i - 1]
-        if atr == 0.0:
-            dx[i] = 0.0
-            continue
-        di_p = 100.0 * s_up[i - 1] / atr
-        di_m = 100.0 * s_dn[i - 1] / atr
+    up_move = high[1:] - high[:-1]
+    dn_move = low[:-1] - low[1:]
+    up = np.where((up_move > dn_move) & (up_move > 0), up_move, 0.0)
+    dn = np.where((dn_move > up_move) & (dn_move > 0), dn_move, 0.0)
+    tr = np.maximum(
+        high[1:] - low[1:],
+        np.maximum(np.abs(high[1:] - close[:-1]), np.abs(low[1:] - close[:-1])),
+    )
+    # row i reads the smoothed moves through row i - 1
+    s_up = _wilder(up, n)[n - 1 :]
+    s_dn = _wilder(dn, n)[n - 1 :]
+    atr = _wilder(tr, n)[n - 1 :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        di_p = 100.0 * s_up / atr
+        di_m = 100.0 * s_dn / atr
         denom = di_p + di_m
-        dx[i] = 0.0 if denom == 0.0 else 100.0 * abs(di_p - di_m) / denom
-    out = np.full(m, np.nan)
-    smoothed = _wilder(dx[n:], n)
-    out[2 * n - 1 :] = smoothed[n - 1 :]
+        dx = np.where((atr == 0.0) | (denom == 0.0), 0.0, 100.0 * np.abs(di_p - di_m) / denom)
+    out = np.full(close.shape, np.nan)
+    out[2 * n - 1 :] = _wilder(dx, n)[n - 1 :]
     return out
 
 
@@ -405,6 +411,12 @@ def compute_indicators(
     RSI/ADX with Wilder smoothing over 30 periods, CCI with the 0.015
     constant, plain rolling means for the SMAs. Deterministic for fixed
     input. CCI and ADX need high/low columns.
+
+    Each indicator is computed once over the whole (dates, tickers) grid.
+    The recursions (EMA, Wilder) step once per date over the ticker vector.
+    The rolling sigma and CCI's mean absolute deviation stay two-pass per
+    window, with both passes summed over the window offsets rather than
+    over days. Bollinger's SMA20 and sigma are computed once for both bands.
     """
     unknown = [n for n in names if n not in _INDICATOR_WARMUP]
     if unknown:
@@ -419,29 +431,28 @@ def compute_indicators(
     if needs_hl and (panel.high is None or panel.low is None):
         raise ValidationError("cci/adx indicators require high and low columns")
 
+    close, high, low = panel.close, panel.high, panel.low
+    if {"boll_ub", "boll_lb"} & set(names):
+        boll_mid, boll_width = _rolling_mean(close, 20), 2.0 * _rolling_std(close, 20)
     values = np.full((panel.n_dates, panel.n_tickers, len(names)), np.nan)
-    for j in range(panel.n_tickers):
-        close = panel.close[:, j]
-        high = panel.high[:, j] if panel.high is not None else close
-        low = panel.low[:, j] if panel.low is not None else close
-        for k, name in enumerate(names):
-            if name == "macd":
-                col = _ema(close, 12) - _ema(close, 26)
-            elif name == "boll_ub":
-                col = _rolling_mean(close, 20) + 2.0 * _rolling_std(close, 20)
-            elif name == "boll_lb":
-                col = _rolling_mean(close, 20) - 2.0 * _rolling_std(close, 20)
-            elif name == "rsi_30":
-                col = _rsi(close, 30)
-            elif name == "cci_30":
-                col = _cci(high, low, close, 30)
-            elif name == "adx_30":
-                col = _adx(high, low, close, 30)
-            elif name == "sma_30":
-                col = _rolling_mean(close, 30)
-            elif name == "sma_60":
-                col = _rolling_mean(close, 60)
-            values[:, j, k] = col
+    for k, name in enumerate(names):
+        if name == "macd":
+            col = _ema(close, 12) - _ema(close, 26)
+        elif name == "boll_ub":
+            col = boll_mid + boll_width
+        elif name == "boll_lb":
+            col = boll_mid - boll_width
+        elif name == "rsi_30":
+            col = _rsi(close, 30)
+        elif name == "cci_30":
+            col = _cci(high, low, close, 30)
+        elif name == "adx_30":
+            col = _adx(high, low, close, 30)
+        elif name == "sma_30":
+            col = _rolling_mean(close, 30)
+        elif name == "sma_60":
+            col = _rolling_mean(close, 60)
+        values[:, :, k] = col
     return FeaturePanel(
         dates=panel.dates, tickers=panel.tickers, values=values,
         names=tuple(names), warmup=warmup,

@@ -90,8 +90,13 @@ class SignalPanel:
             raise ValidationError(f"values shape {values.shape}, expected {shape + (4,)}")
         if flags.shape != shape:
             raise ValidationError(f"non_neutral shape {flags.shape}, expected {shape}")
-        if values.size and (values.min() < 1.0 or values.max() > 5.0):
-            raise ValidationError("signal values outside [1, 5]")
+        # NaN fails both comparisons, so it is rejected with the out-of-range values
+        if values.size and not (values.min() >= 1.0 and values.max() <= 5.0):
+            d, t, a = np.argwhere(~((values >= 1.0) & (values <= 5.0)))[0]
+            raise ValidationError(
+                f"signal value {float(values[d, t, a])} outside [1, 5] at "
+                f"({self.dates[d]}, {self.tickers[t]}, {AXES[a]})"
+            )
         if not np.all(values[~flags] == NEUTRAL):
             raise ValidationError("neutral cells must hold the neutral default exactly")
         bad = self.masked_axes - set(AXES)

@@ -6,7 +6,7 @@ import pytest
 
 from semlab import ExperimentConfig, run, validate_inputs
 from semlab.cli import main as cli_main
-from semlab.errors import AlignmentError, ConfigError
+from semlab.errors import AlignmentError, ConfigError, ParseError
 from semlab.experiments import KINDS, _load_dense_block
 
 from conftest import business_days
@@ -163,6 +163,22 @@ class TestDenseBlock:
         ])
         with pytest.raises(AlignmentError, match=r"calendar gaps: BB missing 2020-01-03$"):
             _load_dense_block(path, self.DATES, self.TICKERS)
+
+    def test_non_numeric_field_is_parse_error(self, tmp_path):
+        path = self._write(tmp_path, ["2020-01-02,AA,1,2", "2020-01-02,BB,3,x"])
+        with pytest.raises(ParseError, match=r"dense\.csv: line 3: could not convert"):
+            _load_dense_block(path, self.DATES, self.TICKERS)
+
+    def test_short_row_is_parse_error_not_broadcast(self, tmp_path):
+        path = self._write(tmp_path, ["2020-01-02,AA,1.0"])
+        with pytest.raises(ParseError, match=r"dense\.csv: line 2: expected 4 fields, got 3"):
+            _load_dense_block(path, self.DATES, self.TICKERS)
+
+    def test_empty_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "dense.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match=r"dense\.csv: line 1: empty file"):
+            _load_dense_block(str(path), self.DATES, self.TICKERS)
 
 
 class TestDeterminism:

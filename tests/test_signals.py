@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semlab import (
     AXES,
@@ -166,56 +167,67 @@ class TestCoverage:
         assert rep.value_fractions["AA"]["any"] == 0.0
 
 
-class TestMasking:
-    def _random_panel(self, rng):
-        n_d, n_t = int(rng.integers(2, 6)), int(rng.integers(1, 4))
-        flags = rng.random((n_d, n_t)) < 0.6
-        values = np.where(
-            flags[:, :, None], rng.integers(1, 6, size=(n_d, n_t, 4)).astype(float), NEUTRAL
-        )
-        return make_signal_panel(values, flags)
+# panels of up to 5 x 3 cells, scores on the half-point grid in [1, 5],
+# neutral wherever the presence flag is clear
+@st.composite
+def signal_panels(draw):
+    n_d, n_t = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    scores = st.sampled_from([1.0 + 0.5 * i for i in range(9)])
+    flags = np.array(draw(st.lists(st.booleans(), min_size=n_d * n_t, max_size=n_d * n_t)))
+    values = np.array(draw(st.lists(scores, min_size=n_d * n_t * 4, max_size=n_d * n_t * 4)))
+    flags = flags.reshape(n_d, n_t)
+    values = np.where(flags[:, :, None], values.reshape(n_d, n_t, 4), NEUTRAL)
+    return make_signal_panel(values, flags)
 
-    def test_mask_all_is_neutral_everywhere(self):
-        rng = np.random.default_rng(0)
-        panel = self._random_panel(rng)
+
+masks = st.just("ALL") | st.sets(st.sampled_from(AXES))
+
+
+def _axis_set(axes):
+    return set(AXES) if axes == "ALL" else axes
+
+
+class TestMasking:
+    @given(signal_panels())
+    def test_mask_all_is_neutral_everywhere(self, panel):
         masked = mask_axes(panel, "ALL")
         assert np.all(masked.values == NEUTRAL)
         assert not masked.non_neutral.any()
 
-    def test_mask_empty_is_identity(self):
-        rng = np.random.default_rng(1)
-        panel = self._random_panel(rng)
-        masked = mask_axes(panel, set())
-        assert masked.equals(panel)
+    @given(signal_panels())
+    def test_mask_empty_is_identity(self, panel):
+        assert mask_axes(panel, set()).equals(panel)
 
-    def test_sequential_masks_compose(self):
-        rng = np.random.default_rng(2)
-        panel = self._random_panel(rng)
-        two_step = mask_axes(mask_axes(panel, {"confidence"}), {"risk"})
-        one_step = mask_axes(panel, {"confidence", "risk"})
-        assert two_step.equals(one_step)
+    @given(signal_panels(), masks, masks)
+    def test_sequential_masks_compose(self, panel, a, b):
+        # masking A then B is masking A | B at once
+        union = _axis_set(a) | _axis_set(b)
+        assert mask_axes(mask_axes(panel, a), b).equals(mask_axes(panel, union))
 
-    def test_projection_property(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            panel = self._random_panel(rng)
-            axes = set(rng.choice(AXES, size=int(rng.integers(0, 5)), replace=False))
-            once = mask_axes(panel, axes)
-            twice = mask_axes(once, axes)
-            assert twice.equals(once)
+    @given(signal_panels(), masks)
+    def test_projection_property(self, panel, axes):
+        once = mask_axes(panel, axes)
+        assert mask_axes(once, axes).equals(once)
 
-    def test_input_panel_untouched(self):
-        rng = np.random.default_rng(4)
-        panel = self._random_panel(rng)
+    @given(signal_panels(), masks)
+    def test_input_panel_untouched(self, panel, axes):
         before = panel.values.copy()
-        mask_axes(panel, "ALL")
+        mask_axes(panel, axes)
         np.testing.assert_array_equal(panel.values, before)
 
     def test_unknown_axis_rejected(self):
-        rng = np.random.default_rng(5)
-        panel = self._random_panel(rng)
+        panel = make_signal_panel(np.full((2, 1, 4), NEUTRAL))
         with pytest.raises(ValidationError, match="unknown axis"):
             mask_axes(panel, {"sentimentt"})
+
+
+class TestSignalPanelValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5, 5.5])
+    def test_bad_flagged_value_names_the_cell(self, bad):
+        values = np.full((3, 2, 4), 4.0)
+        values[1, 1, 2] = bad
+        with pytest.raises(ValidationError, match=r"outside \[1, 5\] at \(2020-01-03, T01, confidence\)"):
+            make_signal_panel(values, np.ones((3, 2), dtype=bool))
 
 
 class TestPca:
