@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class EquityCurve:
     holdings: np.ndarray  # (dates, tickers) post-trade target weights
     cost_paid: np.ndarray  # booked on the day the trade's P&L first accrues
     tickers: tuple[str, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -106,12 +105,7 @@ def write_equity_curve(curve: EquityCurve, path: str, holdings_path: str | None 
 # The ledger engine
 # ---------------------------------------------------------------------------
 
-def run_weight_schedule(
-    panel: MarketPanel,
-    targets: np.ndarray,
-    cost_rate: float,
-    label: str = "",
-) -> EquityCurve:
+def run_weight_schedule(panel: MarketPanel, targets: np.ndarray, cost_rate: float) -> EquityCurve:
     """Execute a per-date target-weight schedule against the panel.
 
     Trading happens at a day's close only when that day's target vector
@@ -155,7 +149,7 @@ def run_weight_schedule(
     daily_returns[1:] = wealth[1:] / wealth[:-1] - 1.0
     return EquityCurve(
         dates=panel.dates, wealth=wealth, daily_returns=daily_returns,
-        holdings=targets, cost_paid=cost_paid, tickers=panel.tickers, label=label,
+        holdings=targets, cost_paid=cost_paid, tickers=panel.tickers,
     )
 
 
@@ -226,8 +220,7 @@ def backtest_topk(
             "basket shrank below k=%d on %d of %d days (not enough scored tickers)",
             config.k, short_days, n_d,
         )
-    label = f"top{config.k}-{mode}" if mode == "equal" else f"top{config.k}-scw(T={temperature})"
-    return run_weight_schedule(sub_panel, targets, config.cost_rate, label=label)
+    return run_weight_schedule(sub_panel, targets, config.cost_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +261,7 @@ def baseline(
         view = sub.slice_dates(*period)
         targets = np.zeros((view.n_dates, view.n_tickers))
         targets[:] = 1.0 / view.n_tickers
-        return run_weight_schedule(view, targets, 0.0, label="ew-buy-and-hold")
+        return run_weight_schedule(view, targets, 0.0)
 
     if kind == "momentum_topk":
         if first_in_period() < lookback:
@@ -277,12 +270,9 @@ def baseline(
             )
         rel = np.full_like(sub.close, np.nan)
         rel[lookback:] = sub.close[lookback:] / sub.close[:-lookback] - 1.0
-        scores = CompositeScore(
-            dates=sub.dates, tickers=sub.tickers, values=rel, provenance="momentum"
-        )
+        scores = CompositeScore(dates=sub.dates, tickers=sub.tickers, values=rel)
         cfg = BacktestConfig(k=config.k, cost_rate=config.cost_rate, period=period)
-        curve = backtest_topk(scores, sub, cfg)
-        return replace(curve, label=f"momentum-top{config.k}")
+        return backtest_topk(scores, sub, cfg)
 
     if kind == "equal_vol":
         first = first_in_period()
@@ -303,7 +293,7 @@ def baseline(
         # a dead (zero-vol) column would break renormalisation; spread equally
         inv = np.where(np.isfinite(inv), inv, 1.0)
         targets = inv / inv.sum(axis=1, keepdims=True)
-        return run_weight_schedule(view, targets, config.cost_rate, label="equal-vol")
+        return run_weight_schedule(view, targets, config.cost_rate)
 
     raise ValidationError(f"unknown baseline kind {kind!r}")
 

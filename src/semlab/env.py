@@ -170,6 +170,11 @@ class TradingEnv:
         self.signals = signals
         self.turbulence = turbulence
         self.config = config
+        # per-date no-buy flags; all clear without a turbulence series
+        self.gated = (
+            np.zeros(panel.n_dates, dtype=bool) if turbulence is None
+            else turbulence.gate(config.turbulence_threshold)
+        )
         self.layout = ObservationLayout(
             tickers=panel.tickers, feature_names=features.names
         )
@@ -238,15 +243,12 @@ class TradingEnv:
         prices = state.prices
         deltas = np.rint(np.clip(action, -1.0, 1.0) * cfg.h_max).astype(np.int64)
 
-        gated = False
-        turb_value = float("nan")
-        turb_available = False
-        if self.turbulence is not None:
-            turb_value = float(self.turbulence.values[idx])
-            turb_available = bool(np.isfinite(turb_value))
-            if turb_available and turb_value > cfg.turbulence_threshold:
-                gated = True
-                deltas = np.minimum(deltas, 0)
+        gated = bool(self.gated[idx])
+        if gated:
+            deltas = np.minimum(deltas, 0)
+        turb_value = (
+            float("nan") if self.turbulence is None else float(self.turbulence.values[idx])
+        )
 
         holdings = np.array(state.holdings, dtype=np.int64)
         cash = state.cash
@@ -287,7 +289,7 @@ class TradingEnv:
             "buy_notional": buy_notional,
             "gated": gated,
             "turbulence": turb_value,
-            "turbulence_available": turb_available,
+            "turbulence_available": bool(np.isfinite(turb_value)),
             "buys_scaled": buys_scaled,
             "penalty": penalty,
         }
@@ -366,7 +368,6 @@ def run_policy(
     start_date: str | None = None,
     mask: set[str] | str | None = None,
     seed: int | None = None,
-    label: str = "policy",
 ) -> tuple[EquityCurve, np.ndarray, list[dict]]:
     """Roll a policy through a full episode.
 
@@ -423,7 +424,6 @@ def run_policy(
         holdings=np.asarray(holdings_w),
         cost_paid=np.asarray(costs),
         tickers=env.panel.tickers,
-        label=label,
     )
     return curve, np.asarray(rewards), infos
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -75,7 +76,6 @@ from .signals import (
     aggregate_signals,
     coverage_stats,
     load_article_scores,
-    pca_effective_dim,
 )
 from .stats import (
     lag1_autocorr,
@@ -430,19 +430,16 @@ def _run_scw(s: _Study) -> None:
 
 
 def _scale_scores(scores: CompositeScore, factor: float) -> CompositeScore:
-    return replace(scores, values=scores.values * factor,
-                   provenance=scores.provenance + f"|scaled({factor:.6g})")
+    return replace(scores, values=scores.values * factor)
 
 
 def _run_pc1(s: _Study) -> None:
-    span = s.cfg.fit_span()
-    model = fit_pc1_composite(s.ws.signals, span)
+    model, explained = fit_pc1_composite(s.ws.signals, s.cfg.fit_span())
     s.report([("pc1-composite", s.backtest(s.scores(model)))], model)
-    loadings, explained = pca_effective_dim(s.ws.signals.slice_dates(*span))
     s.out.write_rows(
         "pca.csv",
         ["axis", "pc1_loading", "explained_fraction"],
-        [[AXES[i], _fmt(float(loadings[i])), _fmt(float(explained[i]))] for i in range(4)],
+        [[AXES[i], _fmt(float(model.weights[i])), _fmt(float(explained[i]))] for i in range(4)],
     )
 
 
@@ -477,10 +474,11 @@ def _feature_blocks(cfg: ExperimentConfig, ws: Workspace) -> dict[str, np.ndarra
 def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
     """Dense feature file: header date,ticker,<col...>, one row per workspace cell.
 
-    Every row must hold one number per header column, or a ParseError names
-    the line. Rows for dates or tickers outside the workspace are then
-    skipped (a universe restriction drops them on purpose); a workspace cell
-    with no row raises an AlignmentError listing the gaps, never a silent zero.
+    Every row must hold one finite number per header column, or a ParseError
+    (a ValidationError for nan/inf) names the line. Rows for dates or tickers
+    outside the workspace are then skipped (a universe restriction drops them
+    on purpose); a workspace cell with no row raises an AlignmentError listing
+    the gaps, never a silent zero.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -508,6 +506,10 @@ def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
                 features = [float(x) for x in row[2:]]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+            if not all(map(math.isfinite, features)):
+                raise ValidationError(
+                    f"{path}: non-finite value at ({row[0]}, {row[1]}), line {reader.line_num}"
+                )
             i = date_idx.get(row[0])
             j = tick_idx.get(row[1])
             if i is None or j is None:
@@ -644,11 +646,7 @@ def _run_env_eval(s: _Study) -> None:
     names = tuple(p.get("indicators", INDICATORS_ALL))
     features = compute_indicators(ws.panel, names)
     # short panels simply leave the whole series in warm-up (gate inactive)
-    turb = compute_turbulence(
-        ws.panel,
-        window=int(p.get("turbulence_window", 252)),
-        threshold=float(p.get("turbulence_threshold", 380.0)),
-    )
+    turb = compute_turbulence(ws.panel, window=int(p.get("turbulence_window", 252)))
     env_cfg = EnvConfig(
         h_max=int(p.get("h_max", 100)),
         cost_rate=float(p.get("cost_rate", 0.001)),
@@ -685,10 +683,7 @@ def _run_env_eval(s: _Study) -> None:
         for s in range(n_seeds):
             seed = cfg.seed + s
             policy = make_policy(seed)
-            curve, rewards, infos = run_policy(
-                env, policy, start_date=start,
-                mask=mask, seed=seed, label=f"{policy_name}/{mask_label}",
-            )
+            curve, rewards, infos = run_policy(env, policy, start_date=start, mask=mask, seed=seed)
             cr = float(np.prod(1.0 + curve.daily_returns[1:]) - 1.0)
             try:
                 sh = sharpe_ratio(curve.daily_returns[1:])
@@ -870,9 +865,7 @@ def validate_inputs(price_panel: str | None = None, signal_cache: str | None = N
                    f"{panel.n_dates} dates x {panel.n_tickers} tickers, aligned")
             hashes["price_panel_file"] = _file_hash(price_panel)
             hashes["price_panel_content"] = panel.content_hash()
-        except LabError as exc:
-            record("price_panel", False, str(exc))
-        except OSError as exc:
+        except (LabError, OSError) as exc:
             record("price_panel", False, str(exc))
 
     if signal_cache is not None:
@@ -894,9 +887,7 @@ def validate_inputs(price_panel: str | None = None, signal_cache: str | None = N
                     "all article dates inside the panel calendar"
                     if outside == 0 else f"{outside} articles dated outside [{lo}, {hi}]",
                 )
-        except LabError as exc:
-            record("signal_cache", False, str(exc))
-        except OSError as exc:
+        except (LabError, OSError) as exc:
             record("signal_cache", False, str(exc))
 
     if not checks:

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .panels import MarketPanel
-from .signals import AXES, NEUTRAL, SignalPanel, pca_effective_dim
+from .signals import AXES, NEUTRAL, SignalPanel, _axis_stats, _principal_axes
 
 LAMBDA_GRID = (1e-5, 1e-3, 1e-1, 1.0, 10.0)
 TILT_GRID = (0.0, 0.5, 1.0)
@@ -54,7 +54,6 @@ def fit_ridge(
     X: np.ndarray,
     y: np.ndarray,
     lam: float = DEFAULT_RIDGE,
-    fit_intercept: bool = True,
     feature_names: tuple[str, ...] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Closed-form ridge: minimise ||y - Xw - b||^2 + lam ||w||^2.
@@ -74,15 +73,10 @@ def fit_ridge(
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValidationError("non-finite values in the design or target")
 
-    if fit_intercept:
-        xm = X.mean(axis=0)
-        ym = float(y.mean())
-        Xc = X - xm
-        yc = y - ym
-    else:
-        xm = np.zeros(p)
-        ym = 0.0
-        Xc, yc = X, y
+    xm = X.mean(axis=0)
+    ym = float(y.mean())
+    Xc = X - xm
+    yc = y - ym
 
     if lam == 0.0:
         rank = np.linalg.matrix_rank(Xc)
@@ -101,8 +95,7 @@ def fit_ridge(
         w = np.linalg.solve(A, Xc.T @ yc)
     except np.linalg.LinAlgError:
         raise RankError("normal equations singular") from None
-    b = ym - float(xm @ w) if fit_intercept else 0.0
-    return w, b
+    return w, ym - float(xm @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +176,6 @@ class CompositeScore:
     dates: tuple[str, ...]
     tickers: tuple[str, ...]
     values: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -223,7 +215,6 @@ def _pool_rows(
     panel: SignalPanel,
     returns_fwd: np.ndarray,
     fit_range: tuple[str, str],
-    include_neutral: bool,
     min_stock_days: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pool (date, ticker) rows in the range with a finite target.
@@ -234,8 +225,6 @@ def _pool_rows(
     if not in_range.any():
         raise ValidationError(f"fit range {fit_range} covers no panel dates")
     mask = in_range[:, None] & np.isfinite(returns_fwd)
-    if not include_neutral:
-        mask &= panel.non_neutral
     idx = np.argwhere(mask)
     if idx.shape[0] < min_stock_days:
         raise ValidationError(
@@ -250,7 +239,6 @@ def fit_sfp(
     fit_range: tuple[str, str],
     lam: float = DEFAULT_RIDGE,
     axes: tuple[str, ...] = AXES,
-    include_neutral: bool = True,
     min_stock_days: int = 100,
 ) -> FactorModel:
     """Ridge factor weights from axis deviations to forward returns.
@@ -263,13 +251,13 @@ def fit_sfp(
     for a in axes:
         if a not in AXES:
             raise ValidationError(f"unknown axis {a!r}")
-    idx, y = _pool_rows(panel, returns_fwd, fit_range, include_neutral, min_stock_days)
+    idx, y = _pool_rows(panel, returns_fwd, fit_range, min_stock_days)
     X = panel.deviations[idx[:, 0], idx[:, 1]][:, [AXES.index(a) for a in axes]]
     if np.all(X == 0.0):
         raise DegenerateFitError(
             "all signal deviations are zero in the fit range (all-neutral panel)"
         )
-    w, b = fit_ridge(X, y, lam=lam, fit_intercept=True, feature_names=tuple(axes))
+    w, b = fit_ridge(X, y, lam=lam, feature_names=tuple(axes))
     return FactorModel(
         feature_names=tuple(axes),
         weights=w,
@@ -286,7 +274,6 @@ def fit_srf(
     returns_fwd: np.ndarray,
     fit_range: tuple[str, str],
     lam: float = DEFAULT_RIDGE,
-    include_neutral: bool = True,
     min_stock_days: int = 100,
 ) -> tuple[ResidualModel, FactorModel]:
     """Sentiment-residualised variant.
@@ -295,7 +282,7 @@ def fit_srf(
     stock-days; the ridge then runs on [sentiment deviation, residuals].
     Training residuals are zero-mean by construction.
     """
-    idx, y = _pool_rows(panel, returns_fwd, fit_range, include_neutral, min_stock_days)
+    idx, y = _pool_rows(panel, returns_fwd, fit_range, min_stock_days)
     rows = panel.values[idx[:, 0], idx[:, 1]]  # (n, 4)
     sent = rows[:, AXES.index("sentiment")]
     var_sent = float(np.var(sent))
@@ -320,7 +307,7 @@ def fit_srf(
     X = np.column_stack(feats)
     if np.all(X == 0.0):
         raise DegenerateFitError("no variation left after residualisation")
-    w, b0 = fit_ridge(X, y, lam=lam, fit_intercept=True, feature_names=tuple(names))
+    w, b0 = fit_ridge(X, y, lam=lam, feature_names=tuple(names))
     model = FactorModel(
         feature_names=tuple(names),
         weights=w,
@@ -333,35 +320,20 @@ def fit_srf(
     return ResidualModel(params=params), model
 
 
-def _train_axis_stats(
-    panel: SignalPanel, fit_range: tuple[str, str], min_rows: int = 5
-) -> tuple[np.ndarray, np.ndarray]:
-    """Axis mean/std over non-neutral stock-days inside the fit range."""
-    in_range = _range_mask(panel.dates, fit_range)
-    rows = panel.values[in_range][panel.non_neutral[in_range]]
-    if rows.shape[0] < min_rows:
-        raise RankError(
-            f"need at least {min_rows} non-neutral stock-days in fit range, have {rows.shape[0]}"
-        )
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0, ddof=1)
-    if np.any(std == 0):
-        flat = [AXES[a] for a in np.where(std == 0)[0]]
-        raise RankError(f"constant axis values over the fit range: {flat}")
-    return mean, std
-
-
-def fit_pc1_composite(panel: SignalPanel, fit_range: tuple[str, str]) -> FactorModel:
+def fit_pc1_composite(
+    panel: SignalPanel, fit_range: tuple[str, str]
+) -> tuple[FactorModel, np.ndarray]:
     """First-principal-component composite over standardised axes.
 
     Loadings and standardisation statistics come from the fit range's
     non-neutral stock-days; the sign is fixed so the sentiment loading is
-    non-negative.
+    non-negative. Returns the model (its weights are the PC1 loadings) and
+    the explained-variance fractions of the same decomposition, as
+    ``pca_effective_dim`` gives them for the fit range.
     """
-    mean, std = _train_axis_stats(panel, fit_range)
-    sub = panel.slice_dates(fit_range[0], fit_range[1])
-    loadings, _ = pca_effective_dim(sub)
-    return FactorModel(
+    rows, mean, std = _axis_stats(panel, _range_mask(panel.dates, fit_range))
+    loadings, explained = _principal_axes(rows, mean, std)
+    model = FactorModel(
         feature_names=AXES,
         weights=loadings,
         intercept=0.0,
@@ -370,13 +342,14 @@ def fit_pc1_composite(panel: SignalPanel, fit_range: tuple[str, str]) -> FactorM
         ridge_strength=0.0,
         fit_range=fit_range,
     )
+    return model, explained
 
 
 def fit_equal_weight_composite(
     panel: SignalPanel, fit_range: tuple[str, str]
 ) -> FactorModel:
     """Equal-weight mean of the four standardised axes (no supervision)."""
-    mean, std = _train_axis_stats(panel, fit_range)
+    _, mean, std = _axis_stats(panel, _range_mask(panel.dates, fit_range))
     return FactorModel(
         feature_names=AXES,
         weights=np.full(4, 0.25),
@@ -386,6 +359,14 @@ def fit_equal_weight_composite(
         ridge_strength=0.0,
         fit_range=fit_range,
     )
+
+
+def _apply(model: FactorModel, dates: tuple[str, ...], feats: np.ndarray) -> np.ndarray:
+    """Scores of ``feats`` (..., p) on ``dates`` under ``model``; raises
+    LeakageError if a date lies inside the fit range."""
+    model.check_disjoint(dates)
+    z = (feats - model.standardizer_mean) / model.standardizer_std
+    return z @ model.weights + model.intercept
 
 
 def composite(
@@ -398,7 +379,6 @@ def composite(
     The panel's dates must lie entirely outside the model's fit range.
     Models in the residual basis need their ResidualModel.
     """
-    model.check_disjoint(panel.dates)
     cols = []
     for name in model.feature_names:
         axis = _resid_axis(name)
@@ -410,13 +390,8 @@ def composite(
             cols.append(panel.axis(name))
         else:
             raise ValidationError(f"cannot build feature {name!r} from a signal panel")
-    feats = np.stack(cols, axis=-1)  # (D, T, p)
-    z = (feats - model.standardizer_mean) / model.standardizer_std
-    values = z @ model.weights + model.intercept
-    return CompositeScore(
-        dates=panel.dates, tickers=panel.tickers, values=values,
-        provenance=f"factor:{','.join(model.feature_names)}@{model.fit_range[0]}..{model.fit_range[1]}",
-    )
+    values = _apply(model, panel.dates, np.stack(cols, axis=-1))
+    return CompositeScore(dates=panel.dates, tickers=panel.tickers, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +484,12 @@ class ForecasterModel:
         tickers: tuple[str, ...],
         signal_panel: SignalPanel | None,
     ) -> CompositeScore:
-        self.model.check_disjoint(dates)
-        X = _stack_blocks(feature_blocks, self.block_names)
-        z = (X - self.model.standardizer_mean) / self.model.standardizer_std
-        values = z @ self.model.weights + self.model.intercept
+        values = _apply(self.model, dates, _stack_blocks(feature_blocks, self.block_names))
         if self.tilt is not None and self.tilt.alpha != 0.0:
             if signal_panel is None:
                 raise ValidationError("tilted forecaster needs the signal panel")
             values = values + self.tilt.overlay(signal_panel)
-        return CompositeScore(
-            dates=dates, tickers=tickers, values=values,
-            provenance=f"forecaster:{'+'.join(self.block_names)}",
-        )
+        return CompositeScore(dates=dates, tickers=tickers, values=values)
 
 
 def _stack_blocks(blocks: dict[str, np.ndarray], names: tuple[str, ...]) -> np.ndarray:
@@ -545,7 +514,6 @@ def fit_forecaster(
     conviction: float = 1.0,
     top_k: int = 10,
     cost_rate: float = 0.001,
-    refit_with_validation: bool = True,
     min_stock_days: int = 100,
 ) -> ForecasterModel:
     """Grid-search ridge forecaster with validation-Sharpe selection.
@@ -554,7 +522,7 @@ def fit_forecaster(
     fit range, scored on the validation range through the same top-k
     portfolio rule used everywhere else, and the best pair wins (ties toward
     stronger shrinkage, then smaller tilt). The winner is refit on
-    fit + validation by default before being frozen.
+    fit + validation before being frozen.
     """
     from .backtest import BacktestConfig, backtest_topk
     from .metrics import sharpe_ratio
@@ -595,7 +563,7 @@ def fit_forecaster(
         if np.any(std == 0):
             dead = [int(i) for i in np.where(std == 0)[0]]
             raise DegenerateFitError(f"constant forecaster feature columns: {dead}")
-        w, b = fit_ridge((X - mean) / std, y, lam=lam, fit_intercept=True)
+        w, b = fit_ridge((X - mean) / std, y, lam=lam)
         col_names = tuple(
             f"{name}:{i}"
             for name in block_names
@@ -611,7 +579,7 @@ def fit_forecaster(
     def tilt_for(alpha: float, rng: tuple[str, str]) -> TiltSpec | None:
         if alpha == 0.0:
             return None
-        mean, std = _train_axis_stats(signal_panel, rng)
+        _, mean, std = _axis_stats(signal_panel, _range_mask(signal_panel.dates, rng))
         return TiltSpec(alpha=alpha, conviction=conviction, axis_mean=mean, axis_std=std)
 
     val_panel = market_panel.slice_dates(val_lo, val_hi)
@@ -634,7 +602,7 @@ def fit_forecaster(
             results.append((float(lam), float(alpha), sharpe_ratio(curve.daily_returns[1:])))
 
     best_lam, best_alpha, _ = max(results, key=lambda r: (r[2], r[0], -r[1]))
-    final_range = (fit_range[0], val_hi) if refit_with_validation else fit_range
+    final_range = (fit_range[0], val_hi)
     final = fit_on(final_range, best_lam)
     return ForecasterModel(
         model=final,

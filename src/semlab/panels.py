@@ -41,7 +41,6 @@ INDICATORS_ALL = (
     "sma_30",
     "sma_60",
 )
-INDICATORS_NO_SMA60 = INDICATORS_ALL[:-1]
 
 _INDICATOR_WARMUP = {
     "macd": 0,
@@ -173,14 +172,11 @@ class TurbulenceSeries:
     """Per-date cross-sectional turbulence (squared Mahalanobis distance).
 
     Warm-up entries are NaN, never zero-filled; ``available`` marks the rows
-    with a defined value. Days whose value exceeds ``threshold`` set the
-    no-buy gate.
+    with a defined value; ``gate`` flags the days above a threshold.
     """
 
     dates: tuple[str, ...]
     values: np.ndarray
-    threshold: float = 380.0
-    window: int = 252
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -194,12 +190,11 @@ class TurbulenceSeries:
     def available(self) -> np.ndarray:
         return np.isfinite(self.values)
 
-    def gate(self, threshold: float | None = None) -> np.ndarray:
+    def gate(self, threshold: float) -> np.ndarray:
         """Boolean no-buy flag per date: value strictly above the threshold."""
-        thr = self.threshold if threshold is None else threshold
         out = np.zeros(len(self.dates), dtype=bool)
         avail = self.available
-        out[avail] = self.values[avail] > thr
+        out[avail] = self.values[avail] > threshold
         return out
 
 
@@ -207,15 +202,13 @@ class TurbulenceSeries:
 # Loading
 # ---------------------------------------------------------------------------
 
-def load_price_panel(path: str, fmt: str = "long") -> MarketPanel:
+def load_price_panel(path: str) -> MarketPanel:
     """Load the long-form delimited panel ``date,ticker,open,high,low,close,volume``.
 
     Every ticker must cover the full union calendar; gaps raise an
     AlignmentError listing the missing (ticker, date) pairs instead of being
     forward-filled.
     """
-    if fmt != "long":
-        raise ValidationError(f"unknown panel format {fmt!r}")
     rows: dict[tuple[str, str], tuple[float, float, float, float, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -470,9 +463,7 @@ def simple_returns(panel: MarketPanel) -> np.ndarray:
     return out
 
 
-def compute_turbulence(
-    panel: MarketPanel, window: int = 252, threshold: float = 380.0
-) -> TurbulenceSeries:
+def compute_turbulence(panel: MarketPanel, window: int = 252) -> TurbulenceSeries:
     """Squared Mahalanobis distance of each day's cross-sectional return vector
     against the mean and covariance of the trailing ``window`` days (the day
     itself excluded). The covariance gets a fixed diagonal ridge of
@@ -501,7 +492,7 @@ def compute_turbulence(
                 f"singular return covariance at {panel.dates[d]}"
             ) from None
         values[d] = max(0.0, float(diff @ sol))
-    return TurbulenceSeries(dates=panel.dates, values=values, threshold=threshold, window=window)
+    return TurbulenceSeries(dates=panel.dates, values=values)
 
 
 def forward_returns(panel: MarketPanel, horizon: int) -> np.ndarray:

@@ -360,15 +360,10 @@ def mask_axes(panel: SignalPanel, axes: set[str] | frozenset[str] | str) -> Sign
 # Effective dimensionality
 # ---------------------------------------------------------------------------
 
-def pca_effective_dim(panel: SignalPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Principal components of the standardised axis values over stock-days
-    with news present.
-
-    Returns (first-component loadings, explained-variance fractions sorted
-    descending). The leading component's sign is fixed so its sentiment
-    loading is non-negative. Fractions sum to one.
-    """
-    rows = panel.values[panel.non_neutral]
+def _axis_stats(panel: SignalPanel, days=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axis values of the non-neutral stock-days on ``days`` (a slice or
+    boolean mask over the dates), with their per-axis mean and std (ddof=1)."""
+    rows = panel.values[days][panel.non_neutral[days]]
     if rows.shape[0] < 5:
         raise RankError(
             f"need at least 5 non-neutral stock-days, have {rows.shape[0]}"
@@ -378,6 +373,14 @@ def pca_effective_dim(panel: SignalPanel) -> tuple[np.ndarray, np.ndarray]:
     if np.any(std == 0):
         flat = [AXES[a] for a in np.where(std == 0)[0]]
         raise RankError(f"constant axis values over non-neutral stock-days: {flat}")
+    return rows, mean, std
+
+
+def _principal_axes(
+    rows: np.ndarray, mean: np.ndarray, std: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-component loadings and explained fractions of the standardised
+    ``rows`` (see ``pca_effective_dim``)."""
     z = (rows - mean) / std
     corr = (z.T @ z) / (rows.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(corr)
@@ -389,6 +392,17 @@ def pca_effective_dim(panel: SignalPanel) -> tuple[np.ndarray, np.ndarray]:
         loadings = -loadings
     explained = eigvals / eigvals.sum()
     return loadings, explained
+
+
+def pca_effective_dim(panel: SignalPanel) -> tuple[np.ndarray, np.ndarray]:
+    """Principal components of the standardised axis values over stock-days
+    with news present.
+
+    Returns (first-component loadings, explained-variance fractions sorted
+    descending). The leading component's sign is fixed so its sentiment
+    loading is non-negative. Fractions sum to one.
+    """
+    return _principal_axes(*_axis_stats(panel))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semlab import (
     EnvConfig,
@@ -33,6 +35,14 @@ def env_setup():
     features = compute_indicators(panel)
     turb = compute_turbulence(panel, window=20)
     return panel, features, signals, turb
+
+
+@pytest.fixture(scope="module")
+def long_window_setup(env_setup):
+    """The same panel with an 80-day turbulence window, so an episode from the
+    indicator warm-up starts on days with no turbulence value."""
+    panel, features, signals, _ = env_setup
+    return panel, features, signals, compute_turbulence(panel, window=80)
 
 
 def build_env(env_setup, **cfg_kwargs):
@@ -232,6 +242,43 @@ class TestStep:
                 assert np.all(state.holdings <= prev)
             if info["done"]:
                 break
+
+    @given(
+        level=st.floats(0.1, 0.9),
+        initial_cash=st.floats(100.0, 20_000.0),
+        cost_rate=st.floats(0.0, 0.01),
+        actions=arrays(np.float64, (100, 4), elements=st.floats(-1.5, 1.5)),
+    )
+    def test_step_invariants_under_random_actions(
+        self, long_window_setup, level, initial_cash, cost_rate, actions
+    ):
+        panel, features, signals, turb = long_window_setup
+        # a threshold inside the episode's turbulence range: some days gate, some do not
+        threshold = float(np.nanquantile(turb.values[features.warmup:], level))
+        env = TradingEnv(panel, features, signals, turb, EnvConfig(
+            cost_rate=cost_rate, turbulence_threshold=threshold, initial_cash=initial_cash,
+        ))
+        state = env.reset()
+        gated_days = []
+        for action in actions:
+            value = turb.values[state.date_index]
+            prev = state
+            state, _, info = env.step(prev, action)
+            gated_days.append(info["gated"])
+            assert info["gated"] == (np.isfinite(value) and value > threshold)
+            sells = np.maximum(prev.holdings - state.holdings, 0)
+            buys = np.maximum(state.holdings - prev.holdings, 0)
+            if info["gated"]:
+                assert not buys.any()
+            assert state.cash >= 0.0 and np.all(state.holdings >= 0)
+            assert info["sell_notional"] == float(sells @ prev.prices)
+            assert info["buy_notional"] == float(buys @ prev.prices)
+            assert info["cost"] == pytest.approx(
+                cost_rate * (info["sell_notional"] + info["buy_notional"]), rel=1e-12, abs=1e-9
+            )
+            if info["done"]:
+                break
+        assert any(gated_days) and not all(gated_days)
 
     def test_sells_bounded_by_holdings(self, env_setup):
         env = build_env(env_setup)

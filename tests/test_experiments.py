@@ -6,7 +6,7 @@ import pytest
 
 from semlab import ExperimentConfig, run, validate_inputs
 from semlab.cli import main as cli_main
-from semlab.errors import AlignmentError, ConfigError, ParseError
+from semlab.errors import AlignmentError, ConfigError, ParseError, ValidationError
 from semlab.experiments import KINDS, _load_dense_block
 
 from conftest import business_days
@@ -167,6 +167,14 @@ class TestDenseBlock:
     def test_non_numeric_field_is_parse_error(self, tmp_path):
         path = self._write(tmp_path, ["2020-01-02,AA,1,2", "2020-01-02,BB,3,x"])
         with pytest.raises(ParseError, match=r"dense\.csv: line 3: could not convert"):
+            _load_dense_block(path, self.DATES, self.TICKERS)
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_field_is_validation_error(self, tmp_path, field):
+        path = self._write(tmp_path, ["2020-01-02,AA,1,2", f"2020-01-02,BB,3,{field}"])
+        with pytest.raises(
+            ValidationError, match=r"dense\.csv: non-finite value at \(2020-01-02, BB\), line 3$"
+        ):
             _load_dense_block(path, self.DATES, self.TICKERS)
 
     def test_short_row_is_parse_error_not_broadcast(self, tmp_path):

@@ -236,7 +236,7 @@ class TestComposite:
         panel = make_signal_panel(values, np.ones((n_d, n_t), dtype=bool))
         train = (panel.dates[0], panel.dates[199])
         test_panel = panel.slice_dates(panel.dates[200], panel.dates[-1])
-        pc1 = fit_pc1_composite(panel, train)
+        pc1, _ = fit_pc1_composite(panel, train)
         ew = fit_equal_weight_composite(panel, train)
         assert np.all(np.abs(np.abs(pc1.weights) - 0.5) < 0.1)
         s1 = composite(test_panel, pc1).values.ravel()

@@ -16,7 +16,7 @@ from semlab.metrics import (
 
 
 
-def curve_from_returns(returns, label="test"):
+def curve_from_returns(returns):
     """Minimal curve stand-in: wealth path compounded from daily returns."""
     from semlab.backtest import EquityCurve
     from conftest import business_days
@@ -28,7 +28,7 @@ def curve_from_returns(returns, label="test"):
         dates=business_days("2019-01-02", n),
         wealth=wealth, daily_returns=r,
         holdings=np.zeros((n, 1)), cost_paid=np.zeros(n),
-        tickers=("X",), label=label,
+        tickers=("X",),
     )
 
 

@@ -233,12 +233,12 @@ class TestTurbulence:
 
     def test_gate_thresholds(self):
         panel = self._iid_panel(1)
-        turb = compute_turbulence(panel, window=252, threshold=380.0)
+        turb = compute_turbulence(panel, window=252)
         # the flag is true exactly on available days whose value clears the bar
         np.testing.assert_array_equal(
-            turb.gate(), np.isfinite(turb.values) & (turb.values > 380.0)
+            turb.gate(380.0), np.isfinite(turb.values) & (turb.values > 380.0)
         )
-        assert not turb.gate().any()  # calm synthetic panel never trips 380
+        assert not turb.gate(380.0).any()  # calm synthetic panel never trips 380
         tight_level = float(np.nanmedian(turb.values))
         tight = turb.gate(threshold=tight_level)
         assert tight.sum() > 0
