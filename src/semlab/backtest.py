@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,15 +153,6 @@ def run_weight_schedule(panel: MarketPanel, targets: np.ndarray, cost_rate: floa
     )
 
 
-def _rank_basket(
-    scores_row: np.ndarray, tickers: tuple[str, ...], k: int
-) -> list[int]:
-    """Top-k ticker indices by score, ties broken lexicographically."""
-    available = [j for j in range(len(tickers)) if np.isfinite(scores_row[j])]
-    order = sorted(available, key=lambda j: (-scores_row[j], tickers[j]))
-    return order[:k]
-
-
 def backtest_topk(
     scores,
     panel: MarketPanel,
@@ -198,23 +189,29 @@ def backtest_topk(
         raise ValidationError(f"unknown weighting {weighting!r}")
     temperature = None if mode == "equal" else float(weighting[1])
 
+    # rank every day at once: finite scores first, then score descending, then
+    # ticker name (``restrict`` may leave the columns in any order)
+    values = sub_scores.values
+    finite = np.isfinite(values)
+    name_rank = np.argsort(sorted(range(n_t), key=tickers.__getitem__))
+    keys = (np.broadcast_to(name_rank, values.shape), -np.where(finite, values, 0.0), ~finite)
+    order = np.lexsort(keys, axis=1)
+    sizes = np.minimum(finite.sum(axis=1), config.k)
+    short_days = np.count_nonzero((sizes > 0) & (sizes < config.k))
+
     targets = np.zeros((n_d, n_t))
-    short_days = 0
-    for d in range(n_d):
-        basket = _rank_basket(sub_scores.values[d], tickers, config.k)
-        if not basket:
-            targets[d] = targets[d - 1] if d > 0 else 0.0
-            continue
-        if len(basket) < config.k:
-            short_days += 1
-        if mode == "equal":
-            for j in basket:
-                targets[d, j] = 1.0 / len(basket)
-        else:
-            row = {tickers[j]: float(sub_scores.values[d, j]) for j in basket}
-            w = scw_weights(row, [tickers[j] for j in basket], temperature)
-            for j in basket:
-                targets[d, j] = w[tickers[j]]
+    if mode == "equal":
+        in_basket = np.arange(n_t) < sizes[:, None]
+        np.put_along_axis(targets, order, in_basket / np.maximum(sizes, 1)[:, None], axis=1)
+    else:
+        for d in np.flatnonzero(sizes):
+            basket = order[d, : sizes[d]]
+            names = [tickers[j] for j in basket]
+            w = scw_weights(dict(zip(names, values[d, basket].tolist())), names, temperature)
+            targets[d, basket] = [w[t] for t in names]
+    # a day with no scored ticker holds the previous day's targets
+    held = np.maximum.accumulate(np.where(sizes > 0, np.arange(n_d), 0))
+    targets = targets[held]
     if short_days:
         logger.warning(
             "basket shrank below k=%d on %d of %d days (not enough scored tickers)",
@@ -325,10 +322,7 @@ def cost_sweep(
     bh_report = metrics(bh)
     rows = []
     for c in costs:
-        cfg = BacktestConfig(
-            k=config.k, cost_rate=c, universe=config.universe, period=config.period
-        )
-        curve = backtest_topk(scores, panel, cfg, weighting)
+        curve = backtest_topk(scores, panel, replace(config, cost_rate=c), weighting)
         rep = metrics(curve)
         rows.append({
             "cost": c,

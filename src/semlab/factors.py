@@ -548,9 +548,11 @@ def fit_forecaster(
     if not (fit_range[1] < val_lo):
         raise ConfigError("validation range must follow the fit range")
 
+    # neither the usable-row mask nor the tilt's axis statistics depend on λ
+    usable = np.isfinite(returns_fwd) & np.all(np.isfinite(X_full), axis=2)
+
     def fit_on(rng: tuple[str, str], lam: float) -> FactorModel:
-        mask = _range_mask(dates, rng)[:, None] & np.isfinite(returns_fwd)
-        mask &= np.all(np.isfinite(X_full), axis=2)
+        mask = _range_mask(dates, rng)[:, None] & usable
         idx = np.argwhere(mask)
         if idx.shape[0] < max(min_stock_days, X_full.shape[2] + 1):
             raise ValidationError(
@@ -576,11 +578,13 @@ def fit_forecaster(
             ridge_strength=lam, fit_range=rng,
         )
 
-    def tilt_for(alpha: float, rng: tuple[str, str]) -> TiltSpec | None:
+    def axis_stats(rng: tuple[str, str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _axis_stats(signal_panel, _range_mask(signal_panel.dates, rng))
+
+    def tilt_for(alpha: float, stats) -> TiltSpec | None:
         if alpha == 0.0:
             return None
-        _, mean, std = _axis_stats(signal_panel, _range_mask(signal_panel.dates, rng))
-        return TiltSpec(alpha=alpha, conviction=conviction, axis_mean=mean, axis_std=std)
+        return TiltSpec(alpha=alpha, conviction=conviction, axis_mean=stats[1], axis_std=stats[2])
 
     val_panel = market_panel.slice_dates(val_lo, val_hi)
     val_signals = None if signal_panel is None else signal_panel.slice_dates(val_lo, val_hi)
@@ -590,13 +594,14 @@ def fit_forecaster(
     }
     cfg = BacktestConfig(k=top_k, cost_rate=cost_rate)
 
+    fit_stats = axis_stats(fit_range) if any(a != 0.0 for a in tilt_grid) else None
     results: list[tuple[float, float, float]] = []
     for lam in lam_grid:
         candidate = fit_on(fit_range, lam)
         base = ForecasterModel(model=candidate, tilt=None, block_names=block_names,
                                validation_table=())
         for alpha in tilt_grid:
-            trial = replace(base, tilt=tilt_for(alpha, fit_range))
+            trial = replace(base, tilt=tilt_for(alpha, fit_stats))
             scores = trial.score_panel(val_blocks, val_panel.dates, tickers, val_signals)
             curve = backtest_topk(scores, val_panel, cfg)
             results.append((float(lam), float(alpha), sharpe_ratio(curve.daily_returns[1:])))
@@ -606,7 +611,7 @@ def fit_forecaster(
     final = fit_on(final_range, best_lam)
     return ForecasterModel(
         model=final,
-        tilt=tilt_for(best_alpha, final_range),
+        tilt=tilt_for(best_alpha, axis_stats(final_range) if best_alpha != 0.0 else None),
         block_names=block_names,
         validation_table=tuple(results),
     )

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semlab import (
     BacktestConfig,
@@ -163,6 +165,71 @@ class TestLedger:
         assert lines[0] == "date,wealth,daily_return,cost_paid"
         assert len(lines) == 4
         assert float(lines[2].split(",")[1]) == curve.wealth[1]
+
+
+@st.composite
+def price_paths(draw, max_days=30, max_tickers=4):
+    """Positive closes: a start price and day-on-day ratios in [0.5, 2], so a
+    fully invested book paying at most 1 % on twice its value stays solvent."""
+    n_d = draw(st.integers(2, max_days))
+    n_t = draw(st.integers(1, max_tickers))
+    start = draw(arrays(float, n_t, elements=st.floats(1.0, 100.0)))
+    ratios = draw(arrays(float, (n_d - 1, n_t), elements=st.floats(0.5, 2.0)))
+    return np.vstack([start, start * np.cumprod(ratios, axis=0)])
+
+
+@st.composite
+def weight_schedules(draw, n_d, n_t):
+    """Long-only targets drawn from a few rows, with runs of repeated rows so
+    that positions drift between trades; an all-zero row is a move to cash."""
+    rows = draw(st.lists(arrays(float, n_t, elements=st.floats(0.0, 1.0)),
+                         min_size=1, max_size=4))
+    rows = [r / max(1.0, r.sum()) for r in rows]
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n_d, max_size=n_d))
+    repeat = draw(arrays(bool, n_d))
+    for d in range(1, n_d):
+        if repeat[d]:
+            picks[d] = picks[d - 1]
+    return np.array([rows[i] for i in picks])
+
+
+@st.composite
+def ledger_cases(draw):
+    close = draw(price_paths())
+    targets = draw(weight_schedules(*close.shape))
+    cost_rate = draw(st.floats(0.0, 0.01))
+    return close, targets, cost_rate
+
+
+class TestLedgerProperties:
+    @given(ledger_cases())
+    def test_cash_and_positions_are_conserved_and_costs_booked_once(self, case):
+        close, targets, cost_rate = case
+        curve = run_weight_schedule(make_panel(close), targets, cost_rate)
+        n_d, n_t = close.shape
+        cash, shares, last = 1.0, np.zeros(n_t), np.zeros(n_t)
+        assert curve.cost_paid[0] == 0.0
+        for d in range(n_d - 1):
+            value = curve.wealth[d]
+            cost = 0.0
+            if not np.array_equal(targets[d], last):
+                traded = np.abs(targets[d] * value - shares * close[d]).sum()
+                cost = cost_rate * traded
+                shares = targets[d] * value / close[d]
+                cash = value - (targets[d] * value).sum() - cost
+                last = targets[d]
+            # the trade's cost shows up once, in the next day's mark
+            assert curve.cost_paid[d + 1] == pytest.approx(cost, rel=1e-12, abs=1e-15)
+            marked = cash + (shares * close[d + 1]).sum()
+            assert curve.wealth[d + 1] == pytest.approx(marked, rel=1e-12)
+
+    @given(ledger_cases(), st.lists(st.floats(0.0, 0.01), min_size=2, max_size=4))
+    def test_final_wealth_does_not_rise_with_cost(self, case, cost_rates):
+        close, targets, _ = case
+        panel = make_panel(close)
+        final = [run_weight_schedule(panel, targets, c).wealth[-1] for c in sorted(cost_rates)]
+        # a few ulps of slack: two nearly equal rates may round either way
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(final, final[1:])), final
 
 
 class TestBaselines:
@@ -332,6 +399,27 @@ class TestSubperiod:
             rows = subperiod_report(strat, bench, periods)
             combined = np.prod([1 + r["cr"] for r in rows]) - 1
             assert combined == pytest.approx(metrics(strat).cr, abs=1e-10)
+
+    @given(ledger_cases(), st.data())
+    def test_partition_compounds_to_the_whole_curve(self, case, data):
+        close, targets, cost_rate = case
+        n_d = close.shape[0]
+        panel = make_panel(close)
+        curve = run_weight_schedule(panel, targets, cost_rate)
+        # the benchmark trades its own schedule on the same calendar
+        bench_targets = data.draw(weight_schedules(*close.shape))
+        bench = run_weight_schedule(panel, bench_targets, data.draw(st.floats(0.0, 0.01)))
+        # a contiguous partition of the return dates 1 .. n_d - 1
+        cuts = data.draw(st.sets(st.integers(2, max(2, n_d - 1)), max_size=n_d - 2))
+        starts = [data.draw(st.sampled_from([0, 1])), *sorted(cuts)]
+        ends = [s - 1 for s in starts[1:]] + [n_d - 1]
+        periods = [(f"p{i}", curve.dates[s], curve.dates[e])
+                   for i, (s, e) in enumerate(zip(starts, ends))]
+        rows = subperiod_report(curve, bench, periods)
+        assert sum(r["days"] for r in rows) == n_d - 1
+        for key, c in (("cr", curve), ("benchmark_cr", bench)):
+            compounded = np.prod([1.0 + r[key] for r in rows])
+            assert compounded == pytest.approx(c.wealth[-1] / c.wealth[0], rel=1e-12)
 
     def test_empty_slice_is_range_error(self):
         strat, bench = self._curve(seed=37)
