@@ -94,11 +94,9 @@ def write_equity_curve(curve: EquityCurve, path: str, holdings_path: str | None 
         with open(holdings_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["date", "ticker", "weight"])
-            for i, d in enumerate(curve.dates):
-                for j, t in enumerate(curve.tickers):
-                    w = float(curve.holdings[i, j])
-                    if w != 0.0:
-                        writer.writerow([d, t, repr(w)])
+            ii, jj = np.nonzero(curve.holdings)
+            writer.writerows([curve.dates[i], curve.tickers[j], repr(w)] for i, j, w in
+                             zip(ii.tolist(), jj.tolist(), curve.holdings[ii, jj].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .errors import ConfigError, LabError
 from .experiments import ExperimentConfig, run, validate_inputs
 from .panels import write_price_panel
@@ -65,15 +67,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     cache_path = os.path.join(args.out, "signals.csv")
     truth_path = os.path.join(args.out, "truth.json")
     write_price_panel(panel, prices_path)
-    articles = []
-    for i, d in enumerate(signals.dates):
-        for j, t in enumerate(signals.tickers):
-            if signals.non_neutral[i, j]:
-                articles.append(ArticleScore(
-                    ticker=t, published=d,
-                    scores=tuple(int(v) for v in signals.values[i, j]),
-                    source_id=f"synth-{i}-{j}",
-                ))
+    ii, jj = np.nonzero(signals.non_neutral)
+    articles = [
+        ArticleScore(ticker=signals.tickers[j], published=signals.dates[i],
+                     scores=tuple(v), source_id=f"synth-{i}-{j}")
+        for i, j, v in zip(ii.tolist(), jj.tolist(), signals.values[ii, jj].astype(int).tolist())
+    ]
     write_article_scores(articles, cache_path)
     with open(truth_path, "w") as fh:
         json.dump({

@@ -11,11 +11,12 @@ removed.
 from __future__ import annotations
 
 import csv
+import difflib
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import groupby
 
@@ -87,16 +88,39 @@ from .stats import (
 )
 from .synth import SyntheticSpec, synth_panel
 
-KINDS = (
-    "sfp", "srf", "scw", "pc1", "softmax", "forecaster", "baselines",
-    "cost_sweep", "stratified", "subperiod", "env_eval", "validation_suite",
-)
-
-_NEEDS_FIT = {"sfp", "srf", "scw", "pc1", "softmax", "forecaster",
-              "cost_sweep", "stratified", "subperiod"}
+_TOP_KEYS = ("kind", "seed", "output_dir", "data", "ranges", "universe", "params")
+_DATA_KEYS = ("synthetic", "price_panel", "signal_cache", "dense_blocks")
+# The value types a param accepts, by the type of its default (None: an optional string).
+_ACCEPTS = {bool: {bool}, int: {int}, float: {int, float}, str: {str}, tuple: {list, tuple},
+            type(None): {str, type(None)}}
 
 
-def _as_range(raw, name: str) -> tuple[str, str]:
+def _check_names(given, known, what: str) -> None:
+    """Reject the first name in ``given`` that is not in ``known``."""
+    for name in given:
+        if name not in known:
+            close = difflib.get_close_matches(str(name), list(known), n=1)
+            hint = f"did you mean {close[0]!r}?" if close else "known: " + ", ".join(known)
+            raise ConfigError(f"unknown {what.format(name)} ({hint})")
+
+
+def _conform(where: str, value, default):
+    """``value`` checked against the type of ``default``; an int given for a
+    float becomes a float. A list becomes a tuple whose items must match the
+    default's items when those share one type, but keep their own type:
+    ``_fmt`` prints ``0`` and ``0.0`` differently."""
+    items = {type(d) for d in default} if isinstance(default, tuple) else set()
+    if type(value) not in _ACCEPTS[type(default)] or (
+            len(items) == 1 and not {type(v) for v in value} <= _ACCEPTS[items.pop()]):
+        raise ConfigError(f"{where} must match the type of its default {default!r}, got {value!r}")
+    if isinstance(default, float):
+        return float(value)
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _as_range(raw, name: str) -> tuple[str, str] | None:
+    if raw is None:
+        return None
     if (not isinstance(raw, (list, tuple))) or len(raw) != 2:
         raise ConfigError(f"range {name!r} must be [start, end]")
     lo, hi = str(raw[0]), str(raw[1])
@@ -115,13 +139,13 @@ class ExperimentConfig:
     validation: tuple[str, str] | None
     test: tuple[str, str]
     universe: tuple[str, ...] | None
-    params: dict
+    params: dict  # as given; ``canonical`` and so the manifest keep them
+    p: dict = field(init=False, repr=False, compare=False)  # every declared param, resolved
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}; valid: {KINDS}")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        _check_names([self.kind], KINDS, "experiment kind {!r}")
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         named = [("train", self.train), ("validation", self.validation), ("test", self.test)]
         present = [(n, r) for n, r in named if r is not None]
         for (n1, r1), (n2, r2) in zip(present, present[1:]):
@@ -129,10 +153,25 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"ranges must be disjoint and ordered: {n1} {r1} vs {n2} {r2}"
                 )
-        if self.kind in _NEEDS_FIT and self.train is None:
-            raise ConfigError(f"kind {self.kind!r} needs a train range")
+        _, needs, declared = _KINDS[self.kind]
+        for name in needs:
+            if getattr(self, name) is None:
+                raise ConfigError(f"kind {self.kind!r} needs a {name} range")
+        _check_names(self.data, _DATA_KEYS, "data key {!r}")
+        if ("synthetic" in self.data) == ("price_panel" in self.data):
+            raise ConfigError("data must give exactly one of 'synthetic' and 'price_panel'")
+        if "signal_cache" in self.data and "price_panel" not in self.data:
+            raise ConfigError("data key 'signal_cache' goes only beside 'price_panel'")
         if self.universe is not None:
             object.__setattr__(self, "universe", tuple(self.universe))
+        where = "param {!r} for kind " + repr(self.kind)
+        _check_names(self.params, declared, where)
+        p = {name: _conform(where.format(name), self.params[name], default)
+             if name in self.params else default for name, default in declared.items()}
+        if "periods" in p and not all(
+                isinstance(e, (list, tuple)) and len(e) == 3 for e in p["periods"]):
+            raise ConfigError(f"param 'periods' entries must be [name, start, end]: {p['periods']!r}")
+        object.__setattr__(self, "p", p)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -141,19 +180,18 @@ class ExperimentConfig:
         missing = {"kind", "seed", "output_dir", "data", "ranges"} - set(raw)
         if missing:
             raise ConfigError(f"config missing keys: {sorted(missing)}")
+        _check_names(raw, _TOP_KEYS, "config key {!r}")
         ranges = raw["ranges"]
-        if "test" not in ranges:
+        _check_names(ranges, ("train", "validation", "test"), "range {!r}")
+        if not ranges.get("test"):
             raise ConfigError("ranges must include 'test'")
         return ExperimentConfig(
             kind=raw["kind"],
             seed=raw["seed"],
             output_dir=raw["output_dir"],
             data=dict(raw["data"]),
-            train=_as_range(ranges["train"], "train") if ranges.get("train") else None,
-            validation=(
-                _as_range(ranges["validation"], "validation")
-                if ranges.get("validation") else None
-            ),
+            train=_as_range(ranges.get("train"), "train"),
+            validation=_as_range(ranges.get("validation"), "validation"),
             test=_as_range(ranges["test"], "test"),
             universe=raw.get("universe"),
             params=dict(raw.get("params", {})),
@@ -187,8 +225,6 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()
 
     def fit_span(self) -> tuple[str, str]:
-        if self.train is None:
-            raise ConfigError(f"kind {self.kind!r} needs a train range")
         return (self.train[0], self.validation[1] if self.validation else self.train[1])
 
 
@@ -201,7 +237,6 @@ class Workspace:
     panel: MarketPanel
     signals: SignalPanel
     returns_fwd: np.ndarray
-    horizon: int
     input_hashes: dict
 
 
@@ -215,8 +250,6 @@ def _file_hash(path: str) -> str:
 
 def load_workspace(cfg: ExperimentConfig) -> Workspace:
     data = cfg.data
-    horizon = int(cfg.params.get("horizon", 5))
-    window = int(cfg.params.get("window", 3))
     hashes: dict = {}
     if "synthetic" in data:
         raw = data["synthetic"]
@@ -229,14 +262,14 @@ def load_workspace(cfg: ExperimentConfig) -> Workspace:
                 json.dumps(raw, sort_keys=True).encode()
             ).hexdigest()
         panel, signals, _truth = synth_panel(spec)
-    elif "price_panel" in data:
+    else:
         panel = load_price_panel(data["price_panel"])
         hashes["price_panel"] = _file_hash(data["price_panel"])
         if "signal_cache" in data:
             articles = load_article_scores(data["signal_cache"])
             hashes["signal_cache"] = _file_hash(data["signal_cache"])
             signals, report = aggregate_signals(
-                articles, panel.dates, panel.tickers, window=window
+                articles, panel.dates, panel.tickers, window=cfg.p["window"]
             )
             hashes["unplaced_articles"] = report.total
         else:
@@ -246,19 +279,14 @@ def load_workspace(cfg: ExperimentConfig) -> Workspace:
                 values=np.full(shape + (4,), 3.0),
                 non_neutral=np.zeros(shape, dtype=bool),
             )
-    else:
-        raise ConfigError("data must provide 'synthetic' or 'price_panel'")
 
     if cfg.universe is not None:
         panel = panel.restrict(cfg.universe)
         signals = signals.restrict(cfg.universe)
     hashes["panel"] = panel.content_hash()
     hashes["signal_panel"] = signals.content_hash()
-    return Workspace(
-        panel=panel, signals=signals,
-        returns_fwd=forward_returns(panel, horizon),
-        horizon=horizon, input_hashes=hashes,
-    )
+    return Workspace(panel=panel, signals=signals, input_hashes=hashes,
+                     returns_fwd=forward_returns(panel, cfg.p["horizon"]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +349,8 @@ class _Study:
 
     @cached_property
     def bt(self) -> BacktestConfig:
-        return BacktestConfig(
-            k=int(self.cfg.params.get("k", 10)),
-            cost_rate=float(self.cfg.params.get("cost_rate", 0.001)),
-            period=self.cfg.test,
-        )
-
-    @cached_property
-    def lam(self) -> float:
-        return float(self.cfg.params.get("ridge_strength", DEFAULT_RIDGE))
+        return BacktestConfig(k=self.cfg.p["k"], cost_rate=self.cfg.p["cost_rate"],
+                              period=self.cfg.test)
 
     @cached_property
     def test_signals(self) -> SignalPanel:
@@ -342,7 +363,7 @@ class _Study:
     def sfp_model(self, fit_range: tuple[str, str] | None = None, axes=AXES) -> FactorModel:
         """SFP weights fitted on ``fit_range`` (default: train through validation)."""
         return fit_sfp(self.ws.signals, self.ws.returns_fwd, fit_range or self.cfg.fit_span(),
-                       lam=self.lam, axes=axes)
+                       lam=self.cfg.p["ridge_strength"], axes=axes)
 
     def scores(self, model: FactorModel, resid: ResidualModel | None = None) -> CompositeScore:
         return composite(self.test_signals, model, resid)
@@ -382,7 +403,8 @@ def _run_sfp(s: _Study) -> None:
 
 
 def _run_srf(s: _Study) -> None:
-    resid, model = fit_srf(s.ws.signals, s.ws.returns_fwd, s.cfg.fit_span(), lam=s.lam)
+    resid, model = fit_srf(s.ws.signals, s.ws.returns_fwd, s.cfg.fit_span(),
+                          lam=s.cfg.p["ridge_strength"])
     s.report([
         ("srf-residual-axes", s.backtest(s.scores(model, resid))),
         ("sfp-4axis", s.backtest(s.scores(s.sfp_model()))),
@@ -394,10 +416,6 @@ def _run_srf(s: _Study) -> None:
 
 def _run_scw(s: _Study) -> None:
     cfg, ws = s.cfg, s.ws
-    grid = tuple(cfg.params.get("temperature_grid", TEMPERATURE_GRID))
-    if cfg.validation is None:
-        raise ConfigError("scw needs a validation range for temperature selection")
-
     # Temperatures are quoted in standardised-score units. Select on
     # validation with a train-only fit: once the final model is refit through
     # the validation range, no leakage-free population is left to scale by.
@@ -414,7 +432,7 @@ def _run_scw(s: _Study) -> None:
         curve = backtest_topk(scaled_val, val_panel, val_cfg, weighting=("scw", t))
         return sharpe_ratio(curve.daily_returns[1:])
 
-    temperature, table = select_temperature(grid, evaluate)
+    temperature, table = select_temperature(cfg.p["temperature_grid"], evaluate)
 
     model = s.sfp_model()
     test_scores = s.scores(model)
@@ -451,13 +469,10 @@ def _run_softmax(s: _Study) -> None:
 def _feature_blocks(cfg: ExperimentConfig, ws: Workspace) -> dict[str, np.ndarray]:
     """Assemble named forecaster blocks: technical columns, signal columns,
     and any pre-computed dense blocks loaded from delimited files."""
-    wanted = list(cfg.params.get("blocks", ["price"]))
     blocks: dict[str, np.ndarray] = {}
-    for name in wanted:
+    for name in cfg.p["blocks"]:
         if name == "price":
-            names = tuple(cfg.params.get("indicators", INDICATORS_ALL))
-            feats = compute_indicators(ws.panel, names)
-            blocks["price"] = feats.values
+            blocks["price"] = compute_indicators(ws.panel, cfg.p["indicators"]).values
         elif name == "sentiment":
             blocks["sentiment"] = ws.signals.deviations[:, :, [AXES.index("sentiment")]]
         elif name == "semantic":
@@ -522,18 +537,14 @@ def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
 
 
 def _run_forecaster(s: _Study) -> None:
-    cfg, ws = s.cfg, s.ws
-    if cfg.validation is None:
-        raise ConfigError("forecaster needs a validation range")
+    cfg, ws, p = s.cfg, s.ws, s.cfg.p
     blocks = _feature_blocks(cfg, ws)
-    lam_grid = tuple(cfg.params.get("lambda_grid", LAMBDA_GRID))
-    tilt_grid = tuple(cfg.params.get("tilt_grid", TILT_GRID if cfg.params.get("tilt") else (0.0,)))
     fc = fit_forecaster(
         blocks, ws.returns_fwd, ws.panel, ws.signals,
         cfg.train, cfg.validation,
-        lam_grid=lam_grid, tilt_grid=tilt_grid,
-        top_k=s.bt.k, cost_rate=s.bt.cost_rate,
-        min_stock_days=int(cfg.params.get("min_stock_days", 100)),
+        lam_grid=p["lambda_grid"],
+        tilt_grid=p["tilt_grid"] or (TILT_GRID if p["tilt"] else (0.0,)),
+        top_k=s.bt.k, cost_rate=s.bt.cost_rate, min_stock_days=p["min_stock_days"],
     )
     test_panel = ws.panel.slice_dates(*cfg.test)
     test = date_span(ws.panel.dates, *cfg.test)
@@ -563,8 +574,7 @@ def _run_baselines(s: _Study) -> None:
     ):
         curve = baseline(
             s.ws.panel, kind, s.bt,
-            lookback=int(s.cfg.params.get("momentum_lookback", 126)),
-            vol_window=int(s.cfg.params.get("vol_window", 63)),
+            lookback=s.cfg.p["momentum_lookback"], vol_window=s.cfg.p["vol_window"],
         )
         rows.append(metrics(curve).row(label))
         write_equity_curve(curve, s.out.path(f"curve_{label}.csv"))
@@ -572,8 +582,7 @@ def _run_baselines(s: _Study) -> None:
 
 
 def _run_cost_sweep(s: _Study) -> None:
-    costs = tuple(s.cfg.params.get("costs", (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)))
-    rows = cost_sweep(s.scores(s.sfp_model()), s.ws.panel, s.bt, costs)
+    rows = cost_sweep(s.scores(s.sfp_model()), s.ws.panel, s.bt, s.cfg.p["costs"])
     s.out.write_rows(
         "sweep.csv",
         ["cost", "cr_pct", "sharpe", "mdd_pct", "benchmark_cr_pct", "benchmark_sharpe"],
@@ -586,10 +595,9 @@ def _run_cost_sweep(s: _Study) -> None:
 
 
 def _run_stratified(s: _Study) -> None:
-    k_stratum = int(s.cfg.params.get("k_per_stratum", 5))
     scores = s.scores(s.sfp_model())
     coverage = coverage_stats(s.test_signals)
-    strata = stratified_backtest(scores, s.ws.panel, coverage, s.bt, k_stratum)
+    strata = stratified_backtest(scores, s.ws.panel, coverage, s.bt, s.cfg.p["k_per_stratum"])
     rows = []
     for label in ("Low", "Mid", "High"):
         entry = strata[label]
@@ -621,11 +629,8 @@ def _default_periods(test: tuple[str, str], dates: tuple[str, ...]) -> list[tupl
 
 def _run_subperiod(s: _Study) -> None:
     curve = s.backtest(s.scores(s.sfp_model()))
-    raw_periods = s.cfg.params.get("periods")
-    periods = (
-        [(str(p[0]), str(p[1]), str(p[2])) for p in raw_periods]
-        if raw_periods else _default_periods(s.cfg.test, s.ws.panel.dates)
-    )
+    periods = ([tuple(map(str, e)) for e in s.cfg.p["periods"]]
+               or _default_periods(s.cfg.test, s.ws.panel.dates))
     rows = subperiod_report(curve, s.benchmark, periods)
     s.out.write_rows(
         "subperiod.csv",
@@ -641,49 +646,33 @@ def _run_subperiod(s: _Study) -> None:
 
 
 def _run_env_eval(s: _Study) -> None:
-    cfg, ws, out = s.cfg, s.ws, s.out
-    p = cfg.params
-    names = tuple(p.get("indicators", INDICATORS_ALL))
-    features = compute_indicators(ws.panel, names)
+    cfg, ws, out, p = s.cfg, s.ws, s.out, s.cfg.p
+    features = compute_indicators(ws.panel, p["indicators"])
     # short panels simply leave the whole series in warm-up (gate inactive)
-    turb = compute_turbulence(ws.panel, window=int(p.get("turbulence_window", 252)))
-    env_cfg = EnvConfig(
-        h_max=int(p.get("h_max", 100)),
-        cost_rate=float(p.get("cost_rate", 0.001)),
-        turbulence_threshold=float(p.get("turbulence_threshold", 380.0)),
-        reward_scale=float(p.get("reward_scale", 1e-4)),
-        drawdown_alpha=float(p.get("drawdown_alpha", 0.1)),
-        initial_cash=float(p.get("initial_cash", 1e6)),
-    )
-    env = TradingEnv(ws.panel, features, ws.signals, turb, env_cfg)
+    turb = compute_turbulence(ws.panel, window=p["turbulence_window"])
+    env = TradingEnv(ws.panel, features, ws.signals, turb,
+                     EnvConfig(**{name: p[name] for name in _ENV}))
     write_observation_layout(env.layout, out.path("observation_layout.json"))
-
-    policy_name = p.get("policy", "signal_threshold")
-    n_seeds = int(p.get("n_seeds", 5))
-    masks = p.get("masks", [None, "ALL"])
-    start = p.get("start_date")
 
     def make_policy(seed: int):
         pool = builtin_policies(env.layout, seed=seed)
-        if policy_name == "signal_threshold":
-            return SignalThresholdPolicy(
-                env.layout, axis=p.get("axis", "sentiment"),
-                level=float(p.get("level", 3.0)),
-            )
-        if policy_name not in pool:
-            raise ConfigError(f"unknown policy {policy_name!r}")
-        return pool[policy_name]
+        if p["policy"] == "signal_threshold":
+            return SignalThresholdPolicy(env.layout, axis=p["axis"], level=p["level"])
+        if p["policy"] not in pool:
+            raise ConfigError(f"unknown policy {p['policy']!r}")
+        return pool[p["policy"]]
 
     rows = []
     by_mask: dict[str, dict[str, list[float]]] = {}
-    for mask in masks:
+    for mask in p["masks"]:
         mask_label = "none" if mask is None else (
             mask if isinstance(mask, str) else "+".join(sorted(mask))
         )
-        for s in range(n_seeds):
+        for s in range(p["n_seeds"]):
             seed = cfg.seed + s
             policy = make_policy(seed)
-            curve, rewards, infos = run_policy(env, policy, start_date=start, mask=mask, seed=seed)
+            curve, rewards, infos = run_policy(env, policy, start_date=p["start_date"], mask=mask,
+                                               seed=seed)
             cr = float(np.prod(1.0 + curve.daily_returns[1:]) - 1.0)
             try:
                 sh = sharpe_ratio(curve.daily_returns[1:])
@@ -767,7 +756,7 @@ def _run_validation_suite(s: _Study) -> None:
 
     ac_rows = []
     for axis in AXES:
-        values, skipped = lag1_autocorr(sig, axis, min_obs=int(cfg.params.get("min_obs", 20)))
+        values, skipped = lag1_autocorr(sig, axis, min_obs=cfg.p["min_obs"])
         for t in sorted(values):
             ac_rows.append([axis, t, _fmt(values[t])])
         for t in sorted(skipped):
@@ -775,20 +764,34 @@ def _run_validation_suite(s: _Study) -> None:
     out.write_rows("autocorr.csv", ["axis", "ticker", "lag1_autocorr"], ac_rows)
 
 
-_RUNNERS = {
-    "sfp": _run_sfp,
-    "srf": _run_srf,
-    "scw": _run_scw,
-    "pc1": _run_pc1,
-    "softmax": _run_softmax,
-    "forecaster": _run_forecaster,
-    "baselines": _run_baselines,
-    "cost_sweep": _run_cost_sweep,
-    "stratified": _run_stratified,
-    "subperiod": _run_subperiod,
-    "env_eval": _run_env_eval,
-    "validation_suite": _run_validation_suite,
+# Each kind: its runner, the ranges it needs, and its params with their defaults.
+_WORKSPACE = {"horizon": 5, "window": 3}
+_TOPK = {**_WORKSPACE,
+         **{f.name: f.default for f in fields(BacktestConfig) if f.name in ("k", "cost_rate")}}
+_FACTOR = {**_TOPK, "ridge_strength": DEFAULT_RIDGE}
+_ENV = {f.name: f.default for f in fields(EnvConfig)}
+_INDICATORS = {"indicators": INDICATORS_ALL}
+_KINDS = {
+    "sfp": (_run_sfp, ("train",), _FACTOR),
+    "srf": (_run_srf, ("train",), _FACTOR),
+    "scw": (_run_scw, ("train", "validation"), {**_FACTOR, "temperature_grid": TEMPERATURE_GRID}),
+    "pc1": (_run_pc1, ("train",), _TOPK),
+    "softmax": (_run_softmax, ("train",), _TOPK),
+    "forecaster": (_run_forecaster, ("train", "validation"), {
+        **_TOPK, **_INDICATORS, "blocks": ("price",), "lambda_grid": LAMBDA_GRID,
+        "tilt": False, "tilt_grid": (), "min_stock_days": 100}),
+    "baselines": (_run_baselines, (), {**_TOPK, "momentum_lookback": 126, "vol_window": 63}),
+    "cost_sweep": (_run_cost_sweep, ("train",),
+                   {**_FACTOR, "costs": (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)}),
+    "stratified": (_run_stratified, ("train",), {**_FACTOR, "k_per_stratum": 5}),
+    "subperiod": (_run_subperiod, ("train",), {**_FACTOR, "periods": ()}),
+    "env_eval": (_run_env_eval, (), {
+        **_WORKSPACE, **_ENV, **_INDICATORS, "turbulence_window": 252,
+        "policy": "signal_threshold", "n_seeds": 5, "masks": (None, "ALL"), "start_date": None,
+        "axis": "sentiment", "level": 3.0}),
+    "validation_suite": (_run_validation_suite, (), {**_WORKSPACE, "min_obs": 20}),
 }
+KINDS = tuple(_KINDS)
 
 
 def run(cfg: ExperimentConfig) -> list[str]:
@@ -800,7 +803,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
     out = ArtifactWriter(cfg.output_dir)
     try:
         ws = load_workspace(cfg)
-        _RUNNERS[cfg.kind](_Study(cfg, ws, out))
+        _KINDS[cfg.kind][0](_Study(cfg, ws, out))
         manifest = {
             "kind": cfg.kind,
             "seed": cfg.seed,

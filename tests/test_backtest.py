@@ -167,6 +167,23 @@ class TestLedger:
         assert float(lines[2].split(",")[1]) == curve.wealth[1]
 
 
+    def test_holdings_export_matches_per_cell_scan(self, tmp_path):
+        # conviction weights hold two tickers a day, so most cells are zero
+        rng = np.random.default_rng(3)
+        panel = make_panel(50 * np.exp(np.cumsum(rng.normal(0, 0.02, (30, 5)), axis=0)))
+        scores = make_scores(panel, rng.normal(size=(30, 5)))
+        curve = backtest_topk(scores, panel, BacktestConfig(k=2, cost_rate=0.001),
+                              weighting=("scw", 1.0))
+        hpath = tmp_path / "holdings.csv"
+        write_equity_curve(curve, str(tmp_path / "curve.csv"), str(hpath))
+        expected = ["date,ticker,weight"] + [
+            f"{d},{t},{float(curve.holdings[i, j])!r}"
+            for i, d in enumerate(curve.dates) for j, t in enumerate(curve.tickers)
+            if float(curve.holdings[i, j]) != 0.0
+        ]
+        assert hpath.read_text().splitlines() == expected
+
+
 @st.composite
 def price_paths(draw, max_days=30, max_tickers=4):
     """Positive closes: a start price and day-on-day ratios in [0.5, 2], so a

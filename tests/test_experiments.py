@@ -1,13 +1,15 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from semlab import ExperimentConfig, run, validate_inputs
+from semlab import ExperimentConfig, SyntheticSpec, run, synth_panel, validate_inputs
 from semlab.cli import main as cli_main
 from semlab.errors import AlignmentError, ConfigError, ParseError, ValidationError
-from semlab.experiments import KINDS, _load_dense_block
+from semlab.experiments import _KINDS, KINDS, _load_dense_block
+from semlab.signals import load_article_scores
 
 from conftest import business_days
 
@@ -18,6 +20,10 @@ SYNTH = {
     "tickers": 8, "days": 420, "coverage": 0.4,
     "beta": [0.005, 0, 0, 0], "volatility": 0.015, "seed": 99,
 }
+
+
+# kinds that build no top-k basket and so take no basket size
+UNRANKED = ("env_eval", "validation_suite")
 
 
 def config_dict(kind, outdir, seed=7, params=None):
@@ -31,7 +37,7 @@ def config_dict(kind, outdir, seed=7, params=None):
             "validation": [CAL[260], CAL[319]],
             "test": [CAL[320], CAL[419]],
         },
-        "params": {"k": 3, **(params or {})},
+        "params": {**({} if kind in UNRANKED else {"k": 3}), **(params or {})},
     }
 
 
@@ -60,6 +66,119 @@ class TestConfig:
         a = ExperimentConfig.from_dict(config_dict("sfp", tmp_path))
         b = ExperimentConfig.from_dict(config_dict("sfp", tmp_path))
         assert a.config_hash() == b.config_hash()
+
+
+class TestDeclaredParams:
+    """Every config key is checked when the config is built: a misspelt or
+    mistyped key fails with a ConfigError (exit 1) before any data is read."""
+
+    def _cli(self, tmp_path, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        return cli_main(["run", str(cfg_path)])
+
+    @pytest.mark.parametrize("kind, params, match", [
+        ("sfp", {"kk": 3}, r"unknown param 'kk' for kind 'sfp' \(did you mean 'k'\?\)"),
+        ("sfp", {"cost_rte": 0.002},
+         r"unknown param 'cost_rte' for kind 'sfp' \(did you mean 'cost_rate'\?\)"),
+        ("env_eval", {"k": 3}, r"unknown param 'k' for kind 'env_eval'"),
+        ("validation_suite", {"ridge_strength": 1.0}, r"unknown param 'ridge_strength'"),
+    ])
+    def test_unknown_param_rejected(self, tmp_path, kind, params, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(config_dict(kind, tmp_path, params=params))
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("sfp", "k", 3.7),
+        ("sfp", "k", True),
+        ("sfp", "k", "ten"),
+        ("sfp", "seed", True),
+        ("cost_sweep", "costs", [0, "0.002"]),
+        ("forecaster", "tilt", 1),
+        ("env_eval", "start_date", 20150102),
+    ])
+    def test_mistyped_value_exits_1(self, tmp_path, capsys, kind, key, value):
+        raw = config_dict(kind, tmp_path / "out")
+        if key == "seed":
+            raw["seed"] = value
+        else:
+            raw["params"][key] = value
+        assert self._cli(tmp_path, raw) == 1
+        named = "seed must be an integer" if key == "seed" else f"param {key!r} for kind {kind!r}"
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_values_resolve_to_declared_types(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(config_dict(
+            "cost_sweep", tmp_path, params={"cost_rate": 0, "costs": [0, 0.002]}))
+        assert cfg.p["cost_rate"] == 0.0 and isinstance(cfg.p["cost_rate"], float)
+        # list items keep their JSON type: artifacts print 0 and 0.0 apart
+        assert cfg.p["costs"] == (0, 0.002) and isinstance(cfg.p["costs"][0], int)
+        assert cfg.p["ridge_strength"] == _KINDS["sfp"][2]["ridge_strength"]
+        assert cfg.params == {"k": 3, "cost_rate": 0, "costs": [0, 0.002]}
+
+    def test_subperiod_entries_need_name_start_end(self, tmp_path):
+        raw = config_dict("subperiod", tmp_path / "out",
+                          params={"periods": [["y", "2016-06-01"]]})
+        with pytest.raises(ConfigError, match=r"\[name, start, end\]"):
+            ExperimentConfig.from_dict(raw)
+        assert self._cli(tmp_path, raw) == 1
+
+    @pytest.mark.parametrize("case, match", [
+        ("univers", r"unknown config key 'univers' \(did you mean 'universe'\?\)"),
+        ("validaton", r"unknown range 'validaton' \(did you mean 'validation'\?\)"),
+        ("signal_cach", r"unknown data key 'signal_cach' \(did you mean 'signal_cache'\?\)"),
+        ("synthetic+price_panel", r"exactly one of 'synthetic' and 'price_panel'"),
+        ("synthetic+signal_cache", r"'signal_cache' goes only beside 'price_panel'"),
+        ("no validation", r"kind 'scw' needs a validation range"),
+    ])
+    def test_dropped_key_fails_before_data_is_read(self, tmp_path, case, match):
+        # every data path is missing: reading any input would exit 2, not 1
+        raw = config_dict("scw", tmp_path / "out")
+        missing = str(tmp_path / "missing.csv")
+        raw["data"] = {"price_panel": missing}
+        if case == "univers":
+            raw["univers"] = ["SYN00"]
+        elif case == "validaton":
+            raw["ranges"]["validaton"] = raw["ranges"].pop("validation")
+        elif case == "signal_cach":
+            raw["data"]["signal_cach"] = missing
+        elif case == "synthetic+price_panel":
+            raw["data"]["synthetic"] = SYNTH
+        elif case == "synthetic+signal_cache":
+            raw["data"] = {"synthetic": SYNTH, "signal_cache": missing}
+        else:
+            del raw["ranges"]["validation"]
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(raw)
+        assert self._cli(tmp_path, raw) == 1
+
+    def test_readme_table_matches_registry(self):
+        """The README's param and kind tables name exactly what ``_KINDS`` declares."""
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+
+        def table(header):
+            rows = text.split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+            return [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+
+        documented = {}
+        for name, default, kinds in table("| param | default | kinds |"):
+            name, kinds = name.strip("`"), kinds.split("(")[0]  # drop the note
+            listed = set(re.findall(r"\w+", kinds.removeprefix("all but")))
+            if kinds.startswith("all"):
+                listed = set(KINDS) - listed
+            for kind in listed:
+                documented[kind, name] = json.loads(re.match(r"`([^`]*)`", default).group(1))
+        declared = {
+            (kind, name): json.loads(json.dumps(default))
+            for kind, (_, _, params) in _KINDS.items() for name, default in params.items()
+        }
+        assert documented == declared
+        ranges = {row[0].strip("`"): set(re.findall(r"\w+", row[1]))
+                  for row in table("| kind | ranges | study |")}
+        assert ranges == {kind: {"test", *needs} for kind, (_, needs, _) in _KINDS.items()}
 
 
 class TestRunKinds:
@@ -111,7 +230,7 @@ class TestRunKinds:
 
     def test_every_kind_runs(self, tmp_path):
         for kind in KINDS:
-            params = {"k": 3}
+            params = {} if kind in UNRANKED else {"k": 3}
             if kind == "forecaster":
                 params.update(blocks=["price", "semantic"],
                               lambda_grid=[1e-3, 1.0], min_stock_days=100)
@@ -192,9 +311,7 @@ class TestDenseBlock:
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         for kind in ("sfp", "baselines", "env_eval"):
-            params = {"k": 3}
-            if kind == "env_eval":
-                params.update(n_seeds=2)
+            params = {"n_seeds": 2} if kind == "env_eval" else {"k": 3}
             out_a = tmp_path / f"{kind}_a"
             out_b = tmp_path / f"{kind}_b"
             run(ExperimentConfig.from_dict(config_dict(kind, out_a, params=params)))
@@ -259,6 +376,19 @@ class TestCli:
         assert (out / "signals.csv").exists()
         truth = json.loads((out / "truth.json").read_text())
         assert truth["seed"] == 11
+
+    def test_synth_articles_match_per_cell_scan(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"tickers": 4, "days": 30, "seed": 5, "coverage": 0.5}))
+        assert cli_main(["synth", str(spec), "3", "--out", str(tmp_path / "out")]) == 0
+        _, signals, _ = synth_panel(SyntheticSpec.from_file(str(spec)), seed=3)
+        expected = [
+            (f"synth-{i}-{j}", t, d, *(int(v) for v in signals.values[i, j]))
+            for i, d in enumerate(signals.dates) for j, t in enumerate(signals.tickers)
+            if signals.non_neutral[i, j]
+        ]
+        articles = load_article_scores(str(tmp_path / "out" / "signals.csv"))
+        assert [(a.source_id, a.ticker, a.published, *a.scores) for a in articles] == expected
 
     def test_run_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
