@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, LabError
 from .experiments import ExperimentConfig, run, validate_inputs
-from .panels import write_price_panel
-from .signals import AXES, ArticleScore, write_article_scores
+from .panels import PANEL_HEADER, write_price_panel
+from .signals import AXES, CACHE_HEADER, ArticleScore, write_article_scores
 from .synth import SyntheticSpec, synth_panel
 
 EXIT_OK = 0
@@ -34,10 +34,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _sniff(path: str) -> str:
     with open(path) as fh:
         header = fh.readline().strip()
-    if header.startswith("date,ticker,open"):
-        return "prices"
-    if header.startswith("source_id,ticker,date"):
-        return "signals"
+    for kind, names in (("prices", PANEL_HEADER), ("signals", CACHE_HEADER)):
+        if header.startswith(",".join(names[:3])):
+            return kind
     raise LabError(f"{path}: unrecognised header {header!r}")
 
 

@@ -349,13 +349,16 @@ class SignalThresholdPolicy(Policy):
         return np.sign(sig - self.level)
 
 
+POLICIES = ("hold", "uniform_random", "signal_threshold")
+
+
 def builtin_policies(layout: ObservationLayout, seed: int = 0) -> dict[str, Policy]:
-    """The diagnostic policy inventory: hold, uniform_random, signal_threshold."""
-    return {
-        "hold": HoldPolicy(layout.n_tickers),
-        "uniform_random": UniformRandomPolicy(layout.n_tickers, seed=seed),
-        "signal_threshold": SignalThresholdPolicy(layout),
-    }
+    """The diagnostic policy inventory, one policy per name in ``POLICIES``."""
+    return dict(zip(POLICIES, (
+        HoldPolicy(layout.n_tickers),
+        UniformRandomPolicy(layout.n_tickers, seed=seed),
+        SignalThresholdPolicy(layout),
+    )))
 
 
 # ---------------------------------------------------------------------------

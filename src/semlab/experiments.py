@@ -14,7 +14,6 @@ import csv
 import difflib
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -24,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._grid import date_span, gaps_error
+from ._grid import date_span, read_grid
 from .backtest import (
     BacktestConfig,
     EquityCurve,
@@ -36,6 +35,7 @@ from .backtest import (
     write_equity_curve,
 )
 from .env import (
+    POLICIES,
     EnvConfig,
     SignalThresholdPolicy,
     TradingEnv,
@@ -44,7 +44,7 @@ from .env import (
     write_episode_log,
     write_observation_layout,
 )
-from .errors import ConfigError, LabError, ParseError, ValidationError
+from .errors import ConfigError, LabError, ValidationError
 from .factors import (
     DEFAULT_RIDGE,
     LAMBDA_GRID,
@@ -171,6 +171,15 @@ class ExperimentConfig:
         if "periods" in p and not all(
                 isinstance(e, (list, tuple)) and len(e) == 3 for e in p["periods"]):
             raise ConfigError(f"param 'periods' entries must be [name, start, end]: {p['periods']!r}")
+        if "policy" in p:  # env_eval
+            _check_names([p["policy"]], POLICIES, "policy {!r}")
+            _check_names([p["axis"]], AXES, "signal axis {!r}")
+            for mask in p["masks"]:
+                if isinstance(mask, (list, tuple)):
+                    _check_names(mask, AXES, "axis {!r} in param 'masks'")
+                elif mask not in (None, "ALL"):
+                    raise ConfigError(
+                        f"param 'masks' items must be null, \"ALL\" or a list of axes: {mask!r}")
         object.__setattr__(self, "p", p)
 
     @staticmethod
@@ -349,8 +358,9 @@ class _Study:
 
     @cached_property
     def bt(self) -> BacktestConfig:
-        return BacktestConfig(k=self.cfg.p["k"], cost_rate=self.cfg.p["cost_rate"],
-                              period=self.cfg.test)
+        # a kind that does not read k or cost_rate does not declare it either
+        return BacktestConfig(period=self.cfg.test, **{
+            name: self.cfg.p[name] for name in ("k", "cost_rate") if name in self.cfg.p})
 
     @cached_property
     def test_signals(self) -> SignalPanel:
@@ -487,53 +497,9 @@ def _feature_blocks(cfg: ExperimentConfig, ws: Workspace) -> dict[str, np.ndarra
 
 
 def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
-    """Dense feature file: header date,ticker,<col...>, one row per workspace cell.
-
-    Every row must hold one finite number per header column, or a ParseError
-    (a ValidationError for nan/inf) names the line. Rows for dates or tickers
-    outside the workspace are then skipped (a universe restriction drops them
-    on purpose); a workspace cell with no row raises an AlignmentError listing
-    the gaps, never a silent zero.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: line 1: empty file, expected a date,ticker,... header") from None
-        if header[:2] != ["date", "ticker"]:
-            raise ConfigError(f"{path}: dense block header must start with date,ticker")
-        k = len(header) - 2
-        if k < 1:
-            raise ConfigError(f"{path}: dense block has no feature columns")
-        date_idx = {d: i for i, d in enumerate(dates)}
-        tick_idx = {t: j for j, t in enumerate(tickers)}
-        arr = np.zeros((len(dates), len(tickers), k))
-        seen = np.zeros((len(dates), len(tickers)), dtype=bool)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                features = [float(x) for x in row[2:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-            if not all(map(math.isfinite, features)):
-                raise ValidationError(
-                    f"{path}: non-finite value at ({row[0]}, {row[1]}), line {reader.line_num}"
-                )
-            i = date_idx.get(row[0])
-            j = tick_idx.get(row[1])
-            if i is None or j is None:
-                continue
-            arr[i, j] = features
-            seen[i, j] = True
-    if not seen.all():
-        raise gaps_error(path, [(tickers[j], dates[i]) for j, i in np.argwhere(~seen.T)])
-    return arr
+    """Dense feature file ``date,ticker,<col...>`` on the workspace grid, by
+    ``_grid.read_grid``; a universe restriction skips other rows on purpose."""
+    return read_grid(path, None, dates, tickers)[2]
 
 
 def _run_forecaster(s: _Study) -> None:
@@ -655,12 +621,9 @@ def _run_env_eval(s: _Study) -> None:
     write_observation_layout(env.layout, out.path("observation_layout.json"))
 
     def make_policy(seed: int):
-        pool = builtin_policies(env.layout, seed=seed)
         if p["policy"] == "signal_threshold":
             return SignalThresholdPolicy(env.layout, axis=p["axis"], level=p["level"])
-        if p["policy"] not in pool:
-            raise ConfigError(f"unknown policy {p['policy']!r}")
-        return pool[p["policy"]]
+        return builtin_policies(env.layout, seed=seed)[p["policy"]]
 
     rows = []
     by_mask: dict[str, dict[str, list[float]]] = {}
@@ -766,8 +729,8 @@ def _run_validation_suite(s: _Study) -> None:
 
 # Each kind: its runner, the ranges it needs, and its params with their defaults.
 _WORKSPACE = {"horizon": 5, "window": 3}
-_TOPK = {**_WORKSPACE,
-         **{f.name: f.default for f in fields(BacktestConfig) if f.name in ("k", "cost_rate")}}
+_K, _COST = {"k": BacktestConfig.k}, {"cost_rate": BacktestConfig.cost_rate}
+_TOPK = {**_WORKSPACE, **_K, **_COST}
 _FACTOR = {**_TOPK, "ridge_strength": DEFAULT_RIDGE}
 _ENV = {f.name: f.default for f in fields(EnvConfig)}
 _INDICATORS = {"indicators": INDICATORS_ALL}
@@ -781,9 +744,12 @@ _KINDS = {
         **_TOPK, **_INDICATORS, "blocks": ("price",), "lambda_grid": LAMBDA_GRID,
         "tilt": False, "tilt_grid": (), "min_stock_days": 100}),
     "baselines": (_run_baselines, (), {**_TOPK, "momentum_lookback": 126, "vol_window": 63}),
-    "cost_sweep": (_run_cost_sweep, ("train",),
-                   {**_FACTOR, "costs": (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)}),
-    "stratified": (_run_stratified, ("train",), {**_FACTOR, "k_per_stratum": 5}),
+    # each cost_sweep row sets its own cost rate; stratified sizes its baskets per tercile
+    "cost_sweep": (_run_cost_sweep, ("train",), {
+        **_WORKSPACE, **_K, "ridge_strength": DEFAULT_RIDGE,
+        "costs": (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)}),
+    "stratified": (_run_stratified, ("train",), {
+        **_WORKSPACE, **_COST, "ridge_strength": DEFAULT_RIDGE, "k_per_stratum": 5}),
     "subperiod": (_run_subperiod, ("train",), {**_FACTOR, "periods": ()}),
     "env_eval": (_run_env_eval, (), {
         **_WORKSPACE, **_ENV, **_INDICATORS, "turbulence_window": 252,

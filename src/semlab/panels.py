@@ -11,20 +11,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import check_increasing, date_span, gaps_error, ticker_positions
-from .errors import (
-    AlignmentError,
-    NumericalError,
-    ParseError,
-    RangeError,
-    ValidationError,
-    WarmupError,
-)
+from ._grid import check_increasing, date_span, read_grid, ticker_positions
+from .errors import NumericalError, RangeError, ValidationError, WarmupError
 
 PANEL_HEADER = ("date", "ticker", "open", "high", "low", "close", "volume")
 
@@ -79,26 +71,21 @@ class MarketPanel:
         object.__setattr__(self, "tickers", tuple(self.tickers))
         check_increasing(self.dates)
         shape = (len(self.dates), len(self.tickers))
-        for name in ("close", "volume", "open", "high", "low"):
+        for name in ("close", "open", "high", "low", "volume"):
             arr = getattr(self, name)
             if arr is None:
                 continue
             arr = _freeze(arr)
             if arr.shape != shape:
                 raise ValidationError(f"{name} has shape {arr.shape}, expected {shape}")
+            bad = ~np.isfinite(arr)
+            if name != "volume":
+                bad |= arr <= 0  # prices must be positive; a volume may be zero
+            if bad.any():
+                d, t = np.argwhere(bad)[0]
+                fault = "non-finite" if not np.isfinite(arr[d, t]) else "non-positive"
+                raise ValidationError(f"{fault} {name} at ({self.dates[d]}, {self.tickers[t]})")
             object.__setattr__(self, name, arr)
-        if not np.all(self.close > 0):
-            d, t = np.argwhere(~(self.close > 0))[0]
-            raise ValidationError(
-                f"non-positive close at ({self.dates[d]}, {self.tickers[t]})"
-            )
-        for name in ("close", "open", "high", "low", "volume"):
-            arr = getattr(self, name)
-            if arr is not None and not np.all(np.isfinite(arr)):
-                d, t = np.argwhere(~np.isfinite(arr))[0]
-                raise ValidationError(
-                    f"non-finite {name} at ({self.dates[d]}, {self.tickers[t]})"
-                )
 
     @property
     def n_dates(self) -> int:
@@ -203,68 +190,15 @@ class TurbulenceSeries:
 # ---------------------------------------------------------------------------
 
 def load_price_panel(path: str) -> MarketPanel:
-    """Load the long-form delimited panel ``date,ticker,open,high,low,close,volume``.
-
-    Every ticker must cover the full union calendar; gaps raise an
-    AlignmentError listing the missing (ticker, date) pairs instead of being
-    forward-filled.
-    """
-    rows: dict[tuple[str, str], tuple[float, float, float, float, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != PANEL_HEADER:
-            raise ParseError(
-                f"{path}: line 1: expected header {','.join(PANEL_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 7:
-                raise ParseError(f"{path}: line {lineno}: expected 7 fields, got {len(row)}")
-            date, ticker = row[0].strip(), row[1].strip()
-            if len(date) != 10 or date[4] != "-" or date[7] != "-":
-                raise ParseError(f"{path}: line {lineno}: bad date {date!r} (want YYYY-MM-DD)")
-            try:
-                o, h, lo, c, v = (float(x) for x in row[2:7])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if not all(map(math.isfinite, (o, h, lo, c, v))):
-                raise ValidationError(
-                    f"{path}: non-finite value at ({date}, {ticker}), line {lineno}"
-                )
-            if c <= 0 or o <= 0 or h <= 0 or lo <= 0:
-                raise ValidationError(
-                    f"{path}: non-positive price at ({date}, {ticker}), line {lineno}"
-                )
-            if (date, ticker) in rows:
-                raise ParseError(f"{path}: line {lineno}: duplicate row for ({date}, {ticker})")
-            rows[(date, ticker)] = (o, h, lo, c, v)
-
-    dates = sorted({d for d, _ in rows})
-    tickers = sorted({t for _, t in rows})
-    if not dates:
-        raise AlignmentError(f"{path}: no data rows")
-    missing = [(t, d) for t in tickers for d in dates if (d, t) not in rows]
-    if missing:
-        raise gaps_error(path, missing)
-
-    shape = (len(dates), len(tickers))
-    o = np.empty(shape)
-    h = np.empty(shape)
-    lo = np.empty(shape)
-    c = np.empty(shape)
-    v = np.empty(shape)
-    for i, d in enumerate(dates):
-        for j, t in enumerate(tickers):
-            o[i, j], h[i, j], lo[i, j], c[i, j], v[i, j] = rows[(d, t)]
-    return MarketPanel(
-        dates=tuple(dates), tickers=tuple(tickers),
-        close=c, volume=v, open=o, high=h, low=lo,
-    )
+    """Load the long-form delimited panel ``date,ticker,open,high,low,close,volume``
+    on its own calendar by ``_grid.read_grid``: every ticker must cover every
+    date, and gaps raise an AlignmentError instead of being forward-filled."""
+    dates, tickers, values = read_grid(path, PANEL_HEADER)
+    columns = {name: values[:, :, c] for c, name in enumerate(PANEL_HEADER[2:])}
+    try:
+        return MarketPanel(dates=dates, tickers=tickers, **columns)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_price_panel(panel: MarketPanel, path: str) -> None:

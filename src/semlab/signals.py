@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import check_increasing, date_span, ticker_positions
+from ._grid import check_increasing, date_span, read_header, require_blank, ticker_positions
 from .errors import ParseError, RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -421,21 +421,16 @@ def write_article_scores(articles: list[ArticleScore], path: str) -> None:
 
 
 def load_article_scores(path: str) -> list[ArticleScore]:
-    """Read the delimited cache ``source_id,ticker,date,<four integer scores>``."""
+    """Read the delimited cache ``source_id,ticker,date,<four integer scores>``,
+    with the header, blank-row and field-count rules of ``_grid.read_grid``."""
     out: list[ArticleScore] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != CACHE_HEADER:
-            raise ParseError(f"{path}: line 1: expected header {','.join(CACHE_HEADER)}")
+        width = len(read_header(reader, path, CACHE_HEADER))
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+            if len(row) != width:
+                require_blank(row, path, lineno, width)
                 continue
-            if len(row) != 7:
-                raise ParseError(f"{path}: line {lineno}: expected 7 fields, got {len(row)}")
             try:
                 scores = tuple(int(x) for x in row[3:7])
             except ValueError as exc:

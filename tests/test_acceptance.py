@@ -401,7 +401,7 @@ def test_criterion_11_experiment_determinism(tmp_path):
         "beta": [0.005, 0, 0, 0], "volatility": 0.015, "seed": 99,
     }
     for kind in KINDS:
-        params = {} if kind in ("env_eval", "validation_suite") else {"k": 3}
+        params = {} if kind in ("env_eval", "validation_suite", "stratified") else {"k": 3}
         if kind == "forecaster":
             params.update(blocks=["price", "semantic"], lambda_grid=[1e-3, 1.0],
                           min_stock_days=100)

@@ -22,8 +22,8 @@ SYNTH = {
 }
 
 
-# kinds that build no top-k basket and so take no basket size
-UNRANKED = ("env_eval", "validation_suite")
+# kinds that take no basket size k: no top-k basket, or one sized per tercile
+UNRANKED = ("env_eval", "validation_suite", "stratified")
 
 
 def config_dict(kind, outdir, seed=7, params=None):
@@ -83,6 +83,9 @@ class TestDeclaredParams:
          r"unknown param 'cost_rte' for kind 'sfp' \(did you mean 'cost_rate'\?\)"),
         ("env_eval", {"k": 3}, r"unknown param 'k' for kind 'env_eval'"),
         ("validation_suite", {"ridge_strength": 1.0}, r"unknown param 'ridge_strength'"),
+        # read by neither kind: baskets are sized per tercile, rates set per sweep row
+        ("stratified", {"k": 3}, r"unknown param 'k' for kind 'stratified'"),
+        ("cost_sweep", {"cost_rate": 0.05}, r"unknown param 'cost_rate' for kind 'cost_sweep'"),
     ])
     def test_unknown_param_rejected(self, tmp_path, kind, params, match):
         with pytest.raises(ConfigError, match=match):
@@ -110,12 +113,12 @@ class TestDeclaredParams:
 
     def test_values_resolve_to_declared_types(self, tmp_path):
         cfg = ExperimentConfig.from_dict(config_dict(
-            "cost_sweep", tmp_path, params={"cost_rate": 0, "costs": [0, 0.002]}))
-        assert cfg.p["cost_rate"] == 0.0 and isinstance(cfg.p["cost_rate"], float)
+            "cost_sweep", tmp_path, params={"ridge_strength": 0, "costs": [0, 0.002]}))
+        assert cfg.p["ridge_strength"] == 0.0 and isinstance(cfg.p["ridge_strength"], float)
         # list items keep their JSON type: artifacts print 0 and 0.0 apart
         assert cfg.p["costs"] == (0, 0.002) and isinstance(cfg.p["costs"][0], int)
-        assert cfg.p["ridge_strength"] == _KINDS["sfp"][2]["ridge_strength"]
-        assert cfg.params == {"k": 3, "cost_rate": 0, "costs": [0, 0.002]}
+        assert cfg.p["horizon"] == _KINDS["sfp"][2]["horizon"]
+        assert cfg.params == {"k": 3, "ridge_strength": 0, "costs": [0, 0.002]}
 
     def test_subperiod_entries_need_name_start_end(self, tmp_path):
         raw = config_dict("subperiod", tmp_path / "out",
@@ -152,6 +155,22 @@ class TestDeclaredParams:
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict(raw)
         assert self._cli(tmp_path, raw) == 1
+
+    @pytest.mark.parametrize("params, match", [
+        ({"masks": [5]}, r"param 'masks' items must be null, \"ALL\" or a list of axes: 5$"),
+        ({"masks": [None, "sentiment"]}, r"a list of axes: 'sentiment'$"),
+        ({"masks": [["risk", "sentimnt"]]},
+         r"unknown axis 'sentimnt' in param 'masks' \(did you mean 'sentiment'\?\)"),
+        ({"policy": "holdd"}, r"unknown policy 'holdd' \(did you mean 'hold'\?\)"),
+        ({"axis": "rsk"}, r"unknown signal axis 'rsk' \(did you mean 'risk'\?\)"),
+    ])
+    def test_env_eval_values_checked_before_data_is_read(self, tmp_path, capsys, params, match):
+        raw = config_dict("env_eval", tmp_path / "out", params=params)
+        raw["data"] = {"price_panel": str(tmp_path / "missing.csv")}
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(raw)
+        assert self._cli(tmp_path, raw) == 1
+        assert "config error:" in capsys.readouterr().err
 
     def test_readme_table_matches_registry(self):
         """The README's param and kind tables name exactly what ``_KINDS`` declares."""
