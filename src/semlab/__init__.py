@@ -16,6 +16,7 @@ from .panels import (
 from .signals import (
     AXES,
     ArticleScore,
+    ArticleTable,
     CoverageReport,
     NEUTRAL,
     SignalPanel,

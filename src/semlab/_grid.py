@@ -57,6 +57,12 @@ def require_blank(row: list[str], path: str, lineno: int, width: int) -> None:
         raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
 
 
+def check_date(date: str, path: str, lineno: int) -> None:
+    """A ParseError naming the line unless ``date`` has the YYYY-MM-DD shape."""
+    if len(date) != 10 or date[4] != "-" or date[7] != "-":
+        raise ParseError(f"{path}: line {lineno}: bad date {date!r} (want YYYY-MM-DD)")
+
+
 def _axis(seen: dict[str, int], given) -> tuple[tuple[str, ...], np.ndarray]:
     """The labels of an axis (``given``, else the seen ones sorted) and the
     position on it of each seen label, in first-seen order (-1: not on it)."""
@@ -93,8 +99,7 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
             date, ticker = row[0].strip(), row[1].strip()
             i = date_at.get(date)
             if i is None:
-                if len(date) != 10 or date[4] != "-" or date[7] != "-":
-                    raise ParseError(f"{path}: line {lineno}: bad date {date!r} (want YYYY-MM-DD)")
+                check_date(date, path, lineno)
                 i = date_at[date] = len(date_at)
             j = ticker_at.get(ticker)
             if j is None:

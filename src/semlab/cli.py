@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, LabError
 from .experiments import ExperimentConfig, run, validate_inputs
 from .panels import PANEL_HEADER, write_price_panel
-from .signals import AXES, CACHE_HEADER, ArticleScore, write_article_scores
+from .signals import AXES, CACHE_HEADER, ArticleTable, write_article_scores
 from .synth import SyntheticSpec, synth_panel
 
 EXIT_OK = 0
@@ -66,12 +66,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     cache_path = os.path.join(args.out, "signals.csv")
     truth_path = os.path.join(args.out, "truth.json")
     write_price_panel(panel, prices_path)
+    # one article per covered cell, in (date, ticker) order
     ii, jj = np.nonzero(signals.non_neutral)
-    articles = [
-        ArticleScore(ticker=signals.tickers[j], published=signals.dates[i],
-                     scores=tuple(v), source_id=f"synth-{i}-{j}")
-        for i, j, v in zip(ii.tolist(), jj.tolist(), signals.values[ii, jj].astype(int).tolist())
-    ]
+    articles = ArticleTable(
+        source_ids=np.char.add(np.char.add("synth-", ii.astype(str)),
+                               np.char.add("-", jj.astype(str))).tolist(),
+        tickers=np.asarray(signals.tickers, dtype=object)[jj].tolist(),
+        dates=np.asarray(signals.dates, dtype=object)[ii].tolist(),
+        scores=signals.values[ii, jj].astype(np.int64),
+    )
     write_article_scores(articles, cache_path)
     with open(truth_path, "w") as fh:
         json.dump({

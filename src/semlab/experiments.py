@@ -843,14 +843,14 @@ def validate_inputs(price_panel: str | None = None, signal_cache: str | None = N
             record("signal_cache", True, f"{len(articles)} articles, scores in range")
             hashes["signal_cache_file"] = _file_hash(signal_cache)
             if panel is not None:
-                known = set(panel.tickers)
-                stray = sorted({a.ticker for a in articles if a.ticker not in known})
+                stray = sorted(set(articles.tickers) - set(panel.tickers))
                 record(
                     "cache_tickers_in_universe", not stray,
                     "all tickers known" if not stray else f"unknown tickers: {stray[:10]}",
                 )
                 lo, hi = panel.dates[0], panel.dates[-1]
-                outside = sum(1 for a in articles if not lo <= a.published <= hi)
+                published = np.asarray(articles.dates, dtype=str)
+                outside = int(((published < lo) | (published > hi)).sum())
                 record(
                     "cache_dates_in_calendar", outside == 0,
                     "all article dates inside the panel calendar"

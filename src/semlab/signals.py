@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from bisect import bisect_left
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from ._grid import check_increasing, date_span, read_header, require_blank, ticker_positions
+from ._grid import (
+    check_date, check_increasing, date_span, read_header, require_blank, ticker_positions,
+)
 from .errors import ParseError, RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -60,6 +64,93 @@ def _frozen_array(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.array(arr, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _score_error(scores: np.ndarray, dates, tickers) -> tuple[int, str] | None:
+    """The first row of an (n, 4) score array with a score outside [1, 5] and
+    the message naming it, or None when every score is in range."""
+    bad = (scores < 1) | (scores > 5)
+    if not bad.any():
+        return None
+    r, a = np.argwhere(bad)[0]
+    return int(r), f"{AXES[a]} score {scores[r, a]} outside [1, 5] for ({dates[r]}, {tickers[r]})"
+
+
+@dataclass(frozen=True, eq=False)
+class ArticleTable(Sequence):
+    """Scored articles held as columns: ``source_ids``, ``tickers`` and
+    ``dates`` string tuples and a read-only (n, 4) integer ``scores`` array.
+
+    A sequence of ``ArticleScore``: length, indexing and iteration build the
+    records on demand, and a table equals the list of records it holds.
+    """
+
+    source_ids: tuple[str, ...]
+    tickers: tuple[str, ...]
+    dates: tuple[str, ...]
+    scores: np.ndarray  # (n, 4) int64, one row per article, axes in AXES order
+
+    def __post_init__(self) -> None:
+        for name in ("source_ids", "tickers", "dates"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        scores = _frozen_array(self.scores, np.int64)
+        if scores.ndim != 2 or scores.shape[1] != 4:
+            raise ValidationError(f"scores shape {scores.shape}, expected (n, 4)")
+        lengths = (len(self.source_ids), len(self.tickers), len(self.dates))
+        if lengths != (len(scores),) * 3:
+            raise ValidationError(
+                f"column lengths {lengths} (source_ids, tickers, dates) differ from "
+                f"{len(scores)} score rows"
+            )
+        error = _score_error(scores, self.dates, self.tickers)
+        if error is not None:
+            raise ValidationError(error[1])
+        object.__setattr__(self, "scores", scores)
+
+    @classmethod
+    def from_records(cls, articles: Iterable[ArticleScore]) -> "ArticleTable":
+        """The table of the given records, in their order."""
+        articles = list(articles)
+        return cls(
+            source_ids=[a.source_id for a in articles],
+            tickers=[a.ticker for a in articles],
+            dates=[a.published for a in articles],
+            scores=np.array([a.scores for a in articles], dtype=np.int64).reshape(-1, 4),
+        )
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._take(np.arange(len(self))[i])
+        return ArticleScore(ticker=self.tickers[i], published=self.dates[i],
+                            scores=self.scores[i].tolist(), source_id=self.source_ids[i])
+
+    def __iter__(self):
+        for source_id, ticker, date, scores in zip(
+            self.source_ids, self.tickers, self.dates, self.scores.tolist()
+        ):
+            yield ArticleScore(ticker=ticker, published=date, scores=scores, source_id=source_id)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ArticleTable):
+            return (
+                (self.source_ids, self.tickers, self.dates)
+                == (other.source_ids, other.tickers, other.dates)
+                and np.array_equal(self.scores, other.scores)
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def _take(self, rows: np.ndarray) -> "ArticleTable":
+        """The articles at the given positions, in that order."""
+        rows = rows.tolist()
+        picked = ([col[r] for r in rows] for col in (self.source_ids, self.tickers, self.dates))
+        return ArticleTable(*picked, self.scores[rows])
 
 
 @dataclass(frozen=True)
@@ -170,10 +261,10 @@ class CoverageReport:
 
 @dataclass(frozen=True)
 class AggregationReport:
-    """Articles that could not be placed on the panel."""
+    """Articles that could not be placed on the panel, each in input order."""
 
-    unmatched_tickers: tuple[ArticleScore, ...]
-    out_of_calendar: tuple[ArticleScore, ...]
+    unmatched_tickers: ArticleTable
+    out_of_calendar: ArticleTable
 
     @property
     def total(self) -> int:
@@ -228,8 +319,20 @@ def mock_score(
 # Aggregation
 # ---------------------------------------------------------------------------
 
+def _codes(keys: tuple[str, ...], code: dict[str, int]) -> np.ndarray:
+    """``code`` of each key (-1 for a key it lacks) as an int64 array."""
+    return np.fromiter(map(code.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+
+
+def _trailing(x: np.ndarray, window: int) -> np.ndarray:
+    """Sums over each date's trailing ``window + 1`` rows of ``x`` (axis 0,
+    clipped at the first date), from one cumulative sum."""
+    c = np.cumsum(x, axis=0)
+    return np.concatenate([c[: window + 1], c[window + 1 :] - c[: -window - 1]])
+
+
 def aggregate_signals(
-    articles: list[ArticleScore],
+    articles: ArticleTable | list[ArticleScore],
     calendar: list[str] | tuple[str, ...],
     tickers: list[str] | tuple[str, ...],
     window: int = 3,
@@ -243,6 +346,10 @@ def aggregate_signals(
     trading day. Cells with no articles get the neutral default and a cleared
     presence flag. Articles for unknown tickers or beyond the calendar are
     returned in the report, never silently dropped.
+
+    ``articles`` is an ``ArticleTable`` or a list of ``ArticleScore``. Scores
+    are integers, so the per-cell sums are exact and each mean is one
+    division.
     """
     calendar = tuple(calendar)
     tickers = tuple(tickers)
@@ -251,37 +358,36 @@ def aggregate_signals(
     if window < 0:
         raise ValidationError(f"window must be >= 0, got {window}")
     check_increasing(calendar, "calendar")
-    ticker_idx = {t: j for j, t in enumerate(tickers)}
-
+    table = articles if isinstance(articles, ArticleTable) else ArticleTable.from_records(articles)
     n_d, n_t = len(calendar), len(tickers)
-    sums = np.zeros((n_d, n_t, 4))
-    counts = np.zeros((n_d, n_t), dtype=int)
-    unmatched: list[ArticleScore] = []
-    out_of_range: list[ArticleScore] = []
-    for art in articles:
-        j = ticker_idx.get(art.ticker)
-        if j is None:
-            unmatched.append(art)
-            continue
-        # next trading day at or after the publication date; articles dated
-        # before the calendar starts or after it ends cannot be placed
-        if art.published < calendar[0]:
-            out_of_range.append(art)
-            continue
-        pos = bisect_left(calendar, art.published)
-        if pos >= n_d:
-            out_of_range.append(art)
-            continue
-        lo, hi = pos, min(pos + window, n_d - 1)
-        sums[lo : hi + 1, j] += np.asarray(art.scores, dtype=float)
-        counts[lo : hi + 1, j] += 1
+
+    # each article's ticker column and its next trading day at or after the
+    # publication date (searched once per distinct date); -1 marks a ticker
+    # not in the universe or a date before the calendar starts or after it ends
+    distinct = list(set(table.dates))
+    when = np.asarray(distinct, dtype=str)
+    pos = np.searchsorted(np.asarray(calendar, dtype=str), when)
+    next_day = dict(zip(distinct, np.where((when >= calendar[0]) & (pos < n_d), pos, -1).tolist()))
+    col = _codes(table.tickers, {t: j for j, t in enumerate(tickers)})
+    day = _codes(table.dates, next_day)
+    unmatched = col < 0
+    out_of_range = ~unmatched & (day < 0)
+    placed = ~(unmatched | out_of_range)
+
+    cell = day[placed] * n_t + col[placed]
+    counts = np.bincount(cell, minlength=n_d * n_t).reshape(n_d, n_t)
+    sums = np.zeros(n_d * n_t * 4, dtype=np.int64)
+    np.add.at(sums, (cell[:, None] * 4 + np.arange(4)).ravel(), table.scores[placed].ravel())
+    counts = _trailing(counts, window)
+    sums = _trailing(sums.reshape(n_d, n_t, 4), window)
 
     values = np.full((n_d, n_t, 4), NEUTRAL)
     flags = counts > 0
     values[flags] = sums[flags] / counts[flags, None]
     panel = SignalPanel(dates=calendar, tickers=tickers, values=values, non_neutral=flags)
     report = AggregationReport(
-        unmatched_tickers=tuple(unmatched), out_of_calendar=tuple(out_of_range)
+        unmatched_tickers=table._take(np.flatnonzero(unmatched)),
+        out_of_calendar=table._take(np.flatnonzero(out_of_range)),
     )
     return panel, report
 
@@ -412,18 +518,28 @@ def pca_effective_dim(panel: SignalPanel) -> tuple[np.ndarray, np.ndarray]:
 CACHE_HEADER = ("source_id", "ticker", "date") + AXES
 
 
-def write_article_scores(articles: list[ArticleScore], path: str) -> None:
+def write_article_scores(articles: ArticleTable | list[ArticleScore], path: str) -> None:
+    """Write the cache that ``load_article_scores`` reads, one row per article."""
+    table = articles if isinstance(articles, ArticleTable) else ArticleTable.from_records(articles)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CACHE_HEADER)
-        for art in articles:
-            writer.writerow([art.source_id, art.ticker, art.published, *art.scores])
+        writer.writerows(
+            zip(table.source_ids, table.tickers, table.dates, *table.scores.T.tolist())
+        )
 
 
-def load_article_scores(path: str) -> list[ArticleScore]:
-    """Read the delimited cache ``source_id,ticker,date,<four integer scores>``,
-    with the header, blank-row and field-count rules of ``_grid.read_grid``."""
-    out: list[ArticleScore] = []
+def load_article_scores(path: str) -> ArticleTable:
+    """Read the delimited cache ``source_id,ticker,date,<four integer scores>``
+    into an ``ArticleTable``, with the header, blank-row, field-count and
+    YYYY-MM-DD date rules of ``_grid.read_grid``. A score that is not an
+    integer is a ParseError, one outside [1, 5] a ValidationError, each naming
+    its line."""
+    source_ids: list[str] = []
+    tickers: list[str] = []
+    dates: list[str] = []
+    lines, flat = array("q"), array("q")
+    checked: set[str] = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         width = len(read_header(reader, path, CACHE_HEADER))
@@ -431,19 +547,20 @@ def load_article_scores(path: str) -> list[ArticleScore]:
             if len(row) != width:
                 require_blank(row, path, lineno, width)
                 continue
+            date = row[2].strip()
+            if date not in checked:
+                check_date(date, path, lineno)
+                checked.add(date)
             try:
-                scores = tuple(int(x) for x in row[3:7])
-            except ValueError as exc:
+                flat.extend(map(int, row[3:]))
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                out.append(
-                    ArticleScore(
-                        source_id=row[0].strip(),
-                        ticker=row[1].strip(),
-                        published=row[2].strip(),
-                        scores=scores,
-                    )
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-    return out
+            source_ids.append(row[0].strip())
+            tickers.append(row[1].strip())
+            dates.append(date)
+            lines.append(lineno)
+    scores = np.frombuffer(flat, dtype=np.int64).reshape(-1, 4)
+    error = _score_error(scores, dates, tickers)
+    if error is not None:
+        raise ValidationError(f"{path}: line {lines[error[0]]}: {error[1]}")
+    return ArticleTable(source_ids, tickers, dates, scores)

@@ -90,7 +90,7 @@ class TestSharedRules:
         ):
             LOADERS[kind][2](_write(tmp_path, kind, rows))
 
-    @pytest.mark.parametrize("kind", GRIDS)
+    @pytest.mark.parametrize("kind", LOADERS)
     @pytest.mark.parametrize("bad", ["2020/01/03", "20200103", "Jan 3 2020"])
     def test_bad_date_names_the_line(self, tmp_path, kind, bad):
         fmt = LOADERS[kind][1]
@@ -116,6 +116,17 @@ class TestSharedRules:
         path = _write(tmp_path, "prices", [*rows, rows[0]])
         assert cli_main(["validate", path]) == 2
         assert "[FAIL] price_panel:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("row, failed", [
+        ("s-x,AA,2020/01/03,1,2,3,4", "[FAIL] signal_cache: "),
+        ("s-x,ZZ,2020-01-03,1,2,3,4", "[FAIL] cache_tickers_in_universe: unknown tickers: ['ZZ']"),
+    ])
+    def test_validate_fails_a_bad_article_cache(self, tmp_path, capsys, row, failed):
+        prices = _write(tmp_path, "prices")
+        fmt = LOADERS["articles"][1]
+        cache = _write(tmp_path, "articles", [fmt.format(d=DATES[1], t="BB"), row])
+        assert cli_main(["validate", prices, cache]) == 2
+        assert failed in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import string
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +15,9 @@ from semlab import (
     pca_effective_dim,
 )
 from semlab.errors import ParseError, RankError, ValidationError
-from semlab.signals import load_article_scores, write_article_scores
+from semlab.signals import ArticleTable, load_article_scores, write_article_scores
 
+import scalar_aggregate
 from conftest import business_days, make_signal_panel
 
 
@@ -120,6 +123,65 @@ class TestAggregation:
         c2 = coverage_stats(p2)
         for t in ("AA", "BB"):
             assert c2.any_fraction[t] >= c1.any_fraction[t]
+
+
+def _day(offset: int) -> str:
+    return str(np.datetime64("2020-01-01") + offset)
+
+
+score_rows = st.lists(st.integers(1, 5), min_size=4, max_size=4)
+
+
+@st.composite
+def aggregation_cases(draw):
+    """A calendar of up to 8 days out of 20, a universe, a window from 0 to
+    past the calendar's end, and up to 30 articles on few enough cells that
+    several share one; their tickers may be unknown and their dates fall
+    before, between, on and after the calendar days."""
+    calendar = tuple(_day(o) for o in sorted(draw(st.sets(st.integers(0, 20), min_size=1,
+                                                          max_size=8))))
+    tickers = tuple(draw(st.lists(st.sampled_from(["AA", "BB", "CC"]), min_size=1,
+                                  max_size=3, unique=True)))
+    window = draw(st.integers(0, len(calendar) + 2))
+    articles = draw(st.lists(st.builds(
+        ArticleScore, ticker=st.sampled_from(["AA", "BB", "CC", "ZZ"]),
+        published=st.integers(-3, 24).map(_day), scores=score_rows,
+        source_id=st.text("abc", max_size=2),
+    ), max_size=30))
+    return articles, calendar, tickers, window
+
+
+class TestAggregationOracle:
+    @given(aggregation_cases())
+    def test_matches_the_per_article_loop(self, case):
+        articles, calendar, tickers, window = case
+        panel, report = aggregate_signals(articles, calendar, tickers, window=window)
+        want, unmatched, out_of_range = scalar_aggregate.aggregate(
+            articles, calendar, tickers, window)
+        assert panel.equals(want)
+        assert report.unmatched_tickers == unmatched
+        assert report.out_of_calendar == out_of_range
+        assert report.total == len(unmatched) + len(out_of_range)
+
+
+class TestArticleTable:
+    def test_records_on_demand(self):
+        arts = [art("AA", "2020-01-02", (1, 2, 3, 4), "s1"), art("BB", "2020-01-03", (5, 4, 3, 2))]
+        table = ArticleTable.from_records(arts)
+        assert len(table) == 2 and table[1] == arts[1] and table[-1] == arts[1]
+        assert list(table) == arts and table == arts and arts == table
+        assert table[1:] == arts[1:] and isinstance(table[1:], ArticleTable)
+        assert not table.scores.flags.writeable
+
+    @pytest.mark.parametrize("columns, match", [
+        ((("s",), ("AA",), ("2020-01-02",), [[1, 2, 3]]), r"scores shape \(1, 3\)"),
+        ((("s",), ("AA", "BB"), ("2020-01-02",), [[1, 2, 3, 4]]), "column lengths"),
+        ((("s",), ("AA",), ("2020-01-02",), [[1, 2, 0, 4]]),
+         r"confidence score 0 outside \[1, 5\] for \(2020-01-02, AA\)"),
+    ])
+    def test_constructor_checks_columns_in_bulk(self, columns, match):
+        with pytest.raises(ValidationError, match=match):
+            ArticleTable(*columns)
 
 
 class TestCoverage:
@@ -280,6 +342,21 @@ class TestCacheFile:
         write_article_scores(arts, str(path))
         loaded = load_article_scores(str(path))
         assert loaded == arts
+
+    @given(st.data())
+    def test_write_then_load_is_bit_exact(self, tmp_path_factory, data):
+        # fields are stored stripped; delimiters, quotes and newlines are quoted
+        text = st.text(string.ascii_letters + string.digits + ' ,"\n-_', max_size=6).map(str.strip)
+        n = data.draw(st.integers(0, 12))
+        column = lambda elements: data.draw(st.lists(elements, min_size=n, max_size=n))
+        table = ArticleTable(
+            source_ids=column(text), tickers=column(text),
+            dates=column(st.integers(-400, 4000).map(_day)),
+            scores=np.array(column(score_rows), dtype=np.int64).reshape(n, 4),
+        )
+        path = str(tmp_path_factory.mktemp("cache") / "cache.csv")
+        write_article_scores(table, path)
+        assert load_article_scores(path) == table
 
     def test_out_of_range_score_rejected(self, tmp_path):
         path = tmp_path / "cache.csv"
