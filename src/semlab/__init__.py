@@ -15,7 +15,6 @@ from .panels import (
 )
 from .signals import (
     AXES,
-    ArticleScore,
     ArticleTable,
     CoverageReport,
     NEUTRAL,

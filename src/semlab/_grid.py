@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .errors import AlignmentError, ParseError, ValidationError
+from .errors import AlignmentError, LabError, ParseError, ValidationError
 
 
 def check_increasing(dates: tuple[str, ...], what: str = "dates") -> None:
@@ -27,6 +27,15 @@ def date_span(dates: tuple[str, ...], start: str, end: str) -> slice:
     increasing calendar; empty (start == stop) when none qualifies."""
     lo = bisect_left(dates, start)
     return slice(lo, max(lo, bisect_right(dates, end)))
+
+
+def check_unique(tickers, what: str = "panel", error: type[LabError] = ValidationError) -> None:
+    """An ``error`` naming the first ticker that appears twice."""
+    seen: set[str] = set()
+    for t in tickers:
+        if t in seen:
+            raise error(f"duplicate ticker {t!r} in {what}")
+        seen.add(t)
 
 
 def ticker_positions(have: tuple[str, ...], want, what: str = "panel") -> list[int]:
@@ -50,16 +59,32 @@ def read_header(reader, path: str, names: tuple[str, ...] | None) -> tuple[str, 
     return header
 
 
-def require_blank(row: list[str], path: str, lineno: int, width: int) -> None:
-    """Let a row whose field count is not ``width`` through only when it is
-    blank, for the caller to skip; a ParseError naming the line otherwise."""
-    if len(row) > 1 or (row and row[0].strip()):
-        raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+def records(path: str, header: tuple[str, ...] | None):
+    """The data rows of a delimited file whose header ``read_header``
+    accepts, each as (the physical line it starts on, its fields). Blank rows
+    are skipped; any other row without one field per header column is a
+    ParseError naming its line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        width = len(read_header(reader, path, header))
+        start = reader.line_num + 1  # a quoted field may span lines
+        for row in reader:
+            if len(row) == width:
+                yield start, row
+            elif len(row) > 1 or (row and row[0].strip()):
+                raise ParseError(f"{path}: line {start}: expected {width} fields, got {len(row)}")
+            start = reader.line_num + 1
+
+
+def is_date(date: str) -> bool:
+    """Whether ``date`` has the YYYY-MM-DD shape, under which dates sort as
+    strings in calendar order."""
+    return len(date) == 10 and date[4] == "-" and date[7] == "-"
 
 
 def check_date(date: str, path: str, lineno: int) -> None:
     """A ParseError naming the line unless ``date`` has the YYYY-MM-DD shape."""
-    if len(date) != 10 or date[4] != "-" or date[7] != "-":
+    if not is_date(date):
         raise ParseError(f"{path}: line {lineno}: bad date {date!r} (want YYYY-MM-DD)")
 
 
@@ -85,36 +110,30 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
     or else the file's own sorted dates and tickers; cells with no row are an
     AlignmentError listing the gaps.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        width = len(read_header(reader, path, header))
-        # labels by first-seen index; one entry per row in the flat buffers
-        date_at: dict[str, int] = {}
-        ticker_at: dict[str, int] = {}
-        di, ti, lines, flat = array("q"), array("q"), array("q"), array("d")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                require_blank(row, path, lineno, width)
-                continue
-            date, ticker = row[0].strip(), row[1].strip()
-            i = date_at.get(date)
-            if i is None:
-                check_date(date, path, lineno)
-                i = date_at[date] = len(date_at)
-            j = ticker_at.get(ticker)
-            if j is None:
-                j = ticker_at[ticker] = len(ticker_at)
-            try:
-                flat.extend(map(float, row[2:]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            di.append(i)
-            ti.append(j)
-            lines.append(lineno)
+    # labels by first-seen index; one entry per row in the flat buffers
+    date_at: dict[str, int] = {}
+    ticker_at: dict[str, int] = {}
+    di, ti, lines, flat = array("q"), array("q"), array("q"), array("d")
+    for lineno, row in records(path, header):
+        date, ticker = row[0].strip(), row[1].strip()
+        i = date_at.get(date)
+        if i is None:
+            check_date(date, path, lineno)
+            i = date_at[date] = len(date_at)
+        j = ticker_at.get(ticker)
+        if j is None:
+            j = ticker_at[ticker] = len(ticker_at)
+        try:
+            flat.extend(map(float, row[2:]))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        di.append(i)
+        ti.append(j)
+        lines.append(lineno)
     if not lines:
         raise AlignmentError(f"{path}: no data rows")
 
-    values = np.frombuffer(flat).reshape(len(lines), width - 2)
+    values = np.frombuffer(flat).reshape(len(lines), -1)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         r = int(np.argmin(finite))
@@ -136,6 +155,6 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
         gaps = "; ".join(f"{tickers[j]} missing {dates[i]}" for j, i in missing[:20])
         more = "" if len(missing) <= 20 else f" (+{len(missing) - 20} more)"
         raise AlignmentError(f"{path}: calendar gaps: {gaps}{more}")
-    grid = np.empty((len(dates) * len(tickers), width - 2))
+    grid = np.empty((len(dates) * len(tickers), values.shape[1]))
     grid[cells] = values[placed]
-    return dates, tickers, grid.reshape(len(dates), len(tickers), width - 2)
+    return dates, tickers, grid.reshape(len(dates), len(tickers), values.shape[1])

@@ -387,7 +387,6 @@ def run_policy(
     w0 = env.config.initial_cash
     dates = [state.date]
     wealth = [state.wealth]
-    peaks = [state.peak_wealth]
     holdings_w = [np.zeros(env.n_tickers)]
     costs = [0.0]
     rewards: list[float] = []
@@ -409,7 +408,6 @@ def run_policy(
         infos.append(info)
         dates.append(state.date)
         wealth.append(state.wealth)
-        peaks.append(state.peak_wealth)
         holdings_w.append(state.holdings * state.prices / state.wealth)
         # the trade at the previous close is booked on the day its P&L lands
         costs.append(info["cost"] / w0)

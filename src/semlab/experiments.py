@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._grid import date_span, read_grid
+from ._grid import check_unique, date_span, is_date, read_grid
 from .backtest import (
     BacktestConfig,
     EquityCurve,
@@ -118,12 +118,21 @@ def _conform(where: str, value, default):
     return tuple(value) if isinstance(value, list) else value
 
 
+def _check_date(where: str, date) -> None:
+    """A ConfigError unless ``date`` is a YYYY-MM-DD string: calendars are
+    searched by string order, which other shapes do not follow."""
+    if not (isinstance(date, str) and is_date(date)):
+        raise ConfigError(f"{where} must be a YYYY-MM-DD date, got {date!r}")
+
+
 def _as_range(raw, name: str) -> tuple[str, str] | None:
     if raw is None:
         return None
     if (not isinstance(raw, (list, tuple))) or len(raw) != 2:
         raise ConfigError(f"range {name!r} must be [start, end]")
-    lo, hi = str(raw[0]), str(raw[1])
+    lo, hi = raw
+    _check_date(f"range {name!r} start", lo)
+    _check_date(f"range {name!r} end", hi)
     if lo > hi:
         raise ConfigError(f"range {name!r} has start after end")
     return lo, hi
@@ -164,14 +173,20 @@ class ExperimentConfig:
             raise ConfigError("data key 'signal_cache' goes only beside 'price_panel'")
         if self.universe is not None:
             object.__setattr__(self, "universe", tuple(self.universe))
+            check_unique(self.universe, "universe", ConfigError)
         where = "param {!r} for kind " + repr(self.kind)
         _check_names(self.params, declared, where)
         p = {name: _conform(where.format(name), self.params[name], default)
              if name in self.params else default for name, default in declared.items()}
-        if "periods" in p and not all(
-                isinstance(e, (list, tuple)) and len(e) == 3 for e in p["periods"]):
-            raise ConfigError(f"param 'periods' entries must be [name, start, end]: {p['periods']!r}")
+        for entry in p.get("periods", ()):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+                raise ConfigError(
+                    f"param 'periods' entries must be [name, start, end]: {p['periods']!r}")
+            _check_date(f"param 'periods' entry {entry[0]!r} start", entry[1])
+            _check_date(f"param 'periods' entry {entry[0]!r} end", entry[2])
         if "policy" in p:  # env_eval
+            if p["start_date"] is not None:
+                _check_date("param 'start_date'", p["start_date"])
             _check_names([p["policy"]], POLICIES, "policy {!r}")
             _check_names([p["axis"]], AXES, "signal axis {!r}")
             for mask in p["masks"]:

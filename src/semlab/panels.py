@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import check_increasing, date_span, read_grid, ticker_positions
+from ._grid import check_increasing, check_unique, date_span, read_grid, ticker_positions
 from .errors import NumericalError, RangeError, ValidationError, WarmupError
 
 PANEL_HEADER = ("date", "ticker", "open", "high", "low", "close", "volume")
@@ -70,6 +70,7 @@ class MarketPanel:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
         check_increasing(self.dates)
+        check_unique(self.tickers)
         shape = (len(self.dates), len(self.tickers))
         for name in ("close", "open", "high", "low", "volume"):
             arr = getattr(self, name)

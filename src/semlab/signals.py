@@ -1,4 +1,4 @@
-"""Four-axis news signals: article records, trailing-window aggregation to a
+"""Four-axis news signals: the article table, trailing-window aggregation to a
 trading panel with neutral defaults, coverage accounting, masking, and the
 effective-dimensionality check.
 
@@ -15,15 +15,12 @@ from __future__ import annotations
 import csv
 import hashlib
 from array import array
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from ._grid import (
-    check_date, check_increasing, date_span, read_header, require_blank, ticker_positions,
-)
+from ._grid import check_date, check_increasing, check_unique, date_span, records, ticker_positions
 from .errors import ParseError, RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -38,26 +35,6 @@ DEFAULT_SCORE_DISTRIBUTIONS: dict[str, tuple[float, ...]] = {
     "confidence": (0.02, 0.08, 0.38, 0.41, 0.11),
     "volatility_forecast": (0.10, 0.30, 0.39, 0.18, 0.03),
 }
-
-
-@dataclass(frozen=True)
-class ArticleScore:
-    """One scored article: integer scores per axis, tagged to a ticker and date."""
-
-    ticker: str
-    published: str  # ISO calendar date
-    scores: tuple[int, int, int, int]
-    source_id: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", tuple(int(s) for s in self.scores))
-        if len(self.scores) != 4:
-            raise ValidationError(f"expected 4 scores, got {len(self.scores)}")
-        for axis, s in zip(AXES, self.scores):
-            if not 1 <= s <= 5:
-                raise ValidationError(
-                    f"{axis} score {s} outside [1, 5] for ({self.published}, {self.ticker})"
-                )
 
 
 def _frozen_array(arr: np.ndarray, dtype) -> np.ndarray:
@@ -77,12 +54,10 @@ def _score_error(scores: np.ndarray, dates, tickers) -> tuple[int, str] | None:
 
 
 @dataclass(frozen=True, eq=False)
-class ArticleTable(Sequence):
+class ArticleTable:
     """Scored articles held as columns: ``source_ids``, ``tickers`` and
-    ``dates`` string tuples and a read-only (n, 4) integer ``scores`` array.
-
-    A sequence of ``ArticleScore``: length, indexing and iteration build the
-    records on demand, and a table equals the list of records it holds.
+    ``dates`` (ISO calendar dates) string tuples and a read-only (n, 4)
+    integer ``scores`` array, one row per article, every score in [1, 5].
     """
 
     source_ids: tuple[str, ...]
@@ -107,31 +82,8 @@ class ArticleTable(Sequence):
             raise ValidationError(error[1])
         object.__setattr__(self, "scores", scores)
 
-    @classmethod
-    def from_records(cls, articles: Iterable[ArticleScore]) -> "ArticleTable":
-        """The table of the given records, in their order."""
-        articles = list(articles)
-        return cls(
-            source_ids=[a.source_id for a in articles],
-            tickers=[a.ticker for a in articles],
-            dates=[a.published for a in articles],
-            scores=np.array([a.scores for a in articles], dtype=np.int64).reshape(-1, 4),
-        )
-
     def __len__(self) -> int:
         return len(self.dates)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._take(np.arange(len(self))[i])
-        return ArticleScore(ticker=self.tickers[i], published=self.dates[i],
-                            scores=self.scores[i].tolist(), source_id=self.source_ids[i])
-
-    def __iter__(self):
-        for source_id, ticker, date, scores in zip(
-            self.source_ids, self.tickers, self.dates, self.scores.tolist()
-        ):
-            yield ArticleScore(ticker=ticker, published=date, scores=scores, source_id=source_id)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ArticleTable):
@@ -140,8 +92,6 @@ class ArticleTable(Sequence):
                 == (other.source_ids, other.tickers, other.dates)
                 and np.array_equal(self.scores, other.scores)
             )
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None
@@ -174,6 +124,7 @@ class SignalPanel:
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "masked_axes", frozenset(self.masked_axes))
         check_increasing(self.dates)
+        check_unique(self.tickers)
         values = _frozen_array(self.values, float)
         flags = _frozen_array(self.non_neutral, bool)
         shape = (len(self.dates), len(self.tickers))
@@ -279,10 +230,10 @@ def mock_score(
     text: str,
     ticker: str,
     seed: int,
-    published: str = "",
     distributions: dict[str, tuple[float, ...]] | None = None,
-) -> ArticleScore:
-    """Deterministic hash-based stand-in for a hosted scoring model.
+) -> tuple[int, int, int, int]:
+    """Deterministic hash-based stand-in for a hosted scoring model: the four
+    integer scores of one article, in AXES order.
 
     The (text, ticker, seed) triple is hashed into one uniform draw per axis
     and pushed through the axis distribution's inverse CDF, so the same
@@ -307,12 +258,7 @@ def mock_score(
                 value = level
                 break
         scores.append(value)
-    return ArticleScore(
-        ticker=ticker,
-        published=published,
-        scores=tuple(scores),
-        source_id=hashlib.blake2b(f"{ticker}|{text}".encode(), digest_size=6).hexdigest(),
-    )
+    return tuple(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +278,7 @@ def _trailing(x: np.ndarray, window: int) -> np.ndarray:
 
 
 def aggregate_signals(
-    articles: ArticleTable | list[ArticleScore],
+    articles: ArticleTable,
     calendar: list[str] | tuple[str, ...],
     tickers: list[str] | tuple[str, ...],
     window: int = 3,
@@ -347,8 +293,7 @@ def aggregate_signals(
     presence flag. Articles for unknown tickers or beyond the calendar are
     returned in the report, never silently dropped.
 
-    ``articles`` is an ``ArticleTable`` or a list of ``ArticleScore``. Scores
-    are integers, so the per-cell sums are exact and each mean is one
+    Scores are integers, so the per-cell sums are exact and each mean is one
     division.
     """
     calendar = tuple(calendar)
@@ -358,18 +303,17 @@ def aggregate_signals(
     if window < 0:
         raise ValidationError(f"window must be >= 0, got {window}")
     check_increasing(calendar, "calendar")
-    table = articles if isinstance(articles, ArticleTable) else ArticleTable.from_records(articles)
     n_d, n_t = len(calendar), len(tickers)
 
     # each article's ticker column and its next trading day at or after the
     # publication date (searched once per distinct date); -1 marks a ticker
     # not in the universe or a date before the calendar starts or after it ends
-    distinct = list(set(table.dates))
+    distinct = list(set(articles.dates))
     when = np.asarray(distinct, dtype=str)
     pos = np.searchsorted(np.asarray(calendar, dtype=str), when)
     next_day = dict(zip(distinct, np.where((when >= calendar[0]) & (pos < n_d), pos, -1).tolist()))
-    col = _codes(table.tickers, {t: j for j, t in enumerate(tickers)})
-    day = _codes(table.dates, next_day)
+    col = _codes(articles.tickers, {t: j for j, t in enumerate(tickers)})
+    day = _codes(articles.dates, next_day)
     unmatched = col < 0
     out_of_range = ~unmatched & (day < 0)
     placed = ~(unmatched | out_of_range)
@@ -377,7 +321,7 @@ def aggregate_signals(
     cell = day[placed] * n_t + col[placed]
     counts = np.bincount(cell, minlength=n_d * n_t).reshape(n_d, n_t)
     sums = np.zeros(n_d * n_t * 4, dtype=np.int64)
-    np.add.at(sums, (cell[:, None] * 4 + np.arange(4)).ravel(), table.scores[placed].ravel())
+    np.add.at(sums, (cell[:, None] * 4 + np.arange(4)).ravel(), articles.scores[placed].ravel())
     counts = _trailing(counts, window)
     sums = _trailing(sums.reshape(n_d, n_t, 4), window)
 
@@ -386,8 +330,8 @@ def aggregate_signals(
     values[flags] = sums[flags] / counts[flags, None]
     panel = SignalPanel(dates=calendar, tickers=tickers, values=values, non_neutral=flags)
     report = AggregationReport(
-        unmatched_tickers=table._take(np.flatnonzero(unmatched)),
-        out_of_calendar=table._take(np.flatnonzero(out_of_range)),
+        unmatched_tickers=articles._take(np.flatnonzero(unmatched)),
+        out_of_calendar=articles._take(np.flatnonzero(out_of_range)),
     )
     return panel, report
 
@@ -518,47 +462,40 @@ def pca_effective_dim(panel: SignalPanel) -> tuple[np.ndarray, np.ndarray]:
 CACHE_HEADER = ("source_id", "ticker", "date") + AXES
 
 
-def write_article_scores(articles: ArticleTable | list[ArticleScore], path: str) -> None:
+def write_article_scores(articles: ArticleTable, path: str) -> None:
     """Write the cache that ``load_article_scores`` reads, one row per article."""
-    table = articles if isinstance(articles, ArticleTable) else ArticleTable.from_records(articles)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CACHE_HEADER)
-        writer.writerows(
-            zip(table.source_ids, table.tickers, table.dates, *table.scores.T.tolist())
-        )
+        writer.writerows(zip(
+            articles.source_ids, articles.tickers, articles.dates, *articles.scores.T.tolist()
+        ))
 
 
 def load_article_scores(path: str) -> ArticleTable:
     """Read the delimited cache ``source_id,ticker,date,<four integer scores>``
-    into an ``ArticleTable``, with the header, blank-row, field-count and
-    YYYY-MM-DD date rules of ``_grid.read_grid``. A score that is not an
-    integer is a ParseError, one outside [1, 5] a ValidationError, each naming
-    its line."""
+    into an ``ArticleTable``, with the header, blank-row and field-count rules
+    of ``_grid.records`` and its YYYY-MM-DD ``check_date``. A score that is
+    not an integer is a ParseError, one outside [1, 5] a ValidationError, each
+    naming its line."""
     source_ids: list[str] = []
     tickers: list[str] = []
     dates: list[str] = []
     lines, flat = array("q"), array("q")
     checked: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        width = len(read_header(reader, path, CACHE_HEADER))
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                require_blank(row, path, lineno, width)
-                continue
-            date = row[2].strip()
-            if date not in checked:
-                check_date(date, path, lineno)
-                checked.add(date)
-            try:
-                flat.extend(map(int, row[3:]))
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            source_ids.append(row[0].strip())
-            tickers.append(row[1].strip())
-            dates.append(date)
-            lines.append(lineno)
+    for lineno, row in records(path, CACHE_HEADER):
+        date = row[2].strip()
+        if date not in checked:
+            check_date(date, path, lineno)
+            checked.add(date)
+        try:
+            flat.extend(map(int, row[3:]))
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        source_ids.append(row[0].strip())
+        tickers.append(row[1].strip())
+        dates.append(date)
+        lines.append(lineno)
     scores = np.frombuffer(flat, dtype=np.int64).reshape(-1, 4)
     error = _score_error(scores, dates, tickers)
     if error is not None:

@@ -11,38 +11,47 @@ from bisect import bisect_left
 
 import numpy as np
 
-from semlab.signals import NEUTRAL, ArticleScore, SignalPanel
+from semlab.signals import NEUTRAL, ArticleTable, SignalPanel
 
 
-def aggregate(articles: list[ArticleScore], calendar: tuple[str, ...],
+def _rows(articles: ArticleTable, rows: list[int]) -> ArticleTable:
+    return ArticleTable(
+        source_ids=[articles.source_ids[r] for r in rows],
+        tickers=[articles.tickers[r] for r in rows],
+        dates=[articles.dates[r] for r in rows],
+        scores=articles.scores[rows].reshape(-1, 4),
+    )
+
+
+def aggregate(articles: ArticleTable, calendar: tuple[str, ...],
               tickers: tuple[str, ...], window: int
-              ) -> tuple[SignalPanel, list[ArticleScore], list[ArticleScore]]:
+              ) -> tuple[SignalPanel, ArticleTable, ArticleTable]:
     """The panel, and the articles with an unknown ticker and those dated
     outside the calendar, each in input order."""
     ticker_idx = {t: j for j, t in enumerate(tickers)}
     n_d, n_t = len(calendar), len(tickers)
     sums = np.zeros((n_d, n_t, 4))
     counts = np.zeros((n_d, n_t), dtype=int)
-    unmatched: list[ArticleScore] = []
-    out_of_range: list[ArticleScore] = []
-    for art in articles:
-        j = ticker_idx.get(art.ticker)
+    unmatched: list[int] = []
+    out_of_range: list[int] = []
+    for r, (ticker, published) in enumerate(zip(articles.tickers, articles.dates)):
+        j = ticker_idx.get(ticker)
         if j is None:
-            unmatched.append(art)
+            unmatched.append(r)
             continue
-        if art.published < calendar[0]:
-            out_of_range.append(art)
+        if published < calendar[0]:
+            out_of_range.append(r)
             continue
-        pos = bisect_left(calendar, art.published)
+        pos = bisect_left(calendar, published)
         if pos >= n_d:
-            out_of_range.append(art)
+            out_of_range.append(r)
             continue
         lo, hi = pos, min(pos + window, n_d - 1)
-        sums[lo : hi + 1, j] += np.asarray(art.scores, dtype=float)
+        sums[lo : hi + 1, j] += articles.scores[r].astype(float)
         counts[lo : hi + 1, j] += 1
 
     values = np.full((n_d, n_t, 4), NEUTRAL)
     flags = counts > 0
     values[flags] = sums[flags] / counts[flags, None]
     panel = SignalPanel(dates=calendar, tickers=tickers, values=values, non_neutral=flags)
-    return panel, unmatched, out_of_range
+    return panel, _rows(articles, unmatched), _rows(articles, out_of_range)

@@ -43,7 +43,7 @@ from semlab.env import SignalThresholdPolicy, UniformRandomPolicy
 from semlab.experiments import KINDS, run
 from semlab.metrics import annualized_return, calmar_ratio
 from semlab.panels import compute_indicators, compute_turbulence
-from semlab.signals import ArticleScore, NEUTRAL, coverage_stats
+from semlab.signals import NEUTRAL, ArticleTable, coverage_stats
 
 from conftest import business_days, make_panel, make_signal_panel
 
@@ -129,11 +129,12 @@ def test_criterion_3_observation_dimension():
 
 def test_criterion_4_aggregation_semantics():
     cal = business_days("2020-01-02", 5)
-    articles = [
-        ArticleScore(ticker="T1", published=cal[0], scores=(5, 4, 3, 2), source_id="a1"),
-        ArticleScore(ticker="T1", published=cal[2], scores=(1, 2, 3, 4), source_id="a2"),
-        ArticleScore(ticker="T2", published=cal[3], scores=(4, 4, 4, 4), source_id="a3"),
-    ]
+    articles = ArticleTable(
+        source_ids=("a1", "a2", "a3"),
+        tickers=("T1", "T1", "T2"),
+        dates=(cal[0], cal[2], cal[3]),
+        scores=[(5, 4, 3, 2), (1, 2, 3, 4), (4, 4, 4, 4)],
+    )
     panel, rep = aggregate_signals(articles, cal, ["T1", "T2"], window=3)
     assert rep.total == 0
 

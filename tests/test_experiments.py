@@ -156,6 +156,36 @@ class TestDeclaredParams:
             ExperimentConfig.from_dict(raw)
         assert self._cli(tmp_path, raw) == 1
 
+    def test_repeated_universe_ticker_fails_before_data_is_read(self, tmp_path):
+        raw = config_dict("baselines", tmp_path / "out")
+        raw["data"] = {"price_panel": str(tmp_path / "missing.csv")}
+        raw["universe"] = ["SYN01", "SYN02", "SYN01"]
+        with pytest.raises(ConfigError, match="duplicate ticker 'SYN01' in universe"):
+            ExperimentConfig.from_dict(raw)
+        assert self._cli(tmp_path, raw) == 1
+
+    @pytest.mark.parametrize("kind, key, date", [
+        ("baselines", ("ranges", "test", 1), "2016/01/31"),
+        ("sfp", ("ranges", "train", 0), "20150102"),
+        ("sfp", ("ranges", "validation", 1), 20160101),
+        ("subperiod", ("params", "periods", 0, 1), "2016-6-01"),
+        ("subperiod", ("params", "periods", 0, 2), "2016/12/31"),
+        ("env_eval", ("params", "start_date"), "Jun 1 2016"),
+    ])
+    def test_malformed_date_fails_before_data_is_read(self, tmp_path, kind, key, date):
+        # ranges are searched by string order, where "/" sorts after "-"
+        params = {"periods": [["y2016", "2016-06-01", "2016-12-30"]]} if kind == "subperiod" else None
+        raw = config_dict(kind, tmp_path / "out", params=params)
+        raw["data"] = {"price_panel": str(tmp_path / "missing.csv")}
+        *path, last = key
+        node = raw
+        for k in path:
+            node = node[k]
+        node[last] = date
+        with pytest.raises(ConfigError, match=f"must be a YYYY-MM-DD date, got {date!r}"):
+            ExperimentConfig.from_dict(raw)
+        assert self._cli(tmp_path, raw) == 1
+
     @pytest.mark.parametrize("params, match", [
         ({"masks": [5]}, r"param 'masks' items must be null, \"ALL\" or a list of axes: 5$"),
         ({"masks": [None, "sentiment"]}, r"a list of axes: 'sentiment'$"),
@@ -407,7 +437,8 @@ class TestCli:
             if signals.non_neutral[i, j]
         ]
         articles = load_article_scores(str(tmp_path / "out" / "signals.csv"))
-        assert [(a.source_id, a.ticker, a.published, *a.scores) for a in articles] == expected
+        assert list(zip(articles.source_ids, articles.tickers, articles.dates,
+                        *articles.scores.T.tolist())) == expected
 
     def test_run_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

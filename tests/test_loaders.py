@@ -80,6 +80,23 @@ class TestSharedRules:
         with pytest.raises(ParseError, match=rf"{kind}\.csv: line 4: expected \d+ fields"):
             LOADERS[kind][2](_write(tmp_path, kind, rows))
 
+    @pytest.mark.parametrize("kind", LOADERS)
+    @pytest.mark.parametrize("fault", ["date", "number", "range"])
+    def test_line_numbers_are_physical_lines(self, tmp_path, kind, fault):
+        # the first record's last field is quoted and holds a newline (int and
+        # float both accept it), so that record spans lines 2-3; a bad date or
+        # number is caught in the row loop, a value out of range after it
+        fmt = LOADERS[kind][1]
+        head, last = fmt.format(d=DATES[0], t="AA").rsplit(",", 1)
+        bad = fmt.format(d="2020/01/03" if fault == "date" else DATES[1], t="BB")
+        if fault != "date":
+            value = "x" if fault == "number" else "9" if kind == "articles" else "inf"
+            bad = bad.rsplit(",", 1)[0] + "," + value
+        path = _write(tmp_path, kind, [f'{head},"{last}\n"', bad])
+        with pytest.raises(ParseError if fault != "range" else ValidationError,
+                           match=rf"{kind}\.csv: .*line 4\b"):
+            LOADERS[kind][2](path)
+
     @pytest.mark.parametrize("kind", GRIDS)
     def test_duplicate_cell_names_the_second_line(self, tmp_path, kind):
         fmt = LOADERS[kind][1]

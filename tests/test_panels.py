@@ -91,6 +91,13 @@ class TestPanelInvariants:
             MarketPanel(dates=("2020-01-02", "2020-01-03", "2020-01-06"),
                         tickers=("T00", "T01"), **arrays)
 
+    def test_duplicate_ticker_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate ticker 'A' in panel"):
+            MarketPanel(dates=("2020-01-02",), tickers=("A", "B", "A"), close=np.ones((1, 3)))
+        panel = make_panel(np.full((3, 2), 10.0))
+        with pytest.raises(ValidationError, match="duplicate ticker 'T00'"):
+            panel.restrict(["T00", "T00"])
+
     def test_arrays_are_frozen(self):
         panel = make_panel(np.full((3, 2), 10.0))
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from semlab import (
     AXES,
-    ArticleScore,
     NEUTRAL,
     aggregate_signals,
     coverage_stats,
@@ -21,25 +20,30 @@ import scalar_aggregate
 from conftest import business_days, make_signal_panel
 
 
-def art(ticker, date, scores, source="x"):
-    return ArticleScore(ticker=ticker, published=date, scores=tuple(scores), source_id=source)
+def arts(*rows):
+    """The ArticleTable of (ticker, date, scores) rows, with source ids s0, s1, ..."""
+    return ArticleTable(
+        source_ids=[f"s{i}" for i in range(len(rows))],
+        tickers=[r[0] for r in rows], dates=[r[1] for r in rows],
+        scores=np.array([r[2] for r in rows], dtype=np.int64).reshape(-1, 4),
+    )
 
 
 class TestMockScore:
     def test_deterministic(self):
         a = mock_score("Chip maker beats estimates", "NVDA", seed=4)
         b = mock_score("Chip maker beats estimates", "NVDA", seed=4)
-        assert a.scores == b.scores
+        assert a == b
         c = mock_score("Chip maker beats estimates", "NVDA", seed=5)
-        assert a.scores != c.scores or True  # different seed may coincide per-article
+        assert a != c or True  # different seed may coincide per-article
 
     def test_empty_text_scores_fine(self):
         a = mock_score("", "AAPL", seed=0)
-        assert all(1 <= s <= 5 for s in a.scores)
+        assert all(1 <= s <= 5 for s in a)
 
     def test_default_distribution_means(self):
         draws = np.array(
-            [mock_score(f"headline {i}", "TST", seed=3).scores for i in range(40000)]
+            [mock_score(f"headline {i}", "TST", seed=3) for i in range(40000)]
         )
         target = np.array([3.35, 2.47, 3.51, 2.74])
         assert np.all(np.abs(draws.mean(axis=0) - target) < 0.05)
@@ -47,14 +51,14 @@ class TestMockScore:
     def test_custom_distribution(self):
         dists = {a: (1.0, 0.0, 0.0, 0.0, 0.0) for a in AXES}
         a = mock_score("anything", "T", seed=1, distributions=dists)
-        assert a.scores == (1, 1, 1, 1)
+        assert a == (1, 1, 1, 1)
 
 
 class TestAggregation:
     def test_mean_of_two_articles_still_non_neutral(self):
         cal = business_days("2020-01-02", 5)
         panel, report = aggregate_signals(
-            [art("AA", cal[2], (4, 4, 4, 4)), art("AA", cal[2], (2, 2, 2, 2))],
+            arts(("AA", cal[2], (4, 4, 4, 4)), ("AA", cal[2], (2, 2, 2, 2))),
             cal, ["AA"], window=3,
         )
         assert panel.values[2, 0, 0] == 3.0
@@ -63,7 +67,7 @@ class TestAggregation:
 
     def test_no_articles_gives_exact_neutral(self):
         cal = business_days("2020-01-02", 4)
-        panel, _ = aggregate_signals([], cal, ["AA", "BB"], window=3)
+        panel, _ = aggregate_signals(arts(), cal, ["AA", "BB"], window=3)
         assert not panel.non_neutral.any()
         assert np.all(panel.values == NEUTRAL)
 
@@ -72,7 +76,7 @@ class TestAggregation:
         # 0..3 inclusive and drops off on day 4
         cal = business_days("2020-01-02", 5)
         panel, _ = aggregate_signals(
-            [art("AA", cal[0], (5, 5, 5, 5))], cal, ["AA"], window=3
+            arts(("AA", cal[0], (5, 5, 5, 5))), cal, ["AA"], window=3
         )
         np.testing.assert_array_equal(panel.non_neutral[:, 0], [1, 1, 1, 1, 0])
         assert panel.values[3, 0, 0] == 5.0
@@ -81,17 +85,17 @@ class TestAggregation:
     def test_weekend_article_rolls_forward(self):
         cal = ("2020-01-03", "2020-01-06", "2020-01-07")  # Fri, Mon, Tue
         panel, _ = aggregate_signals(
-            [art("AA", "2020-01-04", (4, 3, 3, 3))], cal, ["AA"], window=0
+            arts(("AA", "2020-01-04", (4, 3, 3, 3))), cal, ["AA"], window=0
         )
         np.testing.assert_array_equal(panel.non_neutral[:, 0], [0, 1, 0])
 
     def test_unmatched_and_out_of_range_reported(self):
         cal = business_days("2020-01-02", 3)
-        articles = [
-            art("ZZ", cal[0], (4, 4, 4, 4)),
-            art("AA", "2019-06-01", (4, 4, 4, 4)),
-            art("AA", "2030-01-01", (4, 4, 4, 4)),
-        ]
+        articles = arts(
+            ("ZZ", cal[0], (4, 4, 4, 4)),
+            ("AA", "2019-06-01", (4, 4, 4, 4)),
+            ("AA", "2030-01-01", (4, 4, 4, 4)),
+        )
         panel, report = aggregate_signals(articles, cal, ["AA"], window=3)
         assert len(report.unmatched_tickers) == 1
         assert len(report.out_of_calendar) == 2
@@ -105,19 +109,19 @@ class TestAggregation:
         for _ in range(40):
             i = rng.integers(0, 30)
             scores = tuple(rng.integers(1, 6, size=4))
-            arts_a.append(art("AA", cal_a[i], scores))
-            arts_b.append(art("AA", cal_b[i], scores))
-        pa, _ = aggregate_signals(arts_a, cal_a, ["AA"], window=3)
-        pb, _ = aggregate_signals(arts_b, cal_b, ["AA"], window=3)
+            arts_a.append(("AA", cal_a[i], scores))
+            arts_b.append(("AA", cal_b[i], scores))
+        pa, _ = aggregate_signals(arts(*arts_a), cal_a, ["AA"], window=3)
+        pb, _ = aggregate_signals(arts(*arts_b), cal_b, ["AA"], window=3)
         np.testing.assert_array_equal(pa.values, pb.values)
         np.testing.assert_array_equal(pa.non_neutral, pb.non_neutral)
 
     def test_coverage_monotone_in_articles(self):
         cal = business_days("2020-01-02", 10)
-        base = [art("AA", cal[i], (4, 4, 4, 4)) for i in (0, 5)]
-        p1, _ = aggregate_signals(base, cal, ["AA", "BB"], window=2)
+        base = [("AA", cal[i], (4, 4, 4, 4)) for i in (0, 5)]
+        p1, _ = aggregate_signals(arts(*base), cal, ["AA", "BB"], window=2)
         p2, _ = aggregate_signals(
-            base + [art("BB", cal[7], (2, 2, 2, 2))], cal, ["AA", "BB"], window=2
+            arts(*base, ("BB", cal[7], (2, 2, 2, 2))), cal, ["AA", "BB"], window=2
         )
         c1 = coverage_stats(p1)
         c2 = coverage_stats(p2)
@@ -143,11 +147,14 @@ def aggregation_cases(draw):
     tickers = tuple(draw(st.lists(st.sampled_from(["AA", "BB", "CC"]), min_size=1,
                                   max_size=3, unique=True)))
     window = draw(st.integers(0, len(calendar) + 2))
-    articles = draw(st.lists(st.builds(
-        ArticleScore, ticker=st.sampled_from(["AA", "BB", "CC", "ZZ"]),
-        published=st.integers(-3, 24).map(_day), scores=score_rows,
-        source_id=st.text("abc", max_size=2),
-    ), max_size=30))
+    n = draw(st.integers(0, 30))
+    column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+    articles = ArticleTable(
+        source_ids=column(st.text("abc", max_size=2)),
+        tickers=column(st.sampled_from(["AA", "BB", "CC", "ZZ"])),
+        dates=column(st.integers(-3, 24).map(_day)),
+        scores=np.array(column(score_rows), dtype=np.int64).reshape(n, 4),
+    )
     return articles, calendar, tickers, window
 
 
@@ -165,12 +172,8 @@ class TestAggregationOracle:
 
 
 class TestArticleTable:
-    def test_records_on_demand(self):
-        arts = [art("AA", "2020-01-02", (1, 2, 3, 4), "s1"), art("BB", "2020-01-03", (5, 4, 3, 2))]
-        table = ArticleTable.from_records(arts)
-        assert len(table) == 2 and table[1] == arts[1] and table[-1] == arts[1]
-        assert list(table) == arts and table == arts and arts == table
-        assert table[1:] == arts[1:] and isinstance(table[1:], ArticleTable)
+    def test_scores_are_read_only(self):
+        table = arts(("AA", "2020-01-02", (1, 2, 3, 4)), ("BB", "2020-01-03", (5, 4, 3, 2)))
         assert not table.scores.flags.writeable
 
     @pytest.mark.parametrize("columns, match", [
@@ -187,7 +190,7 @@ class TestArticleTable:
 class TestCoverage:
     def test_zero_articles(self):
         cal = business_days("2020-01-02", 6)
-        panel, _ = aggregate_signals([], cal, ["AA", "BB", "CC"], window=3)
+        panel, _ = aggregate_signals(arts(), cal, ["AA", "BB", "CC"], window=3)
         rep = coverage_stats(panel)
         assert all(v == 0.0 for v in rep.any_fraction.values())
         assert sorted(rep.terciles.values()) == ["High", "Low", "Mid"]
@@ -206,11 +209,11 @@ class TestCoverage:
     def test_nine_tickers_split_three_ways(self):
         cal = business_days("2020-01-02", 10)
         tickers = [f"T{i}" for i in range(9)]
-        articles = []
+        rows = []
         for j, t in enumerate(tickers):
             for i in range(j + 1):
-                articles.append(art(t, cal[i], (4, 4, 4, 4)))
-        panel, _ = aggregate_signals(articles, cal, tickers, window=0)
+                rows.append((t, cal[i], (4, 4, 4, 4)))
+        panel, _ = aggregate_signals(arts(*rows), cal, tickers, window=0)
         rep = coverage_stats(panel)
         counts = {lab: len(rep.tercile_members(lab)) for lab in ("Low", "Mid", "High")}
         assert counts == {"Low": 3, "Mid": 3, "High": 3}
@@ -221,7 +224,7 @@ class TestCoverage:
         # the value-based definition
         cal = business_days("2020-01-02", 4)
         panel, _ = aggregate_signals(
-            [art("AA", cal[0], (4, 3, 3, 3)), art("AA", cal[0], (2, 3, 3, 3))],
+            arts(("AA", cal[0], (4, 3, 3, 3)), ("AA", cal[0], (2, 3, 3, 3))),
             cal, ["AA"], window=0,
         )
         rep = coverage_stats(panel)
@@ -283,6 +286,17 @@ class TestMasking:
             mask_axes(panel, {"sentimentt"})
 
 
+class TestDuplicateTickers:
+    def test_signal_panel_rejects_a_repeated_ticker(self):
+        with pytest.raises(ValidationError, match="duplicate ticker 'T00' in panel"):
+            make_signal_panel(np.full((2, 1, 4), NEUTRAL)).restrict(["T00", "T00"])
+
+    def test_aggregation_rejects_a_repeated_ticker(self):
+        cal = business_days("2020-01-02", 2)
+        with pytest.raises(ValidationError, match="duplicate ticker 'AA' in panel"):
+            aggregate_signals(arts(("AA", cal[0], (4, 4, 4, 4))), cal, ["AA", "AA"], window=0)
+
+
 class TestSignalPanelValues:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5, 5.5])
     def test_bad_flagged_value_names_the_cell(self, bad):
@@ -334,14 +348,11 @@ class TestPca:
 
 class TestCacheFile:
     def test_round_trip(self, tmp_path):
-        arts = [
-            art("AA", "2020-01-02", (1, 2, 3, 4), source="s1"),
-            art("BB", "2020-01-03", (5, 4, 3, 2), source="s2"),
-        ]
+        table = arts(("AA", "2020-01-02", (1, 2, 3, 4)), ("BB", "2020-01-03", (5, 4, 3, 2)))
         path = tmp_path / "cache.csv"
-        write_article_scores(arts, str(path))
+        write_article_scores(table, str(path))
         loaded = load_article_scores(str(path))
-        assert loaded == arts
+        assert loaded == table
 
     @given(st.data())
     def test_write_then_load_is_bit_exact(self, tmp_path_factory, data):
