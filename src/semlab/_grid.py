@@ -1,5 +1,6 @@
-"""The (date x ticker) grid that every panel shares: calendar lookups, and
-the long-form ``date,ticker,<numbers>`` files that fill it.
+"""The (date x ticker) grid that every panel shares: the ``Grid`` base of the
+price, signal, feature and score panels, calendar lookups, and the long-form
+``date,ticker,<numbers>`` files that fill it.
 
 The calendar is a strictly increasing tuple of ISO dates, which sort like
 the dates themselves, so a date range is two binary searches.
@@ -8,12 +9,22 @@ the dates themselves, so a date range is two binary searches.
 from __future__ import annotations
 
 import csv
+import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import AlignmentError, LabError, ParseError, ValidationError
+from .errors import AlignmentError, LabError, ParseError, RangeError, ValidationError
+
+
+def frozen(arr, dtype=float) -> np.ndarray:
+    """A read-only copy of ``arr`` as ``dtype``."""
+    out = np.array(arr, dtype=dtype, copy=True)
+    out.flags.writeable = False
+    return out
 
 
 def check_increasing(dates: tuple[str, ...], what: str = "dates") -> None:
@@ -44,6 +55,81 @@ def ticker_positions(have: tuple[str, ...], want, what: str = "panel") -> list[i
     if missing:
         raise ValidationError(f"tickers not in {what}: {missing}")
     return [have.index(t) for t in want]
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Read-only arrays on a (date x ticker) grid: a strictly increasing
+    calendar ``dates`` and unique ``tickers``.
+
+    A subclass declares its arrays in ``ARRAYS`` (field name -> dtype and the
+    shape after the two grid axes, None for any) and adds its value rules in
+    ``__post_init__`` after calling this one. Each array is frozen as a copy;
+    one that is None is absent. ``WHAT`` names the grid in messages.
+    """
+
+    ARRAYS: ClassVar[dict[str, tuple[type, tuple[int, ...] | None]]] = {}
+    WHAT: ClassVar[str] = "panel"
+
+    dates: tuple[str, ...]
+    tickers: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "tickers", tuple(self.tickers))
+        check_increasing(self.dates)
+        check_unique(self.tickers, self.WHAT)
+        grid = (len(self.dates), len(self.tickers))
+        for name, (dtype, trailing) in self.ARRAYS.items():
+            arr = getattr(self, name)
+            if arr is None:
+                continue
+            arr = frozen(arr, dtype)
+            if arr.shape[:2] != grid or (trailing is not None and arr.shape[2:] != trailing):
+                want = grid + trailing if trailing is not None else f"({grid[0]}, {grid[1]}, ...)"
+                raise ValidationError(f"{name} has shape {arr.shape}, expected {want}")
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n_dates(self) -> int:
+        return len(self.dates)
+
+    @property
+    def n_tickers(self) -> int:
+        return len(self.tickers)
+
+    def slice_dates(self, start: str, end: str):
+        """The grid on start <= date <= end (ISO strings compare correctly);
+        a RangeError when no date qualifies."""
+        rows = date_span(self.dates, start, end)
+        if rows.start == rows.stop:
+            raise RangeError(f"no dates in [{start}, {end}] on the {self.WHAT} calendar")
+        return self._select(rows, self.tickers, slice(None))
+
+    def restrict(self, tickers: list[str] | tuple[str, ...]):
+        """The grid keeping only the given tickers, in the given order."""
+        cols = ticker_positions(self.tickers, tickers, self.WHAT)
+        return self._select(slice(None), tuple(tickers), cols)
+
+    def _select(self, rows: slice, tickers: tuple[str, ...], cols):
+        arrays = {name: None if getattr(self, name) is None else getattr(self, name)[rows, cols]
+                  for name in self.ARRAYS}
+        return replace(self, dates=self.dates[rows], tickers=tickers, **arrays)
+
+    def _hasher(self):
+        """sha256 over the joined dates, the joined tickers and the bytes of
+        each present array, in ``ARRAYS`` order."""
+        h = hashlib.sha256()
+        h.update(",".join(self.dates).encode())
+        h.update(",".join(self.tickers).encode())
+        for name in self.ARRAYS:
+            arr = getattr(self, name)
+            if arr is not None:
+                h.update(np.ascontiguousarray(arr).tobytes())
+        return h
+
+    def content_hash(self) -> str:
+        return self._hasher().hexdigest()
 
 
 def read_header(reader, path: str, names: tuple[str, ...] | None) -> tuple[str, ...]:

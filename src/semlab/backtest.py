@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._grid import check_increasing, date_span
+from ._grid import check_increasing, date_span, frozen
 from .errors import LabError, RangeError, ValidationError
+from .metrics import metrics, sharpe_ratio
 from .panels import MarketPanel
 from .signals import CoverageReport
 
@@ -60,15 +61,13 @@ class EquityCurve:
         object.__setattr__(self, "tickers", tuple(self.tickers))
         check_increasing(self.dates)
         for name in ("wealth", "daily_returns", "cost_paid"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
+            arr = frozen(getattr(self, name))
             if arr.shape != (len(self.dates),):
                 raise ValidationError(f"{name} must have one entry per date")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        holdings = np.array(self.holdings, dtype=float, copy=True)
+        holdings = frozen(self.holdings)
         if holdings.shape != (len(self.dates), len(self.tickers)):
             raise ValidationError("holdings must be (dates, tickers)")
-        holdings.flags.writeable = False
         object.__setattr__(self, "holdings", holdings)
         if abs(self.wealth[0] - 1.0) > 1e-12:
             raise ValidationError("wealth must start at 1.0")
@@ -314,8 +313,6 @@ def cost_sweep(
         raise ValidationError("costs must be non-negative")
     if list(costs) != sorted(costs):
         raise ValidationError("costs must be sorted ascending")
-    from .metrics import metrics
-
     bh = baseline(panel, "ew_buy_and_hold", config)
     bh_report = metrics(bh)
     rows = []
@@ -379,8 +376,6 @@ def subperiod_report(
     fall inside it; the very first curve date carries no observation. Periods
     must lie inside the curve and must not overlap.
     """
-    from .metrics import sharpe_ratio
-
     if tuple(curve.dates) != tuple(benchmark.dates):
         raise ValidationError("curve and benchmark calendars differ")
     seen: list[tuple[str, str]] = []

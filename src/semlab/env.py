@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._grid import frozen
 from .backtest import EquityCurve
 from .errors import PolicyFaultError, RangeError, ValidationError
 from .panels import FeaturePanel, MarketPanel, TurbulenceSeries
@@ -134,10 +135,9 @@ class EnvState:
     peak_wealth: float
 
     def __post_init__(self) -> None:
-        holdings = np.array(self.holdings, dtype=np.int64, copy=True)
+        holdings = frozen(self.holdings, np.int64)
         if np.any(holdings < 0):
             raise ValidationError("holdings must be non-negative")
-        holdings.flags.writeable = False
         object.__setattr__(self, "holdings", holdings)
         recomputed = self.cash + float(self.holdings @ self.prices)
         if abs(recomputed - self.wealth) > 1e-6:

@@ -172,6 +172,9 @@ class ExperimentConfig:
         if "signal_cache" in self.data and "price_panel" not in self.data:
             raise ConfigError("data key 'signal_cache' goes only beside 'price_panel'")
         if self.universe is not None:
+            if not (isinstance(self.universe, (list, tuple))
+                    and all(isinstance(t, str) for t in self.universe)):
+                raise ConfigError(f"universe must be a list of tickers, got {self.universe!r}")
             object.__setattr__(self, "universe", tuple(self.universe))
             check_unique(self.universe, "universe", ConfigError)
         where = "param {!r} for kind " + repr(self.kind)
@@ -184,6 +187,8 @@ class ExperimentConfig:
                     f"param 'periods' entries must be [name, start, end]: {p['periods']!r}")
             _check_date(f"param 'periods' entry {entry[0]!r} start", entry[1])
             _check_date(f"param 'periods' entry {entry[0]!r} end", entry[2])
+            if entry[1] > entry[2]:
+                raise ConfigError(f"param 'periods' entry {entry[0]!r} has start after end")
         if "policy" in p:  # env_eval
             if p["start_date"] is not None:
                 _check_date("param 'start_date'", p["start_date"])

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from ._grid import check_increasing, date_span, ticker_positions
+from ._grid import Grid, date_span, frozen
 from .errors import (
     DegenerateFitError,
     LeakageError,
@@ -37,6 +37,7 @@ from .errors import (
     RankError,
     ValidationError,
 )
+from .metrics import sharpe_ratio
 from .panels import MarketPanel
 from .signals import AXES, NEUTRAL, SignalPanel, _axis_stats, _principal_axes
 
@@ -122,10 +123,9 @@ class FactorModel:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         p = len(self.feature_names)
         for name in ("weights", "standardizer_mean", "standardizer_std"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
+            arr = frozen(getattr(self, name))
             if arr.shape != (p,):
                 raise ValidationError(f"{name} must have one entry per feature")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if np.any(self.standardizer_std <= 0):
             raise ValidationError("standardiser stds must be strictly positive")
@@ -170,32 +170,13 @@ class ResidualModel:
 
 
 @dataclass(frozen=True)
-class CompositeScore:
+class CompositeScore(Grid):
     """Per-(date, ticker) real-valued ranking scores."""
 
-    dates: tuple[str, ...]
-    tickers: tuple[str, ...]
+    ARRAYS = {"values": (float, ())}
+    WHAT = "scores"
+
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        check_increasing(self.dates)
-        values = np.array(self.values, dtype=float, copy=True)
-        if values.shape != (len(self.dates), len(self.tickers)):
-            raise ValidationError(f"scores shape {values.shape} does not match axes")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def slice_dates(self, start: str, end: str) -> "CompositeScore":
-        sl = date_span(self.dates, start, end)
-        if sl.start == sl.stop:
-            raise ValidationError(f"no score dates in [{start}, {end}]")
-        return replace(self, dates=self.dates[sl], values=self.values[sl])
-
-    def restrict(self, tickers: list[str] | tuple[str, ...]) -> "CompositeScore":
-        idx = ticker_positions(self.tickers, tickers, "scores")
-        return replace(self, tickers=tuple(tickers), values=self.values[:, idx])
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +438,7 @@ class TiltSpec:
 
     def __post_init__(self) -> None:
         for name in ("axis_mean", "axis_std"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def overlay(self, signal_panel: SignalPanel) -> np.ndarray:
         z = (signal_panel.values - self.axis_mean) / self.axis_std
@@ -525,7 +504,6 @@ def fit_forecaster(
     fit + validation before being frozen.
     """
     from .backtest import BacktestConfig, backtest_topk
-    from .metrics import sharpe_ratio
 
     if not lam_grid or not tilt_grid:
         raise ConfigError("empty selection grid")

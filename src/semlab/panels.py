@@ -10,12 +10,11 @@ forward-fill, so every downstream estimator sees identical inputs.
 from __future__ import annotations
 
 import csv
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import check_increasing, check_unique, date_span, read_grid, ticker_positions
+from ._grid import Grid, date_span, frozen, read_grid
 from .errors import NumericalError, RangeError, ValidationError, WarmupError
 
 PANEL_HEADER = ("date", "ticker", "open", "high", "low", "close", "volume")
@@ -46,20 +45,13 @@ _INDICATOR_WARMUP = {
 }
 
 
-def _freeze(arr: np.ndarray | None) -> np.ndarray | None:
-    if arr is None:
-        return None
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
-class MarketPanel:
-    """Aligned (date x ticker) price grid, immutable after construction."""
+class MarketPanel(Grid):
+    """Aligned (date x ticker) price grid, immutable after construction:
+    finite positive prices and a finite volume >= 0 (zero when not recorded)."""
 
-    dates: tuple[str, ...]
-    tickers: tuple[str, ...]
+    ARRAYS = {name: (float, ()) for name in ("close", "volume", "open", "high", "low")}
+
     close: np.ndarray
     volume: np.ndarray | None = None
     open: np.ndarray | None = None
@@ -67,34 +59,18 @@ class MarketPanel:
     low: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        check_increasing(self.dates)
-        check_unique(self.tickers)
-        shape = (len(self.dates), len(self.tickers))
-        for name in ("close", "open", "high", "low", "volume"):
+        super().__post_init__()
+        for name in self.ARRAYS:
             arr = getattr(self, name)
             if arr is None:
                 continue
-            arr = _freeze(arr)
-            if arr.shape != shape:
-                raise ValidationError(f"{name} has shape {arr.shape}, expected {shape}")
-            bad = ~np.isfinite(arr)
-            if name != "volume":
-                bad |= arr <= 0  # prices must be positive; a volume may be zero
+            finite = np.isfinite(arr)
+            bad = ~finite | (arr < 0 if name == "volume" else arr <= 0)
             if bad.any():
                 d, t = np.argwhere(bad)[0]
-                fault = "non-finite" if not np.isfinite(arr[d, t]) else "non-positive"
+                fault = ("non-finite" if not finite[d, t]
+                         else "negative" if name == "volume" else "non-positive")
                 raise ValidationError(f"{fault} {name} at ({self.dates[d]}, {self.tickers[t]})")
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_dates(self) -> int:
-        return len(self.dates)
-
-    @property
-    def n_tickers(self) -> int:
-        return len(self.tickers)
 
     def date_index(self, date: str) -> int:
         span = date_span(self.dates, date, date)
@@ -102,57 +78,29 @@ class MarketPanel:
             raise RangeError(f"date {date} not in panel calendar")
         return span.start
 
-    def slice_dates(self, start: str, end: str) -> "MarketPanel":
-        """Sub-panel with start <= date <= end (ISO strings compare correctly)."""
-        sl = date_span(self.dates, start, end)
-        if sl.start == sl.stop:
-            raise RangeError(f"no panel dates in [{start}, {end}]")
-        return self._select(sl, self.tickers, slice(None))
-
-    def restrict(self, tickers: list[str] | tuple[str, ...]) -> "MarketPanel":
-        """Sub-panel keeping only the given tickers, in the given order."""
-        return self._select(slice(None), tuple(tickers), ticker_positions(self.tickers, tickers))
-
-    def _select(self, rows: slice, tickers: tuple[str, ...], cols) -> "MarketPanel":
-        arrays = {name: None if getattr(self, name) is None else getattr(self, name)[rows, cols]
-                  for name in ("close", "volume", "open", "high", "low")}
-        return MarketPanel(dates=self.dates[rows], tickers=tickers, **arrays)
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(",".join(self.dates).encode())
-        h.update(",".join(self.tickers).encode())
-        for arr in (self.close, self.volume, self.open, self.high, self.low):
-            if arr is not None:
-                h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
-
 
 @dataclass(frozen=True)
-class FeaturePanel:
+class FeaturePanel(Grid):
     """Per-(date, ticker) technical indicator block with a flagged warm-up prefix.
 
     Rows before ``warmup`` may contain NaN; rows at or past it are finite
     everywhere. The indicator list and ordering are fixed per run.
     """
 
-    dates: tuple[str, ...]
-    tickers: tuple[str, ...]
+    ARRAYS = {"values": (float, None)}
+
     values: np.ndarray  # (dates, tickers, indicators)
     names: tuple[str, ...]
     warmup: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(self.tickers))
+        super().__post_init__()
         object.__setattr__(self, "names", tuple(self.names))
-        values = _freeze(self.values)
-        expected = (len(self.dates), len(self.tickers), len(self.names))
-        if values.shape != expected:
-            raise ValidationError(f"values shape {values.shape}, expected {expected}")
-        if not np.all(np.isfinite(values[self.warmup :])):
+        expected = (self.n_dates, self.n_tickers, len(self.names))
+        if self.values.shape != expected:
+            raise ValidationError(f"values has shape {self.values.shape}, expected {expected}")
+        if not np.all(np.isfinite(self.values[self.warmup :])):
             raise ValidationError("non-finite indicator values past the warm-up prefix")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -168,7 +116,7 @@ class TurbulenceSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
-        values = _freeze(self.values)
+        values = frozen(self.values)
         finite = values[np.isfinite(values)]
         if finite.size and finite.min() < 0:
             raise ValidationError("turbulence values must be non-negative")

@@ -20,7 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._grid import check_date, check_increasing, check_unique, date_span, records, ticker_positions
+from ._grid import Grid, check_date, check_increasing, frozen, records
 from .errors import ParseError, RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -35,12 +35,6 @@ DEFAULT_SCORE_DISTRIBUTIONS: dict[str, tuple[float, ...]] = {
     "confidence": (0.02, 0.08, 0.38, 0.41, 0.11),
     "volatility_forecast": (0.10, 0.30, 0.39, 0.18, 0.03),
 }
-
-
-def _frozen_array(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 def _score_error(scores: np.ndarray, dates, tickers) -> tuple[int, str] | None:
@@ -68,7 +62,7 @@ class ArticleTable:
     def __post_init__(self) -> None:
         for name in ("source_ids", "tickers", "dates"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        scores = _frozen_array(self.scores, np.int64)
+        scores = frozen(self.scores, np.int64)
         if scores.ndim != 2 or scores.shape[1] != 4:
             raise ValidationError(f"scores shape {scores.shape}, expected (n, 4)")
         lengths = (len(self.source_ids), len(self.tickers), len(self.dates))
@@ -104,7 +98,7 @@ class ArticleTable:
 
 
 @dataclass(frozen=True)
-class SignalPanel:
+class SignalPanel(Grid):
     """Per-(date, ticker) four-axis signal means with presence flags.
 
     ``non_neutral[d, t]`` is the presence flag set at aggregation time;
@@ -113,25 +107,16 @@ class SignalPanel:
     axis is masked no cell carries content and the flags clear.
     """
 
-    dates: tuple[str, ...]
-    tickers: tuple[str, ...]
+    ARRAYS = {"values": (float, (4,)), "non_neutral": (bool, ())}
+
     values: np.ndarray  # (dates, tickers, 4)
     non_neutral: np.ndarray  # (dates, tickers) bool
     masked_axes: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(self.tickers))
+        super().__post_init__()
         object.__setattr__(self, "masked_axes", frozenset(self.masked_axes))
-        check_increasing(self.dates)
-        check_unique(self.tickers)
-        values = _frozen_array(self.values, float)
-        flags = _frozen_array(self.non_neutral, bool)
-        shape = (len(self.dates), len(self.tickers))
-        if values.shape != shape + (4,):
-            raise ValidationError(f"values shape {values.shape}, expected {shape + (4,)}")
-        if flags.shape != shape:
-            raise ValidationError(f"non_neutral shape {flags.shape}, expected {shape}")
+        values = self.values
         # NaN fails both comparisons, so it is rejected with the out-of-range values
         if values.size and not (values.min() >= 1.0 and values.max() <= 5.0):
             d, t, a = np.argwhere(~((values >= 1.0) & (values <= 5.0)))[0]
@@ -139,13 +124,11 @@ class SignalPanel:
                 f"signal value {float(values[d, t, a])} outside [1, 5] at "
                 f"({self.dates[d]}, {self.tickers[t]}, {AXES[a]})"
             )
-        if not np.all(values[~flags] == NEUTRAL):
+        if not np.all(values[~self.non_neutral] == NEUTRAL):
             raise ValidationError("neutral cells must hold the neutral default exactly")
         bad = self.masked_axes - set(AXES)
         if bad:
             raise ValidationError(f"unknown axis names: {sorted(bad)}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "non_neutral", flags)
 
     @property
     def deviations(self) -> np.ndarray:
@@ -157,27 +140,8 @@ class SignalPanel:
             raise ValidationError(f"unknown axis {name!r}")
         return self.values[:, :, AXES.index(name)]
 
-    def slice_dates(self, start: str, end: str) -> "SignalPanel":
-        sl = date_span(self.dates, start, end)
-        if sl.start == sl.stop:
-            raise ValidationError(f"no signal dates in [{start}, {end}]")
-        return self._select(sl, self.tickers, slice(None))
-
-    def restrict(self, tickers: list[str] | tuple[str, ...]) -> "SignalPanel":
-        return self._select(slice(None), tuple(tickers), ticker_positions(self.tickers, tickers))
-
-    def _select(self, rows: slice, tickers: tuple[str, ...], cols) -> "SignalPanel":
-        return SignalPanel(
-            dates=self.dates[rows], tickers=tickers, values=self.values[rows, cols],
-            non_neutral=self.non_neutral[rows, cols], masked_axes=self.masked_axes,
-        )
-
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(",".join(self.dates).encode())
-        h.update(",".join(self.tickers).encode())
-        h.update(np.ascontiguousarray(self.values).tobytes())
-        h.update(np.ascontiguousarray(self.non_neutral).tobytes())
+        h = self._hasher()
         h.update(",".join(sorted(self.masked_axes)).encode())
         return h.hexdigest()
 

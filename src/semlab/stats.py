@@ -10,6 +10,7 @@ All of it is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .errors import DegenerateTestError, UndefinedMetricError, ValidationError
+from .metrics import sharpe_ratio
 from .signals import AXES, SignalPanel
 
 
@@ -216,8 +218,6 @@ def paired_comparison(
     stream wins outright, and the Wilcoxon signed-rank p-value (NaN when
     every active return is zero).
     """
-    from .metrics import sharpe_ratio
-
     a = np.asarray(returns_a, dtype=float)
     b = np.asarray(returns_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -247,8 +247,6 @@ TEST_RESULT_COLUMNS = (
 
 def write_test_results(rows: list[dict], path: str) -> None:
     """Delimited export with the paired-diagnostics column set."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TEST_RESULT_COLUMNS)

@@ -164,6 +164,24 @@ class TestDeclaredParams:
             ExperimentConfig.from_dict(raw)
         assert self._cli(tmp_path, raw) == 1
 
+    @pytest.mark.parametrize("universe", ["SYN01", ["SYN01", 2], {"SYN01": 1}])
+    def test_universe_not_a_ticker_list_fails_before_data_is_read(self, tmp_path, universe):
+        # a string would otherwise become the tuple of its characters
+        raw = config_dict("baselines", tmp_path / "out")
+        raw["data"] = {"price_panel": str(tmp_path / "missing.csv")}
+        raw["universe"] = universe
+        with pytest.raises(ConfigError, match=r"universe must be a list of tickers, got "):
+            ExperimentConfig.from_dict(raw)
+        assert self._cli(tmp_path, raw) == 1
+
+    def test_reversed_period_fails_before_data_is_read(self, tmp_path):
+        raw = config_dict("subperiod", tmp_path / "out",
+                          params={"periods": [["y", "2016-06-01", "2016-01-04"]]})
+        raw["data"] = {"price_panel": str(tmp_path / "missing.csv")}
+        with pytest.raises(ConfigError, match="param 'periods' entry 'y' has start after end"):
+            ExperimentConfig.from_dict(raw)
+        assert self._cli(tmp_path, raw) == 1
+
     @pytest.mark.parametrize("kind, key, date", [
         ("baselines", ("ranges", "test", 1), "2016/01/31"),
         ("sfp", ("ranges", "train", 0), "20150102"),

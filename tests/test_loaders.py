@@ -127,6 +127,18 @@ class TestSharedRules:
                            match=rf"prices\.csv: non-positive {name} at \(2020-01-03, BB\)$"):
             load_price_panel(_write(tmp_path, "prices", rows))
 
+    def test_negative_volume_names_file_and_cell(self, tmp_path, capsys):
+        fmt = LOADERS["prices"][1]
+        rows = [fmt.format(d=d, t=t) for d in DATES for t in TICKERS]
+        rows[0] = rows[0].rsplit(",", 1)[0] + ",0"  # no volume recorded: legal
+        rows[3] = rows[3].rsplit(",", 1)[0] + ",-1"
+        path = _write(tmp_path, "prices", rows)
+        with pytest.raises(ValidationError,
+                           match=r"prices\.csv: negative volume at \(2020-01-03, BB\)$"):
+            load_price_panel(path)
+        assert cli_main(["validate", path]) == 2
+        assert "[FAIL] price_panel: " in capsys.readouterr().out
+
     def test_validate_fails_a_duplicate_price_row(self, tmp_path, capsys):
         fmt = LOADERS["prices"][1]
         rows = [fmt.format(d=d, t=t) for d in DATES for t in TICKERS]

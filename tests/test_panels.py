@@ -91,6 +91,12 @@ class TestPanelInvariants:
             MarketPanel(dates=("2020-01-02", "2020-01-03", "2020-01-06"),
                         tickers=("T00", "T01"), **arrays)
 
+    def test_negative_volume_rejected(self):
+        dates, close = ("2020-01-02", "2020-01-03"), np.ones((2, 1))
+        MarketPanel(dates=dates, tickers=("A",), close=close, volume=np.zeros((2, 1)))
+        with pytest.raises(ValidationError, match=r"negative volume at \(2020-01-02, A\)"):
+            MarketPanel(dates=dates, tickers=("A",), close=close, volume=-np.ones((2, 1)))
+
     def test_duplicate_ticker_rejected(self):
         with pytest.raises(ValidationError, match="duplicate ticker 'A' in panel"):
             MarketPanel(dates=("2020-01-02",), tickers=("A", "B", "A"), close=np.ones((1, 3)))
