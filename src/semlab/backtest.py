@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._grid import check_increasing, date_span, frozen
+from ._grid import check_increasing, check_unique, date_span, frozen
 from .errors import LabError, RangeError, ValidationError
 from .metrics import metrics, sharpe_ratio
 from .panels import MarketPanel
@@ -60,6 +60,7 @@ class EquityCurve:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
         check_increasing(self.dates)
+        check_unique(self.tickers, "equity curve")
         for name in ("wealth", "daily_returns", "cost_paid"):
             arr = frozen(getattr(self, name))
             if arr.shape != (len(self.dates),):

@@ -301,7 +301,20 @@ class TradingEnv:
 # ---------------------------------------------------------------------------
 
 class Policy:
-    """Maps a flattened observation to an action in [-1, 1] per ticker."""
+    """Maps a flattened observation to an action in [-1, 1] per ticker.
+
+    ``deterministic`` declares that the action stream depends only on the
+    observations, never on the seed given to ``reset``: two rollouts with
+    different seeds are then the same episode. ``env_eval`` rolls such a
+    policy out once per mask and repeats that rollout on every seed row, so
+    its seed summary has std 0 by construction. ``HoldPolicy`` and
+    ``SignalThresholdPolicy`` set it; it is False here, so a custom policy is
+    rolled out once per seed unless it opts in. Opt in only when ``reset``
+    ignores its seed and no state outlives a rollout, or every seed row would
+    repeat the first seed's episode.
+    """
+
+    deterministic = False
 
     def reset(self, seed: int | None = None) -> None:
         pass
@@ -311,6 +324,8 @@ class Policy:
 
 
 class HoldPolicy(Policy):
+    deterministic = True
+
     def __init__(self, n_tickers: int):
         self.n = n_tickers
 
@@ -339,6 +354,8 @@ class SignalThresholdPolicy(Policy):
     Reads only the signal slice of the observation, so masking that slice is
     the only way to change its behaviour.
     """
+
+    deterministic = True
 
     def __init__(self, layout: ObservationLayout, axis: str = "sentiment", level: float = NEUTRAL):
         self.slice = layout.signal_slice(axis)

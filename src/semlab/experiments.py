@@ -654,15 +654,18 @@ def _run_env_eval(s: _Study) -> None:
         for s in range(p["n_seeds"]):
             seed = cfg.seed + s
             policy = make_policy(seed)
-            curve, rewards, infos = run_policy(env, policy, start_date=p["start_date"], mask=mask,
-                                               seed=seed)
-            cr = float(np.prod(1.0 + curve.daily_returns[1:]) - 1.0)
-            try:
-                sh = sharpe_ratio(curve.daily_returns[1:])
-            except LabError:
-                sh = float("nan")  # flat rollout (e.g. fully masked hold)
-            rows.append([mask_label, seed, _fmt(cr * 100), _fmt(sh),
-                         _fmt(float(np.sum(rewards)))])
+            # a deterministic policy plays the same episode under every seed,
+            # so later seeds repeat the first seed's figures
+            if s == 0 or not policy.deterministic:
+                curve, rewards, infos = run_policy(env, policy, start_date=p["start_date"],
+                                                   mask=mask, seed=seed)
+                cr = float(np.prod(1.0 + curve.daily_returns[1:]) - 1.0)
+                try:
+                    sh = sharpe_ratio(curve.daily_returns[1:])
+                except LabError:
+                    sh = float("nan")  # flat rollout (e.g. fully masked hold)
+                total_reward = float(np.sum(rewards))
+            rows.append([mask_label, seed, _fmt(cr * 100), _fmt(sh), _fmt(total_reward)])
             group = by_mask.setdefault(mask_label, {"cr": [], "sharpe": []})
             group["cr"].append(cr)
             group["sharpe"].append(sh)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import Grid, date_span, frozen, read_grid
+from ._grid import Grid, check_increasing, date_span, frozen, read_grid
 from .errors import NumericalError, RangeError, ValidationError, WarmupError
 
 PANEL_HEADER = ("date", "ticker", "open", "high", "low", "close", "volume")
@@ -116,7 +116,12 @@ class TurbulenceSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
+        check_increasing(self.dates)
         values = frozen(self.values)
+        if values.shape != (len(self.dates),):
+            raise ValidationError(
+                f"values has shape {values.shape}, expected ({len(self.dates)},)"
+            )
         finite = values[np.isfinite(values)]
         if finite.size and finite.min() < 0:
             raise ValidationError("turbulence values must be non-negative")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semlab import (
@@ -16,6 +16,7 @@ from semlab import (
 from semlab.env import (
     HoldPolicy,
     ObservationLayout,
+    Policy,
     SignalThresholdPolicy,
     UniformRandomPolicy,
     write_episode_log,
@@ -335,6 +336,30 @@ class TestPolicies:
         masked, rm, _ = run_policy(env, pol, mask="ALL", seed=11)
         np.testing.assert_array_equal(full.wealth, masked.wealth)
         np.testing.assert_array_equal(rf, rm)
+
+    @pytest.mark.parametrize("mask", [None, "ALL", {"sentiment"}], ids=["none", "ALL", "sentiment"])
+    @pytest.mark.parametrize("make", [
+        lambda env: HoldPolicy(env.n_tickers),
+        lambda env: SignalThresholdPolicy(env.layout, axis="sentiment", level=3.0),
+    ], ids=["hold", "signal_threshold"])
+    @settings(max_examples=10)
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True))
+    def test_deterministic_policy_ignores_the_seed(self, env_setup, make, mask, seeds):
+        """What lets env_eval roll a deterministic policy out once per mask."""
+        env = build_env(env_setup)
+        policy = make(env)
+        assert policy.deterministic
+        (c1, r1, i1), (c2, r2, i2) = (run_policy(env, policy, mask=mask, seed=s) for s in seeds)
+        np.testing.assert_array_equal(c1.wealth, c2.wealth)
+        np.testing.assert_array_equal(c1.daily_returns, c2.daily_returns)
+        np.testing.assert_array_equal(r1, r2)
+        assert repr(i1) == repr(i2)  # repr: the turbulence entries may be nan
+
+    def test_seeded_and_custom_policies_are_not_deterministic(self, env_setup):
+        env = build_env(env_setup)
+        assert Policy.deterministic is False
+        assert UniformRandomPolicy.deterministic is False
+        assert UniformRandomPolicy(env.n_tickers).deterministic is False
 
     def test_builtin_inventory(self, env_setup):
         env = build_env(env_setup)

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from semlab import ExperimentConfig, SyntheticSpec, run, synth_panel, validate_inputs
+from semlab import ExperimentConfig, SyntheticSpec, experiments, run, synth_panel, validate_inputs
 from semlab.cli import main as cli_main
 from semlab.errors import AlignmentError, ConfigError, ParseError, ValidationError
+from semlab.env import HoldPolicy, SignalThresholdPolicy, run_policy
 from semlab.experiments import _KINDS, KINDS, _load_dense_block
 from semlab.signals import load_article_scores
 
@@ -387,6 +388,42 @@ class TestDeterminism:
             assert files_a == sorted(os.listdir(out_b))
             for name in files_a:
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+class TestEnvEvalRollouts:
+    """A deterministic policy is rolled out once per mask, and every seed row
+    repeats that rollout; a seeded policy is rolled out once per seed."""
+
+    @staticmethod
+    def _run(outdir, policy):
+        params = {"policy": policy, "n_seeds": 3, "masks": [None, "ALL"]}
+        run(ExperimentConfig.from_dict(config_dict("env_eval", outdir, params=params)))
+        return {name: (outdir / name).read_bytes() for name in sorted(os.listdir(outdir))}
+
+    @pytest.mark.parametrize("policy, cls", [
+        ("signal_threshold", SignalThresholdPolicy), ("hold", HoldPolicy),
+    ])
+    def test_artifacts_match_one_rollout_per_seed(self, tmp_path, monkeypatch, policy, cls):
+        once = self._run(tmp_path / "once", policy)
+        monkeypatch.setattr(cls, "deterministic", False)
+        per_seed = self._run(tmp_path / "per_seed", policy)
+        assert sorted(once) == sorted(per_seed)
+        for name in once:
+            assert once[name] == per_seed[name], name
+
+    @pytest.mark.parametrize("policy, seeds", [
+        ("signal_threshold", [7, 7]), ("hold", [7, 7]), ("uniform_random", [7, 8, 9] * 2),
+    ])
+    def test_rollout_count(self, tmp_path, monkeypatch, policy, seeds):
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(kwargs["seed"])
+            return run_policy(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_policy", counting)
+        self._run(tmp_path / policy, policy)
+        assert seen == seeds  # config seed 7; one call per (mask, seed) rolled out
 
 
 class TestValidateInputs:

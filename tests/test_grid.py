@@ -103,6 +103,17 @@ def test_unsorted_calendar_rejected(build):
         build(("2020-01-03", "2020-01-02"))
 
 
+def test_equity_curve_rejects_repeated_ticker():
+    def curve(tickers):
+        return EquityCurve(dates=("2020-01-02", "2020-01-03"), wealth=np.ones(2),
+                           daily_returns=np.zeros(2), holdings=np.zeros((2, 2)),
+                           cost_paid=np.zeros(2), tickers=tickers)
+
+    curve(("A", "B"))
+    with pytest.raises(ValidationError, match="duplicate ticker 'A' in equity curve"):
+        curve(("A", "A"))
+
+
 def _grid(kind, dates, tickers):
     """A valid grid of each type on the given axes."""
     shape = (len(dates), len(tickers))

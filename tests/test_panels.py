@@ -9,7 +9,7 @@ from semlab.errors import (
     ValidationError,
     WarmupError,
 )
-from semlab.panels import INDICATORS_ALL, load_price_panel, write_price_panel
+from semlab.panels import INDICATORS_ALL, TurbulenceSeries, load_price_panel, write_price_panel
 
 from conftest import make_panel
 
@@ -270,6 +270,15 @@ class TestTurbulence:
         panel = self._iid_panel(3, n_t=10, n_d=100)
         with pytest.raises(ValidationError, match="window"):
             compute_turbulence(panel, window=11)
+
+    def test_calendar_and_length_checked(self):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            TurbulenceSeries(dates=("2020-01-03", "2020-01-02"), values=np.ones(3))
+        with pytest.raises(ValidationError, match=r"values has shape \(3,\), expected \(2,\)"):
+            TurbulenceSeries(dates=("2020-01-02", "2020-01-03"), values=np.ones(3))
+        with pytest.raises(ValidationError, match=r"values has shape \(2, 1\)"):
+            TurbulenceSeries(dates=("2020-01-02", "2020-01-03"), values=np.ones((2, 1)))
+        TurbulenceSeries(dates=("2020-01-02", "2020-01-03"), values=np.array([np.nan, 1.0]))
 
 
 class TestForwardReturns:
