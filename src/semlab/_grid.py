@@ -1,15 +1,20 @@
-"""The (date x ticker) grid that every panel shares: the ``Grid`` base of the
-price, signal, feature and score panels, calendar lookups, and the long-form
-``date,ticker,<numbers>`` files that fill it.
+"""The (date x ticker) grid that every dated record shares: the ``Grid`` base
+of the price, signal, feature and score panels and of the equity curve, with
+its one alignment check; calendar lookups; the long-form
+``date,ticker,<numbers>`` files that fill it; and the two artifact formats
+every module writes through, ``write_csv`` and ``write_json``.
 
 The calendar is a strictly increasing tuple of ISO dates, which sort like
-the dates themselves, so a date range is two binary searches.
+the dates themselves, so a date range is two binary searches. A grid holds
+arrays on both axes (``ARRAYS``) and float series on the dates alone
+(``SERIES``); slicing, restriction and the content hash treat both.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -63,12 +68,14 @@ class Grid:
     calendar ``dates`` and unique ``tickers``.
 
     A subclass declares its arrays in ``ARRAYS`` (field name -> dtype and the
-    shape after the two grid axes, None for any) and adds its value rules in
-    ``__post_init__`` after calling this one. Each array is frozen as a copy;
-    one that is None is absent. ``WHAT`` names the grid in messages.
+    shape after the two grid axes, None for any) and its float series of
+    shape (dates,) in ``SERIES`` (field names), and adds its value rules in
+    ``__post_init__`` after calling this one. Each array and series is frozen
+    as a copy; one that is None is absent. ``WHAT`` names the grid in messages.
     """
 
     ARRAYS: ClassVar[dict[str, tuple[type, tuple[int, ...] | None]]] = {}
+    SERIES: ClassVar[tuple[str, ...]] = ()
     WHAT: ClassVar[str] = "panel"
 
     dates: tuple[str, ...]
@@ -80,13 +87,16 @@ class Grid:
         check_increasing(self.dates)
         check_unique(self.tickers, self.WHAT)
         grid = (len(self.dates), len(self.tickers))
-        for name, (dtype, trailing) in self.ARRAYS.items():
+        declared = [(name, dt, grid, trailing) for name, (dt, trailing) in self.ARRAYS.items()]
+        declared += [(name, float, grid[:1], ()) for name in self.SERIES]
+        for name, dtype, axes, trailing in declared:
             arr = getattr(self, name)
             if arr is None:
                 continue
             arr = frozen(arr, dtype)
-            if arr.shape[:2] != grid or (trailing is not None and arr.shape[2:] != trailing):
-                want = grid + trailing if trailing is not None else f"({grid[0]}, {grid[1]}, ...)"
+            if arr.shape[:len(axes)] != axes or (
+                    trailing is not None and arr.shape[len(axes):] != trailing):
+                want = axes + trailing if trailing is not None else f"({grid[0]}, {grid[1]}, ...)"
                 raise ValidationError(f"{name} has shape {arr.shape}, expected {want}")
             object.__setattr__(self, name, arr)
 
@@ -97,6 +107,21 @@ class Grid:
     @property
     def n_tickers(self) -> int:
         return len(self.tickers)
+
+    def check_aligned(self, other, what: str, _dates_only: bool = False) -> None:
+        """An AlignmentError unless ``other`` (``what`` in the message) has
+        this grid's dates and tickers in the same order, naming the axis and
+        the first position that differs. Only the calendar is compared for a
+        record without a ticker axis or on another universe (``_dates_only``)."""
+        for axis in ("dates",) if _dates_only else ("dates", "tickers"):
+            mine, theirs = getattr(self, axis), getattr(other, axis)
+            if mine != theirs:
+                i = next((i for i, (a, b) in enumerate(zip(mine, theirs)) if a != b),
+                         min(len(mine), len(theirs)))
+                got, want = (repr(labels[i]) if i < len(labels) else "nothing"
+                             for labels in (theirs, mine))
+                raise AlignmentError(f"{what} not aligned with the {self.WHAT}: "
+                                     f"{axis} differ at position {i}: {got} vs {want}")
 
     def slice_dates(self, start: str, end: str):
         """The grid on start <= date <= end (ISO strings compare correctly);
@@ -112,17 +137,19 @@ class Grid:
         return self._select(slice(None), tuple(tickers), cols)
 
     def _select(self, rows: slice, tickers: tuple[str, ...], cols):
-        arrays = {name: None if getattr(self, name) is None else getattr(self, name)[rows, cols]
-                  for name in self.ARRAYS}
+        cut = {name: (rows, cols) for name in self.ARRAYS} | {name: rows for name in self.SERIES}
+        arrays = {name: None if getattr(self, name) is None else getattr(self, name)[at]
+                  for name, at in cut.items()}
         return replace(self, dates=self.dates[rows], tickers=tickers, **arrays)
 
     def _hasher(self):
         """sha256 over the joined dates, the joined tickers and the bytes of
-        each present array, in ``ARRAYS`` order."""
+        each present array in ``ARRAYS`` order, then of each series in
+        ``SERIES`` order."""
         h = hashlib.sha256()
         h.update(",".join(self.dates).encode())
         h.update(",".join(self.tickers).encode())
-        for name in self.ARRAYS:
+        for name in (*self.ARRAYS, *self.SERIES):
             arr = getattr(self, name)
             if arr is not None:
                 h.update(np.ascontiguousarray(arr).tobytes())
@@ -160,6 +187,28 @@ def records(path: str, header: tuple[str, ...] | None):
             elif len(row) > 1 or (row and row[0].strip()):
                 raise ParseError(f"{path}: line {start}: expected {width} fields, got {len(row)}")
             start = reader.line_num + 1
+
+
+def write_csv(path: str, header, rows) -> None:
+    """The delimited artifact format: ``csv.writer`` defaults, the header row
+    first, then each row of the iterable ``rows`` as it comes (a generator is
+    written without being held in memory)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str, payload) -> None:
+    """The JSON artifact format: two-space indent, sorted keys, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def json_digest(payload) -> str:
+    """sha256 of ``payload`` as JSON with sorted keys."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def is_date(date: str) -> bool:

@@ -10,16 +10,15 @@ every run deterministic.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._grid import check_increasing, check_unique, date_span, frozen
+from ._grid import Grid, date_span, write_csv
 from .errors import LabError, RangeError, ValidationError
 from .metrics import metrics, sharpe_ratio
-from .panels import MarketPanel
+from .panels import MarketPanel, simple_returns
 from .signals import CoverageReport
 
 logger = logging.getLogger(__name__)
@@ -46,57 +45,40 @@ class BacktestConfig:
 
 
 @dataclass(frozen=True)
-class EquityCurve:
-    """Daily portfolio record: wealth (start 1.0), returns, weights, costs."""
+class EquityCurve(Grid):
+    """Daily portfolio record: post-trade target weights on the grid; wealth
+    (start 1.0), returns and costs (booked on the day the trade's P&L first
+    accrues) per date."""
 
-    dates: tuple[str, ...]
+    ARRAYS = {"holdings": (float, ())}
+    SERIES = ("wealth", "daily_returns", "cost_paid")
+    WHAT = "equity curve"
+
+    holdings: np.ndarray
     wealth: np.ndarray
     daily_returns: np.ndarray
-    holdings: np.ndarray  # (dates, tickers) post-trade target weights
-    cost_paid: np.ndarray  # booked on the day the trade's P&L first accrues
-    tickers: tuple[str, ...]
+    cost_paid: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        check_increasing(self.dates)
-        check_unique(self.tickers, "equity curve")
-        for name in ("wealth", "daily_returns", "cost_paid"):
-            arr = frozen(getattr(self, name))
-            if arr.shape != (len(self.dates),):
-                raise ValidationError(f"{name} must have one entry per date")
-            object.__setattr__(self, name, arr)
-        holdings = frozen(self.holdings)
-        if holdings.shape != (len(self.dates), len(self.tickers)):
-            raise ValidationError("holdings must be (dates, tickers)")
-        object.__setattr__(self, "holdings", holdings)
+        super().__post_init__()
         if abs(self.wealth[0] - 1.0) > 1e-12:
             raise ValidationError("wealth must start at 1.0")
         if np.any(self.cost_paid < 0):
             raise ValidationError("cost_paid must be non-negative")
-        if np.any(holdings < -1e-12) or np.any(holdings.sum(axis=1) > 1.0 + 1e-9):
+        if np.any(self.holdings < -1e-12) or np.any(self.holdings.sum(axis=1) > 1.0 + 1e-9):
             raise ValidationError("holdings must be long-only weights summing to <= 1")
 
 
 def write_equity_curve(curve: EquityCurve, path: str, holdings_path: str | None = None) -> None:
     """Delimited export: date,wealth,daily_return,cost_paid (+ optional holdings file)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "wealth", "daily_return", "cost_paid"])
-        for i, d in enumerate(curve.dates):
-            writer.writerow([
-                d,
-                repr(float(curve.wealth[i])),
-                repr(float(curve.daily_returns[i])),
-                repr(float(curve.cost_paid[i])),
-            ])
+    write_csv(path, ["date", "wealth", "daily_return", "cost_paid"], (
+        [d, repr(float(curve.wealth[i])), repr(float(curve.daily_returns[i])),
+         repr(float(curve.cost_paid[i]))] for i, d in enumerate(curve.dates)))
     if holdings_path is not None:
-        with open(holdings_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "ticker", "weight"])
-            ii, jj = np.nonzero(curve.holdings)
-            writer.writerows([curve.dates[i], curve.tickers[j], repr(w)] for i, j, w in
-                             zip(ii.tolist(), jj.tolist(), curve.holdings[ii, jj].tolist()))
+        ii, jj = np.nonzero(curve.holdings)
+        write_csv(holdings_path, ["date", "ticker", "weight"], (
+            [curve.dates[i], curve.tickers[j], repr(w)] for i, j, w in
+            zip(ii.tolist(), jj.tolist(), curve.holdings[ii, jj].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +157,7 @@ def backtest_topk(
     if config.period is not None:
         sub_panel = sub_panel.slice_dates(*config.period)
         sub_scores = sub_scores.slice_dates(*config.period)
-    if tuple(sub_scores.dates) != tuple(sub_panel.dates):
-        raise ValidationError("score dates do not align with panel dates")
-    if tuple(sub_scores.tickers) != tuple(sub_panel.tickers):
-        raise ValidationError("score tickers do not align with panel tickers")
+    sub_panel.check_aligned(sub_scores, "scores")
 
     n_d, n_t = sub_panel.n_dates, sub_panel.n_tickers
     tickers = sub_panel.tickers
@@ -271,8 +250,7 @@ def baseline(
 
     if kind == "equal_vol":
         first = first_in_period()
-        rets = np.full_like(sub.close, np.nan)
-        rets[1:] = sub.close[1:] / sub.close[:-1] - 1.0
+        rets = simple_returns(sub)
         vol = np.full_like(sub.close, np.nan)
         for d in range(vol_window + 1, sub.n_dates):
             vol[d] = rets[d - vol_window : d].std(axis=0, ddof=1)
@@ -375,10 +353,10 @@ def subperiod_report(
 
     A period's compounded return covers the return observations whose dates
     fall inside it; the very first curve date carries no observation. Periods
-    must lie inside the curve and must not overlap.
+    must lie inside the curve and must not overlap. The benchmark must share
+    the curve's calendar; it may hold another universe.
     """
-    if tuple(curve.dates) != tuple(benchmark.dates):
-        raise ValidationError("curve and benchmark calendars differ")
+    curve.check_aligned(benchmark, "benchmark", _dates_only=True)
     seen: list[tuple[str, str]] = []
     rows = []
     for name, start, end in periods:

@@ -6,12 +6,12 @@ Exit codes: 0 ok, 1 configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
+from ._grid import write_json
 from .errors import ConfigError, LabError
 from .experiments import ExperimentConfig, run, validate_inputs
 from .panels import PANEL_HEADER, write_price_panel
@@ -76,15 +76,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         scores=signals.values[ii, jj].astype(np.int64),
     )
     write_article_scores(articles, cache_path)
-    with open(truth_path, "w") as fh:
-        json.dump({
-            "beta": {axis: b for axis, b in zip(AXES, truth.beta)},
-            "beta_tickers": list(truth.beta_tickers),
-            "horizon": truth.horizon,
-            "coverage": list(truth.coverage),
-            "seed": args.seed,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(truth_path, {
+        "beta": {axis: b for axis, b in zip(AXES, truth.beta)},
+        "beta_tickers": list(truth.beta_tickers),
+        "horizon": truth.horizon,
+        "coverage": list(truth.coverage),
+        "seed": args.seed,
+    })
     print(prices_path)
     print(cache_path)
     print(truth_path)

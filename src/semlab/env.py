@@ -14,13 +14,11 @@ The environment object itself is read-only; episode state travels through
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import frozen
+from ._grid import frozen, write_csv, write_json
 from .backtest import EquityCurve
 from .errors import PolicyFaultError, RangeError, ValidationError
 from .panels import FeaturePanel, MarketPanel, TurbulenceSeries
@@ -115,9 +113,7 @@ class ObservationLayout:
 
 
 def write_observation_layout(layout: ObservationLayout, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(layout.to_manifest(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, layout.to_manifest())
 
 
 @dataclass(frozen=True)
@@ -159,12 +155,10 @@ class TradingEnv:
         turbulence: TurbulenceSeries | None,
         config: EnvConfig,
     ):
-        if features.dates != panel.dates or features.tickers != panel.tickers:
-            raise ValidationError("feature panel not aligned with market panel")
-        if signals.dates != panel.dates or signals.tickers != panel.tickers:
-            raise ValidationError("signal panel not aligned with market panel")
-        if turbulence is not None and turbulence.dates != panel.dates:
-            raise ValidationError("turbulence series not aligned with market panel")
+        panel.check_aligned(features, "feature panel")
+        panel.check_aligned(signals, "signal panel")
+        if turbulence is not None:
+            panel.check_aligned(turbulence, "turbulence series", _dates_only=True)
         self.panel = panel
         self.features = features
         self.signals = signals
@@ -448,15 +442,10 @@ def run_policy(
 
 def write_episode_log(infos: list[dict], path: str) -> None:
     """Delimited log: step,date,wealth,peak,reward,penalty,turbulence,gated."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "date", "wealth", "peak", "reward", "penalty", "turbulence", "gated"]
-        )
-        for info in infos:
-            writer.writerow([
-                info["step"], info["date"],
-                repr(float(info["wealth"])), repr(float(info["peak"])),
-                repr(float(info["reward"])), repr(float(info["penalty"])),
-                repr(float(info["turbulence"])), int(info["gated"]),
-            ])
+    header = ["step", "date", "wealth", "peak", "reward", "penalty", "turbulence", "gated"]
+    write_csv(path, header, (
+        [info["step"], info["date"],
+         repr(float(info["wealth"])), repr(float(info["peak"])),
+         repr(float(info["reward"])), repr(float(info["penalty"])),
+         repr(float(info["turbulence"])), int(info["gated"])]
+        for info in infos))

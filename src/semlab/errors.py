@@ -14,7 +14,8 @@ class ParseError(ValidationError):
 
 
 class AlignmentError(ValidationError):
-    """Panels or calendars do not line up; message lists the gaps."""
+    """Panels or calendars do not line up; message lists the gaps, or names the
+    axis and the first position that differs."""
 
 
 class WarmupError(LabError):

@@ -10,7 +10,6 @@ removed.
 
 from __future__ import annotations
 
-import csv
 import difflib
 import hashlib
 import json
@@ -23,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._grid import check_unique, date_span, is_date, read_grid
+from ._grid import check_unique, date_span, is_date, json_digest, read_grid, write_csv, write_json
 from .backtest import (
     BacktestConfig,
     EquityCurve,
@@ -250,8 +249,7 @@ class ExperimentConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return json_digest(self.canonical())
 
     def fit_span(self) -> tuple[str, str]:
         return (self.train[0], self.validation[1] if self.validation else self.train[1])
@@ -287,9 +285,7 @@ def load_workspace(cfg: ExperimentConfig) -> Workspace:
             hashes["synthetic_spec"] = _file_hash(raw)
         else:
             spec = SyntheticSpec.from_dict(raw)
-            hashes["synthetic_spec"] = hashlib.sha256(
-                json.dumps(raw, sort_keys=True).encode()
-            ).hexdigest()
+            hashes["synthetic_spec"] = json_digest(raw)
         panel, signals, _truth = synth_panel(spec)
     else:
         panel = load_price_panel(data["price_panel"])
@@ -340,20 +336,11 @@ class ArtifactWriter:
             if os.path.exists(p):
                 os.remove(p)
 
-    def write_rows(self, name: str, header: list[str], rows: list[list]) -> str:
-        p = self.path(name)
-        with open(p, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        return p
+    def write_rows(self, name: str, header: list[str], rows: list[list]) -> None:
+        write_csv(self.path(name), header, rows)
 
-    def write_json(self, name: str, payload: dict) -> str:
-        p = self.path(name)
-        with open(p, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return p
+    def write_json(self, name: str, payload: dict) -> None:
+        write_json(self.path(name), payload)
 
 
 def _fmt(x) -> str:

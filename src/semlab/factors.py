@@ -21,14 +21,13 @@ range raises a leakage error.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from ._grid import Grid, date_span, frozen
+from ._grid import Grid, date_span, frozen, json_digest, write_json
 from .errors import (
     DegenerateFitError,
     LeakageError,
@@ -134,8 +133,7 @@ class FactorModel:
         object.__setattr__(self, "fit_range", (self.fit_range[0], self.fit_range[1]))
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(json.dumps({
+        return json_digest({
             "feature_names": list(self.feature_names),
             "weights": [repr(float(v)) for v in self.weights],
             "intercept": repr(float(self.intercept)),
@@ -143,8 +141,7 @@ class FactorModel:
             "std": [repr(float(v)) for v in self.standardizer_std],
             "ridge_strength": repr(float(self.ridge_strength)),
             "fit_range": list(self.fit_range),
-        }, sort_keys=True).encode())
-        return h.hexdigest()
+        })
 
     def check_disjoint(self, dates: tuple[str, ...]) -> None:
         """Raise LeakageError if any of the strictly increasing ``dates`` lies
@@ -464,11 +461,14 @@ class ForecasterModel:
         signal_panel: SignalPanel | None,
     ) -> CompositeScore:
         values = _apply(self.model, dates, _stack_blocks(feature_blocks, self.block_names))
+        scores = CompositeScore(dates=dates, tickers=tickers, values=values)
+        if signal_panel is not None:
+            scores.check_aligned(signal_panel, "signal panel")
         if self.tilt is not None and self.tilt.alpha != 0.0:
             if signal_panel is None:
                 raise ValidationError("tilted forecaster needs the signal panel")
-            values = values + self.tilt.overlay(signal_panel)
-        return CompositeScore(dates=dates, tickers=tickers, values=values)
+            scores = replace(scores, values=values + self.tilt.overlay(signal_panel))
+        return scores
 
 
 def _stack_blocks(blocks: dict[str, np.ndarray], names: tuple[str, ...]) -> np.ndarray:
@@ -518,6 +518,8 @@ def fit_forecaster(
             raise ConfigError(f"feature block {name!r} is empty")
     if any(a != 0.0 for a in tilt_grid) and signal_panel is None:
         raise ConfigError("tilt grid includes non-zero weights but no signal panel given")
+    if signal_panel is not None:
+        market_panel.check_aligned(signal_panel, "signal panel")
 
     X_full = _stack_blocks(feature_blocks, block_names)
     dates = market_panel.dates
@@ -610,9 +612,7 @@ def save_factor_model(model: FactorModel, path: str) -> None:
         "fit_range": list(model.fit_range),
         "content_hash": model.content_hash(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_factor_model(path: str) -> FactorModel:

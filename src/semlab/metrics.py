@@ -9,12 +9,12 @@ wealth peak, and 5% tails for the Rachev / CVaR columns. Undefined values
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._grid import write_csv
 from .errors import UndefinedMetricError, ValidationError
 
 TRADING_DAYS_PER_YEAR = 252
@@ -151,10 +151,5 @@ def metrics(curve) -> MetricsReport:
 
 def write_report_table(rows: list[dict], path: str) -> None:
     """One row per strategy, fixed column order, deterministic formatting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", *REPORT_COLUMNS])
-        for row in rows:
-            writer.writerow(
-                [row["strategy"]] + [f"{row[c]:.6f}" for c in REPORT_COLUMNS]
-            )
+    write_csv(path, ["strategy", *REPORT_COLUMNS], (
+        [row["strategy"]] + [f"{row[c]:.6f}" for c in REPORT_COLUMNS] for row in rows))

@@ -9,12 +9,11 @@ forward-fill, so every downstream estimator sees identical inputs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import Grid, check_increasing, date_span, frozen, read_grid
+from ._grid import Grid, check_increasing, date_span, frozen, read_grid, write_csv
 from .errors import NumericalError, RangeError, ValidationError, WarmupError
 
 PANEL_HEADER = ("date", "ticker", "open", "high", "low", "close", "volume")
@@ -157,19 +156,16 @@ def load_price_panel(path: str) -> MarketPanel:
 
 def write_price_panel(panel: MarketPanel, path: str) -> None:
     """Write a panel back to the long-form interchange format."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_HEADER)
-        for i, d in enumerate(panel.dates):
-            for j, t in enumerate(panel.tickers):
-                writer.writerow([
-                    d, t,
-                    repr(float(panel.open[i, j])) if panel.open is not None else repr(float(panel.close[i, j])),
-                    repr(float(panel.high[i, j])) if panel.high is not None else repr(float(panel.close[i, j])),
-                    repr(float(panel.low[i, j])) if panel.low is not None else repr(float(panel.close[i, j])),
-                    repr(float(panel.close[i, j])),
-                    repr(float(panel.volume[i, j])) if panel.volume is not None else "0.0",
-                ])
+    write_csv(path, PANEL_HEADER, (
+        [
+            d, t,
+            repr(float(panel.open[i, j])) if panel.open is not None else repr(float(panel.close[i, j])),
+            repr(float(panel.high[i, j])) if panel.high is not None else repr(float(panel.close[i, j])),
+            repr(float(panel.low[i, j])) if panel.low is not None else repr(float(panel.close[i, j])),
+            repr(float(panel.close[i, j])),
+            repr(float(panel.volume[i, j])) if panel.volume is not None else "0.0",
+        ]
+        for i, d in enumerate(panel.dates) for j, t in enumerate(panel.tickers)))
 
 
 # ---------------------------------------------------------------------------

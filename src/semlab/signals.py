@@ -12,7 +12,6 @@ still covered.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from array import array
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._grid import Grid, check_date, check_increasing, frozen, records
+from ._grid import Grid, check_date, check_increasing, frozen, records, write_csv
 from .errors import ParseError, RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -428,12 +427,8 @@ CACHE_HEADER = ("source_id", "ticker", "date") + AXES
 
 def write_article_scores(articles: ArticleTable, path: str) -> None:
     """Write the cache that ``load_article_scores`` reads, one row per article."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CACHE_HEADER)
-        writer.writerows(zip(
-            articles.source_ids, articles.tickers, articles.dates, *articles.scores.T.tolist()
-        ))
+    write_csv(path, CACHE_HEADER, zip(
+        articles.source_ids, articles.tickers, articles.dates, *articles.scores.T.tolist()))
 
 
 def load_article_scores(path: str) -> ArticleTable:

@@ -10,13 +10,13 @@ All of it is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sps
 
+from ._grid import write_csv
 from .errors import DegenerateTestError, UndefinedMetricError, ValidationError
 from .metrics import sharpe_ratio
 from .signals import AXES, SignalPanel
@@ -247,14 +247,8 @@ TEST_RESULT_COLUMNS = (
 
 def write_test_results(rows: list[dict], path: str) -> None:
     """Delimited export with the paired-diagnostics column set."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TEST_RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row["comparison"],
-                *[f"{row[c]:.6f}" for c in TEST_RESULT_COLUMNS[1:]],
-            ])
+    write_csv(path, TEST_RESULT_COLUMNS, (
+        [row["comparison"], *[f"{row[c]:.6f}" for c in TEST_RESULT_COLUMNS[1:]]] for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from semlab import (
     SyntheticSpec,
 )
 from semlab.errors import (
+    AlignmentError,
     ConfigError,
     DegenerateFitError,
     LeakageError,
@@ -446,6 +447,20 @@ class TestForecaster:
         with pytest.raises(ConfigError):
             fit_forecaster(blocks, fwd, panel, signals, val, train,
                            lam_grid=(1.0,), tilt_grid=(0.0,), min_stock_days=50)
+
+    def test_signal_panel_on_reversed_tickers_rejected(self):
+        # fitted on these, the tilt would move AA's forecast by DD's signals
+        spec = SyntheticSpec(tickers=("AA", "BB", "CC", "DD"), days=300, coverage=0.6,
+                             beta=(0.006, 0, 0, 0), volatility=0.015, seed=19)
+        panel, signals, _ = synth_panel(spec)
+        reversed_signals = signals.restrict(["DD", "CC", "BB", "AA"])
+        blocks = {"price": np.random.default_rng(19).normal(size=(300, 4, 3))}
+        with pytest.raises(AlignmentError, match="signal panel not aligned with the panel: "
+                                                 "tickers differ at position 0: 'DD' vs 'AA'"):
+            fit_forecaster(blocks, forward_returns(panel, 5), panel, reversed_signals,
+                           (panel.dates[0], panel.dates[179]),
+                           (panel.dates[180], panel.dates[239]),
+                           lam_grid=(1e-3,), tilt_grid=(0.0, 1.0), top_k=2, min_stock_days=50)
 
     def test_tilt_beats_naive_concatenation_on_gated_signal(self):
         # two-regime planted signal: loud news carries information, weak news

@@ -9,9 +9,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semlab import CompositeScore, EquityCurve, FeaturePanel, MarketPanel, SignalPanel, mask_axes
+from semlab import (
+    BacktestConfig,
+    CompositeScore,
+    EnvConfig,
+    EquityCurve,
+    FactorModel,
+    FeaturePanel,
+    MarketPanel,
+    SignalPanel,
+    TradingEnv,
+    TurbulenceSeries,
+    backtest_topk,
+    fit_forecaster,
+    mask_axes,
+    subperiod_report,
+)
 from semlab._grid import date_span
-from semlab.errors import LabError, RangeError, ValidationError
+from semlab.errors import AlignmentError, LabError, RangeError, ValidationError
+from semlab.factors import ForecasterModel
+
+from conftest import business_days
 
 TICKERS = ("AA", "BB", "CC", "DD")
 ARRAYS = ("close", "volume", "open", "high", "low", "values", "non_neutral")
@@ -114,9 +132,18 @@ def test_equity_curve_rejects_repeated_ticker():
         curve(("A", "A"))
 
 
+def _curve(dates, tickers, wealth=None):
+    n = len(dates)
+    return EquityCurve(dates=dates, tickers=tickers, holdings=np.zeros((n, len(tickers))),
+                       wealth=np.ones(n) if wealth is None else wealth,
+                       daily_returns=np.zeros(n), cost_paid=np.zeros(n))
+
+
 def _grid(kind, dates, tickers):
     """A valid grid of each type on the given axes."""
     shape = (len(dates), len(tickers))
+    if kind == "EquityCurve":
+        return _curve(dates, tickers)
     if kind == "MarketPanel":
         return MarketPanel(dates=dates, tickers=tickers, close=np.ones(shape))
     if kind == "SignalPanel":
@@ -128,7 +155,8 @@ def _grid(kind, dates, tickers):
                         names=("f",), warmup=0)
 
 
-@pytest.mark.parametrize("kind", ["MarketPanel", "SignalPanel", "CompositeScore", "FeaturePanel"])
+@pytest.mark.parametrize("kind", ["MarketPanel", "SignalPanel", "CompositeScore", "FeaturePanel",
+                                  "EquityCurve"])
 def test_empty_slice_and_repeated_ticker_rejected(kind):
     grid = _grid(kind, ("2020-01-02", "2020-01-03"), ("AA", "BB"))
     for start, end in [("2019-01-01", "2019-12-31"), ("2020-01-04", "2020-02-01"),
@@ -172,8 +200,89 @@ def test_content_hash_matches_the_written_out_formula():
     masked[:, :, 1:3] = 3.0
     assert signals.content_hash() == _sha256(*head, masked.tobytes(), flags.tobytes(),
                                              b"confidence,risk")
+    # an equity curve hashes its series after its arrays
+    holdings = rng.random((3, 2)) / 2
+    series = [np.array([1.0, 1.5, 2.0]), rng.random(3), rng.random(3)]
+    curve = EquityCurve(dates=dates, tickers=tickers, holdings=holdings, wealth=series[0],
+                        daily_returns=series[1], cost_paid=series[2])
+    assert curve.content_hash() == _sha256(*head, holdings.tobytes(),
+                                           *(a.tobytes() for a in series))
     # a sub-grid is hashed from its own (contiguous) arrays
     sub = full.restrict(["AA"]).slice_dates("2020-01-03", "2020-01-06")
     assert sub.content_hash() == _sha256(b"2020-01-03,2020-01-06", b"AA", *(
         np.ascontiguousarray(prices[n][1:, [1]]).tobytes()
         for n in ("close", "volume", "open", "high", "low")))
+
+
+def test_curve_sliced_after_its_first_date_must_still_start_at_one():
+    dates = ("2020-01-02", "2020-01-03", "2020-01-06")
+    curve = _curve(dates, ("AA",), wealth=np.array([1.0, 1.1, 1.2]))
+    assert curve.slice_dates(dates[0], dates[1]).wealth.tolist() == [1.0, 1.1]
+    with pytest.raises(ValidationError, match="wealth must start at 1.0"):
+        curve.slice_dates(dates[1], dates[2])
+
+
+# The one alignment check at each place that takes a record on another's grid:
+# (what the message calls the record, the grid it is checked against, a call
+# with that record on the given axes). The turbulence series and the
+# subperiod benchmark are checked on dates only.
+BASE = business_days("2020-01-02", 6)
+SHIFTED = business_days("2020-01-03", 6)
+PANEL = _grid("MarketPanel", BASE, TICKERS)
+BLOCKS = {"b": np.zeros((6, 4, 1))}
+MODEL = ForecasterModel(
+    model=FactorModel(feature_names=("b:0",), weights=np.ones(1), intercept=0.0,
+                      standardizer_mean=np.zeros(1), standardizer_std=np.ones(1),
+                      ridge_strength=1.0, fit_range=("2019-01-02", "2019-12-31")),
+    tilt=None, block_names=("b",), validation_table=())
+
+
+def _env(features=None, signals=None, turbulence=None):
+    return TradingEnv(PANEL, features or _grid("FeaturePanel", BASE, TICKERS),
+                      signals or _grid("SignalPanel", BASE, TICKERS), turbulence, EnvConfig())
+
+
+SITES = {
+    "backtest_topk": ("scores", "panel", lambda d, t: backtest_topk(
+        _grid("CompositeScore", d, t), PANEL, BacktestConfig(k=2))),
+    "TradingEnv-features": ("feature panel", "panel",
+                            lambda d, t: _env(features=_grid("FeaturePanel", d, t))),
+    "TradingEnv-signals": ("signal panel", "panel",
+                           lambda d, t: _env(signals=_grid("SignalPanel", d, t))),
+    "TradingEnv-turbulence": ("turbulence series", "panel", lambda d, t: _env(
+        turbulence=TurbulenceSeries(dates=d, values=np.zeros(len(d))))),
+    "subperiod_report": ("benchmark", "equity curve", lambda d, t: subperiod_report(
+        _curve(BASE, TICKERS), _curve(d, t), [])),
+    "fit_forecaster": ("signal panel", "panel", lambda d, t: fit_forecaster(
+        BLOCKS, np.zeros((6, 4)), PANEL, _grid("SignalPanel", d, t),
+        (BASE[0], BASE[2]), (BASE[3], BASE[5]))),
+    "score_panel": ("signal panel", "scores", lambda d, t: MODEL.score_panel(
+        BLOCKS, BASE, TICKERS, _grid("SignalPanel", d, t))),
+}
+DATES_ONLY = ("TradingEnv-turbulence", "subperiod_report")
+
+
+@pytest.mark.parametrize("site, axis", [
+    (site, axis) for site in SITES for axis in ("dates", "tickers")
+    if axis == "dates" or site not in DATES_ONLY])
+def test_misaligned_record_is_one_alignment_error(site, axis):
+    what, where, call = SITES[site]
+    axes = {"dates": BASE, "tickers": TICKERS}
+    moved = {**axes, axis: SHIFTED if axis == "dates" else TICKERS[::-1]}
+    with pytest.raises(AlignmentError) as info:
+        call(moved["dates"], moved["tickers"])
+    assert str(info.value) == (f"{what} not aligned with the {where}: {axis} differ at "
+                               f"position 0: {moved[axis][0]!r} vs {axes[axis][0]!r}")
+
+
+def test_alignment_error_names_the_first_missing_position():
+    with pytest.raises(AlignmentError) as info:
+        PANEL.check_aligned(_grid("CompositeScore", BASE[:4], TICKERS), "scores")
+    assert str(info.value) == ("scores not aligned with the panel: "
+                               "dates differ at position 4: nothing vs '2020-01-08'")
+
+
+def test_subperiod_benchmark_may_hold_another_universe():
+    rows = subperiod_report(_curve(BASE, TICKERS), _curve(BASE, ("ZZ",)),
+                            [("all", BASE[0], BASE[-1])])
+    assert [(r["period"], r["days"], r["benchmark_cr"]) for r in rows] == [("all", 5, 0.0)]
