@@ -17,6 +17,7 @@ import numpy as np
 
 from ._grid import Grid, date_span, write_csv
 from .errors import LabError, RangeError, ValidationError
+from .factors import CompositeScore, scw_weights
 from .metrics import metrics, sharpe_ratio
 from .panels import MarketPanel, simple_returns
 from .signals import CoverageReport
@@ -67,6 +68,11 @@ class EquityCurve(Grid):
             raise ValidationError("cost_paid must be non-negative")
         if np.any(self.holdings < -1e-12) or np.any(self.holdings.sum(axis=1) > 1.0 + 1e-9):
             raise ValidationError("holdings must be long-only weights summing to <= 1")
+
+    def restrict(self, tickers):
+        """Refused: the wealth of the whole basket is not that of fewer tickers."""
+        raise ValidationError("an equity curve cannot be restricted to some of its tickers: "
+                              "its wealth covers the whole basket")
 
 
 def write_equity_curve(curve: EquityCurve, path: str, holdings_path: str | None = None) -> None:
@@ -134,7 +140,7 @@ def run_weight_schedule(panel: MarketPanel, targets: np.ndarray, cost_rate: floa
 
 
 def backtest_topk(
-    scores,
+    scores: CompositeScore,
     panel: MarketPanel,
     config: BacktestConfig,
     weighting: str | tuple[str, float] = "equal",
@@ -147,8 +153,6 @@ def backtest_topk(
     tickers than k shrink the basket (with a logged warning); days with no
     scored tickers hold the previous positions.
     """
-    from .factors import scw_weights
-
     sub_panel = panel
     sub_scores = scores
     if config.universe is not None:
@@ -220,8 +224,6 @@ def baseline(
     Momentum and equal-vol need enough panel history before the configured
     period to cover their lookbacks.
     """
-    from .factors import CompositeScore
-
     sub = panel if config.universe is None else panel.restrict(config.universe)
     period = config.period or (sub.dates[0], sub.dates[-1])
 
@@ -276,7 +278,7 @@ def baseline(
 # ---------------------------------------------------------------------------
 
 def cost_sweep(
-    scores,
+    scores: CompositeScore,
     panel: MarketPanel,
     config: BacktestConfig,
     costs: tuple[float, ...],
@@ -311,7 +313,7 @@ def cost_sweep(
 
 
 def stratified_backtest(
-    scores,
+    scores: CompositeScore,
     panel: MarketPanel,
     coverage: CoverageReport,
     config: BacktestConfig,

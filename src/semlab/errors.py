@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one unknown-name check."""
+
+import difflib
 
 
 class LabError(Exception):
@@ -56,3 +58,13 @@ class PolicyFaultError(LabError):
 
 class ConfigError(LabError):
     """An experiment configuration is malformed or inconsistent."""
+
+
+def check_names(given, known, what: str) -> None:
+    """A ConfigError naming the first name in ``given`` that is not in
+    ``known``, with the closest known name; ``what`` formats the name."""
+    for name in given:
+        if name not in known:
+            close = difflib.get_close_matches(str(name), list(known), n=1)
+            hint = f"did you mean {close[0]!r}?" if close else "known: " + ", ".join(known)
+            raise ConfigError(f"unknown {what.format(name)} ({hint})")

@@ -10,7 +10,6 @@ removed.
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import json
 import os
@@ -43,7 +42,7 @@ from .env import (
     write_episode_log,
     write_observation_layout,
 )
-from .errors import ConfigError, LabError, ValidationError
+from .errors import ConfigError, LabError, ValidationError, check_names
 from .factors import (
     DEFAULT_RIDGE,
     LAMBDA_GRID,
@@ -94,15 +93,6 @@ _ACCEPTS = {bool: {bool}, int: {int}, float: {int, float}, str: {str}, tuple: {l
             type(None): {str, type(None)}}
 
 
-def _check_names(given, known, what: str) -> None:
-    """Reject the first name in ``given`` that is not in ``known``."""
-    for name in given:
-        if name not in known:
-            close = difflib.get_close_matches(str(name), list(known), n=1)
-            hint = f"did you mean {close[0]!r}?" if close else "known: " + ", ".join(known)
-            raise ConfigError(f"unknown {what.format(name)} ({hint})")
-
-
 def _conform(where: str, value, default):
     """``value`` checked against the type of ``default``; an int given for a
     float becomes a float. A list becomes a tuple whose items must match the
@@ -151,7 +141,7 @@ class ExperimentConfig:
     p: dict = field(init=False, repr=False, compare=False)  # every declared param, resolved
 
     def __post_init__(self) -> None:
-        _check_names([self.kind], KINDS, "experiment kind {!r}")
+        check_names([self.kind], KINDS, "experiment kind {!r}")
         if type(self.seed) is not int:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         named = [("train", self.train), ("validation", self.validation), ("test", self.test)]
@@ -165,11 +155,13 @@ class ExperimentConfig:
         for name in needs:
             if getattr(self, name) is None:
                 raise ConfigError(f"kind {self.kind!r} needs a {name} range")
-        _check_names(self.data, _DATA_KEYS, "data key {!r}")
+        check_names(self.data, _DATA_KEYS, "data key {!r}")
         if ("synthetic" in self.data) == ("price_panel" in self.data):
             raise ConfigError("data must give exactly one of 'synthetic' and 'price_panel'")
         if "signal_cache" in self.data and "price_panel" not in self.data:
             raise ConfigError("data key 'signal_cache' goes only beside 'price_panel'")
+        if not isinstance(self.data.get("synthetic", ""), str):  # an inline spec
+            SyntheticSpec.from_dict(self.data["synthetic"])
         if self.universe is not None:
             if not (isinstance(self.universe, (list, tuple))
                     and all(isinstance(t, str) for t in self.universe)):
@@ -177,7 +169,7 @@ class ExperimentConfig:
             object.__setattr__(self, "universe", tuple(self.universe))
             check_unique(self.universe, "universe", ConfigError)
         where = "param {!r} for kind " + repr(self.kind)
-        _check_names(self.params, declared, where)
+        check_names(self.params, declared, where)
         p = {name: _conform(where.format(name), self.params[name], default)
              if name in self.params else default for name, default in declared.items()}
         for entry in p.get("periods", ()):
@@ -191,11 +183,11 @@ class ExperimentConfig:
         if "policy" in p:  # env_eval
             if p["start_date"] is not None:
                 _check_date("param 'start_date'", p["start_date"])
-            _check_names([p["policy"]], POLICIES, "policy {!r}")
-            _check_names([p["axis"]], AXES, "signal axis {!r}")
+            check_names([p["policy"]], POLICIES, "policy {!r}")
+            check_names([p["axis"]], AXES, "signal axis {!r}")
             for mask in p["masks"]:
                 if isinstance(mask, (list, tuple)):
-                    _check_names(mask, AXES, "axis {!r} in param 'masks'")
+                    check_names(mask, AXES, "axis {!r} in param 'masks'")
                 elif mask not in (None, "ALL"):
                     raise ConfigError(
                         f"param 'masks' items must be null, \"ALL\" or a list of axes: {mask!r}")
@@ -208,9 +200,9 @@ class ExperimentConfig:
         missing = {"kind", "seed", "output_dir", "data", "ranges"} - set(raw)
         if missing:
             raise ConfigError(f"config missing keys: {sorted(missing)}")
-        _check_names(raw, _TOP_KEYS, "config key {!r}")
+        check_names(raw, _TOP_KEYS, "config key {!r}")
         ranges = raw["ranges"]
-        _check_names(ranges, ("train", "validation", "test"), "range {!r}")
+        check_names(ranges, ("train", "validation", "test"), "range {!r}")
         if not ranges.get("test"):
             raise ConfigError("ranges must include 'test'")
         return ExperimentConfig(
@@ -356,8 +348,9 @@ def _fmt(x) -> str:
 @dataclass
 class _Study:
     """One run's config, inputs and artifact writer, plus the steps every
-    factor study shares: fit, score the test range, backtest the top-k
-    portfolio, and report it next to the equal-weight buy-and-hold index."""
+    factor study shares: fit, select on validation Sharpe, score the test
+    range, backtest the top-k portfolio, and report it next to the
+    equal-weight buy-and-hold index."""
 
     cfg: ExperimentConfig
     ws: Workspace
@@ -372,6 +365,17 @@ class _Study:
     @cached_property
     def test_signals(self) -> SignalPanel:
         return self.ws.signals.slice_dates(*self.cfg.test)
+
+    @cached_property
+    def validation_panel(self) -> MarketPanel:
+        return self.ws.panel.slice_dates(*self.cfg.validation)
+
+    def validation_sharpe(self, scores: CompositeScore, weighting="equal") -> float:
+        """Sharpe ratio of the top-k portfolio on the validation range: the
+        one objective every hyper-parameter search maximises."""
+        curve = backtest_topk(scores, self.validation_panel, replace(self.bt, period=None),
+                              weighting=weighting)
+        return sharpe_ratio(curve.daily_returns[1:])
 
     @cached_property
     def benchmark(self) -> EquityCurve:
@@ -432,28 +436,22 @@ def _run_srf(s: _Study) -> None:
 
 
 def _run_scw(s: _Study) -> None:
-    cfg, ws = s.cfg, s.ws
+    cfg = s.cfg
     # Temperatures are quoted in standardised-score units. Select on
     # validation with a train-only fit: once the final model is refit through
     # the validation range, no leakage-free population is left to scale by.
-    sel_model = s.sfp_model(cfg.train)
-    val_scores = composite(ws.signals.slice_dates(*cfg.validation), sel_model)
+    val_scores = composite(s.ws.signals.slice_dates(*cfg.validation), s.sfp_model(cfg.train))
     scale = float(val_scores.values.std(ddof=1))
     if scale == 0.0:
         raise ValidationError("validation scores are constant; cannot standardise")
-    scaled_val = _scale_scores(val_scores, 1.0 / scale)
-    val_panel = ws.panel.slice_dates(*cfg.validation)
-    val_cfg = replace(s.bt, period=cfg.validation)
-
-    def evaluate(t: float) -> float:
-        curve = backtest_topk(scaled_val, val_panel, val_cfg, weighting=("scw", t))
-        return sharpe_ratio(curve.daily_returns[1:])
-
-    temperature, table = select_temperature(cfg.p["temperature_grid"], evaluate)
+    inv = 1.0 / scale
+    scaled_val = replace(val_scores, values=val_scores.values * inv)
+    temperature, table = select_temperature(
+        cfg.p["temperature_grid"], lambda t: s.validation_sharpe(scaled_val, ("scw", t)))
 
     model = s.sfp_model()
     test_scores = s.scores(model)
-    scw = s.backtest(_scale_scores(test_scores, 1.0 / scale), ("scw", temperature))
+    scw = s.backtest(replace(test_scores, values=test_scores.values * inv), ("scw", temperature))
     equal = s.backtest(test_scores)
     s.report([(f"scw(T={temperature:g})", scw), ("sfp-equal-weight", equal)], model)
     s.out.write_rows(
@@ -462,10 +460,6 @@ def _run_scw(s: _Study) -> None:
         [[_fmt(float(t)), _fmt(table[t])] for t in sorted(table)],
     )
     s.diagnostics([("scw vs sfp-equal-weight", scw, equal)])
-
-
-def _scale_scores(scores: CompositeScore, factor: float) -> CompositeScore:
-    return replace(scores, values=scores.values * factor)
 
 
 def _run_pc1(s: _Study) -> None:
@@ -514,18 +508,14 @@ def _run_forecaster(s: _Study) -> None:
     blocks = _feature_blocks(cfg, ws)
     fc = fit_forecaster(
         blocks, ws.returns_fwd, ws.panel, ws.signals,
-        cfg.train, cfg.validation,
+        cfg.train, cfg.validation, s.validation_sharpe,
         lam_grid=p["lambda_grid"],
         tilt_grid=p["tilt_grid"] or (TILT_GRID if p["tilt"] else (0.0,)),
-        top_k=s.bt.k, cost_rate=s.bt.cost_rate, min_stock_days=p["min_stock_days"],
+        min_stock_days=p["min_stock_days"],
     )
-    test_panel = ws.panel.slice_dates(*cfg.test)
-    test = date_span(ws.panel.dates, *cfg.test)
-    scores = fc.score_panel(
-        {n: np.asarray(b)[test] for n, b in blocks.items()},
-        test_panel.dates, test_panel.tickers, s.test_signals,
-    )
-    curve = s.backtest(scores)
+    test, sig = date_span(ws.panel.dates, *cfg.test), s.test_signals
+    curve = s.backtest(fc.score_panel({n: b[test] for n, b in blocks.items()},
+                                      sig.dates, sig.tickers, sig))
     label = f"forecaster[{'+'.join(fc.block_names)}]"
     if fc.tilt is not None:
         label += f"+tilt(a={fc.tilt.alpha:g})"

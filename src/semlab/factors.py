@@ -13,7 +13,8 @@ ever applied outside it. Variants differ in the feature basis:
   mean of the standardised axes, no supervised fit at all;
 * supervised forecaster — ridge from arbitrary named feature blocks
   (technical columns, dense text features) to forward returns, with an
-  optional high-conviction semantic tilt selected on validation Sharpe.
+  optional high-conviction semantic tilt; the caller's ``evaluate`` scores
+  each (ridge strength, tilt) candidate on validation and so selects it.
 
 Evaluating a model never mutates it; applying one to a date inside its fit
 range raises a leakage error.
@@ -33,10 +34,10 @@ from .errors import (
     LeakageError,
     ConfigError,
     NumericalError,
+    RangeError,
     RankError,
     ValidationError,
 )
-from .metrics import sharpe_ratio
 from .panels import MarketPanel
 from .signals import AXES, NEUTRAL, SignalPanel, _axis_stats, _principal_axes
 
@@ -83,11 +84,7 @@ def fit_ridge(
         if rank < p:
             _, _, piv = scipy.linalg.qr(Xc, pivoting=True, mode="economic")
             dep = sorted(int(i) for i in piv[rank:])
-            names = (
-                [feature_names[i] for i in dep]
-                if feature_names is not None
-                else [f"column {i}" for i in dep]
-            )
+            names = [f"column {i}" if feature_names is None else feature_names[i] for i in dep]
             raise RankError(f"collinear columns at lam=0: {names}")
 
     A = Xc.T @ Xc + lam * np.eye(p)
@@ -101,10 +98,6 @@ def fit_ridge(
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------
-
-def _resid_axis(name: str) -> str | None:
-    return name[6:] if name.startswith("resid:") else None
-
 
 @dataclass(frozen=True)
 class FactorModel:
@@ -180,35 +173,24 @@ class CompositeScore(Grid):
 # Fitting on the signal panel
 # ---------------------------------------------------------------------------
 
-def _range_mask(dates: tuple[str, ...], fit_range: tuple[str, str]) -> np.ndarray:
-    lo, hi = fit_range
-    if lo > hi:
-        raise ValidationError(f"bad fit range {fit_range}")
-    mask = np.zeros(len(dates), dtype=bool)
-    mask[date_span(dates, lo, hi)] = True
-    return mask
-
-
 def _pool_rows(
-    panel: SignalPanel,
-    returns_fwd: np.ndarray,
-    fit_range: tuple[str, str],
-    min_stock_days: int,
+    grid: Grid, usable: np.ndarray, fit_range: tuple[str, str], need: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pool (date, ticker) rows in the range with a finite target.
-
-    Returns (panel row-index pairs, flat target) ready for feature building.
-    """
-    in_range = _range_mask(panel.dates, fit_range)
-    if not in_range.any():
+    """Row-major (date, ticker) positions of the ``usable`` cells of the
+    ``grid`` on the fit range's dates, as a (date rows, ticker columns) index
+    pair; at least ``need`` of them, or a ValidationError."""
+    if usable.shape != (grid.n_dates, grid.n_tickers):
+        raise ValidationError(f"targets have shape {usable.shape}, expected "
+                              f"{(grid.n_dates, grid.n_tickers)} on the {grid.WHAT}")
+    span = date_span(grid.dates, *fit_range)
+    if span.start == span.stop:
         raise ValidationError(f"fit range {fit_range} covers no panel dates")
-    mask = in_range[:, None] & np.isfinite(returns_fwd)
-    idx = np.argwhere(mask)
-    if idx.shape[0] < min_stock_days:
+    rows, cols = np.nonzero(usable[span])
+    if rows.size < need:
         raise ValidationError(
-            f"only {idx.shape[0]} usable stock-days in fit range, need {min_stock_days}"
+            f"only {rows.size} usable stock-days in fit range {fit_range}, need {need}"
         )
-    return idx, returns_fwd[mask]
+    return rows + span.start, cols
 
 
 def fit_sfp(
@@ -229,8 +211,9 @@ def fit_sfp(
     for a in axes:
         if a not in AXES:
             raise ValidationError(f"unknown axis {a!r}")
-    idx, y = _pool_rows(panel, returns_fwd, fit_range, min_stock_days)
-    X = panel.deviations[idx[:, 0], idx[:, 1]][:, [AXES.index(a) for a in axes]]
+    cells = _pool_rows(panel, np.isfinite(returns_fwd), fit_range, min_stock_days)
+    X = panel.deviations[cells][:, [AXES.index(a) for a in axes]]
+    y = returns_fwd[cells]
     if np.all(X == 0.0):
         raise DegenerateFitError(
             "all signal deviations are zero in the fit range (all-neutral panel)"
@@ -260,8 +243,8 @@ def fit_srf(
     stock-days; the ridge then runs on [sentiment deviation, residuals].
     Training residuals are zero-mean by construction.
     """
-    idx, y = _pool_rows(panel, returns_fwd, fit_range, min_stock_days)
-    rows = panel.values[idx[:, 0], idx[:, 1]]  # (n, 4)
+    cells = _pool_rows(panel, np.isfinite(returns_fwd), fit_range, min_stock_days)
+    rows, y = panel.values[cells], returns_fwd[cells]  # (n, 4), (n,)
     sent = rows[:, AXES.index("sentiment")]
     var_sent = float(np.var(sent))
     if var_sent == 0.0:
@@ -309,34 +292,25 @@ def fit_pc1_composite(
     the explained-variance fractions of the same decomposition, as
     ``pca_effective_dim`` gives them for the fit range.
     """
-    rows, mean, std = _axis_stats(panel, _range_mask(panel.dates, fit_range))
+    rows, mean, std = _axis_stats(panel, date_span(panel.dates, *fit_range))
     loadings, explained = _principal_axes(rows, mean, std)
-    model = FactorModel(
-        feature_names=AXES,
-        weights=loadings,
-        intercept=0.0,
-        standardizer_mean=mean,
-        standardizer_std=std,
-        ridge_strength=0.0,
-        fit_range=fit_range,
-    )
-    return model, explained
+    return _axis_composite(loadings, mean, std, fit_range), explained
 
 
 def fit_equal_weight_composite(
     panel: SignalPanel, fit_range: tuple[str, str]
 ) -> FactorModel:
     """Equal-weight mean of the four standardised axes (no supervision)."""
-    _, mean, std = _axis_stats(panel, _range_mask(panel.dates, fit_range))
-    return FactorModel(
-        feature_names=AXES,
-        weights=np.full(4, 0.25),
-        intercept=0.0,
-        standardizer_mean=mean,
-        standardizer_std=std,
-        ridge_strength=0.0,
-        fit_range=fit_range,
-    )
+    _, mean, std = _axis_stats(panel, date_span(panel.dates, *fit_range))
+    return _axis_composite(np.full(4, 0.25), mean, std, fit_range)
+
+
+def _axis_composite(weights, mean, std, fit_range: tuple[str, str]) -> FactorModel:
+    """An unsupervised composite: ``weights`` over the four axes standardised
+    by ``mean`` and ``std``, with no intercept and no ridge."""
+    return FactorModel(feature_names=AXES, weights=weights, intercept=0.0,
+                       standardizer_mean=mean, standardizer_std=std,
+                       ridge_strength=0.0, fit_range=fit_range)
 
 
 def _apply(model: FactorModel, dates: tuple[str, ...], feats: np.ndarray) -> np.ndarray:
@@ -359,11 +333,10 @@ def composite(
     """
     cols = []
     for name in model.feature_names:
-        axis = _resid_axis(name)
-        if axis is not None:
+        if name.startswith("resid:"):
             if residual_model is None:
                 raise ValidationError(f"feature {name!r} needs a residual model")
-            cols.append(residual_model.residuals(panel, axis))
+            cols.append(residual_model.residuals(panel, name[len("resid:"):]))
         elif name in AXES:
             cols.append(panel.axis(name))
         else:
@@ -409,9 +382,7 @@ def select_temperature(
     """
     if not grid:
         raise ValidationError("temperature grid is empty")
-    table: dict[float, float] = {}
-    for t in grid:
-        table[float(t)] = float(evaluate(float(t)))
+    table = {float(t): float(evaluate(float(t))) for t in grid}
     best = max(sorted(table), key=lambda t: (table[t], t))
     return best, table
 
@@ -460,7 +431,8 @@ class ForecasterModel:
         tickers: tuple[str, ...],
         signal_panel: SignalPanel | None,
     ) -> CompositeScore:
-        values = _apply(self.model, dates, _stack_blocks(feature_blocks, self.block_names))
+        feats = _stack_blocks(feature_blocks, self.block_names, (len(dates), len(tickers)))
+        values = _apply(self.model, dates, feats)
         scores = CompositeScore(dates=dates, tickers=tickers, values=values)
         if signal_panel is not None:
             scores.check_aligned(signal_panel, "signal panel")
@@ -471,12 +443,17 @@ class ForecasterModel:
         return scores
 
 
-def _stack_blocks(blocks: dict[str, np.ndarray], names: tuple[str, ...]) -> np.ndarray:
+def _stack_blocks(
+    blocks: dict[str, np.ndarray], names: tuple[str, ...], grid: tuple[int, int]
+) -> np.ndarray:
+    """The named blocks side by side as one (dates, tickers, columns) array; a
+    ConfigError unless each is a (dates, tickers, k >= 1) block on ``grid``."""
     cols = []
     for name in names:
         arr = np.asarray(blocks[name], dtype=float)
-        if arr.ndim != 3 or arr.shape[2] < 1:
-            raise ConfigError(f"feature block {name!r} must be (dates, tickers, k>=1)")
+        if arr.ndim != 3 or arr.shape[:2] != grid or arr.shape[2] < 1:
+            raise ConfigError(f"feature block {name!r} has shape {arr.shape}, "
+                              f"expected ({grid[0]}, {grid[1]}, k >= 1)")
         cols.append(arr)
     return np.concatenate(cols, axis=2)
 
@@ -488,110 +465,84 @@ def fit_forecaster(
     signal_panel: SignalPanel | None,
     fit_range: tuple[str, str],
     validation_range: tuple[str, str],
+    evaluate,
     lam_grid: tuple[float, ...] = LAMBDA_GRID,
     tilt_grid: tuple[float, ...] = (0.0,),
     conviction: float = 1.0,
-    top_k: int = 10,
-    cost_rate: float = 0.001,
     min_stock_days: int = 100,
 ) -> ForecasterModel:
-    """Grid-search ridge forecaster with validation-Sharpe selection.
+    """Grid-search ridge forecaster, selected by the caller's ``evaluate``.
 
-    For every (ridge strength, tilt weight) pair the model is fitted on the
-    fit range, scored on the validation range through the same top-k
-    portfolio rule used everywhere else, and the best pair wins (ties toward
-    stronger shrinkage, then smaller tilt). The winner is refit on
-    fit + validation before being frozen.
+    For every (ridge strength, tilt weight) pair, in grid order, the model is
+    fitted on the fit range, and ``evaluate(scores) -> float`` gets its
+    ``CompositeScore`` on the validation dates and the panel's tickers (the
+    experiment runner returns the validation Sharpe of the same top-k
+    portfolio it tests). The highest value wins, ties toward stronger
+    shrinkage, then smaller tilt. The winner is refit on fit + validation
+    before being frozen.
     """
-    from .backtest import BacktestConfig, backtest_topk
-
     if not lam_grid or not tilt_grid:
         raise ConfigError("empty selection grid")
     if not feature_blocks:
         raise ConfigError("no feature blocks given")
+    dates, tickers = market_panel.dates, market_panel.tickers
     block_names = tuple(feature_blocks)
-    for name in block_names:
-        arr = np.asarray(feature_blocks[name])
-        if arr.ndim != 3 or arr.shape[:2] != (len(market_panel.dates), len(market_panel.tickers)):
-            raise ConfigError(f"feature block {name!r} is not aligned to the panel")
-        if arr.shape[2] < 1:
-            raise ConfigError(f"feature block {name!r} is empty")
+    X_full = _stack_blocks(feature_blocks, block_names, (len(dates), len(tickers)))
     if any(a != 0.0 for a in tilt_grid) and signal_panel is None:
         raise ConfigError("tilt grid includes non-zero weights but no signal panel given")
     if signal_panel is not None:
         market_panel.check_aligned(signal_panel, "signal panel")
-
-    X_full = _stack_blocks(feature_blocks, block_names)
-    dates = market_panel.dates
-    tickers = market_panel.tickers
-    val_lo, val_hi = validation_range
-    if not (fit_range[1] < val_lo):
+    if not (fit_range[1] < validation_range[0]):
         raise ConfigError("validation range must follow the fit range")
+    val = date_span(dates, *validation_range)
+    if val.start == val.stop:
+        raise RangeError(f"no dates in [{validation_range[0]}, {validation_range[1]}] "
+                         "on the panel calendar")
 
-    # neither the usable-row mask nor the tilt's axis statistics depend on λ
+    # neither the usable rows nor the tilt's axis statistics depend on λ or α
     usable = np.isfinite(returns_fwd) & np.all(np.isfinite(X_full), axis=2)
+    need = max(min_stock_days, X_full.shape[2] + 1)
+    col_names = tuple(f"{name}:{i}" for name in block_names
+                      for i in range(np.shape(feature_blocks[name])[2]))
 
     def fit_on(rng: tuple[str, str], lam: float) -> FactorModel:
-        mask = _range_mask(dates, rng)[:, None] & usable
-        idx = np.argwhere(mask)
-        if idx.shape[0] < max(min_stock_days, X_full.shape[2] + 1):
-            raise ValidationError(
-                f"only {idx.shape[0]} usable stock-days in {rng}, need {min_stock_days}"
-            )
-        X = X_full[idx[:, 0], idx[:, 1]]
-        y = returns_fwd[mask]
+        cells = _pool_rows(market_panel, usable, rng, need)
+        X = X_full[cells]
         mean = X.mean(axis=0)
         std = X.std(axis=0, ddof=1)
         if np.any(std == 0):
             dead = [int(i) for i in np.where(std == 0)[0]]
             raise DegenerateFitError(f"constant forecaster feature columns: {dead}")
-        w, b = fit_ridge((X - mean) / std, y, lam=lam)
-        col_names = tuple(
-            f"{name}:{i}"
-            for name in block_names
-            for i in range(np.asarray(feature_blocks[name]).shape[2])
-        )
-        return FactorModel(
-            feature_names=col_names,
-            weights=w, intercept=b,
-            standardizer_mean=mean, standardizer_std=std,
-            ridge_strength=lam, fit_range=rng,
-        )
+        w, b = fit_ridge((X - mean) / std, returns_fwd[cells], lam=lam)
+        return FactorModel(feature_names=col_names, weights=w, intercept=b,
+                           standardizer_mean=mean, standardizer_std=std,
+                           ridge_strength=lam, fit_range=rng)
 
-    def axis_stats(rng: tuple[str, str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _axis_stats(signal_panel, _range_mask(signal_panel.dates, rng))
+    def tilts(rng: tuple[str, str], alphas) -> list[TiltSpec | None]:
+        """One tilt per alpha (None for 0) on the axis statistics of ``rng``."""
+        stats = _axis_stats(signal_panel, date_span(dates, *rng)) if any(alphas) else None
+        return [None if alpha == 0.0 else TiltSpec(alpha=alpha, conviction=conviction,
+                                                   axis_mean=stats[1], axis_std=stats[2])
+                for alpha in alphas]
 
-    def tilt_for(alpha: float, stats) -> TiltSpec | None:
-        if alpha == 0.0:
-            return None
-        return TiltSpec(alpha=alpha, conviction=conviction, axis_mean=stats[1], axis_std=stats[2])
-
-    val_panel = market_panel.slice_dates(val_lo, val_hi)
-    val_signals = None if signal_panel is None else signal_panel.slice_dates(val_lo, val_hi)
-    val_blocks = {
-        name: np.asarray(feature_blocks[name])[_range_mask(dates, validation_range)]
-        for name in block_names
-    }
-    cfg = BacktestConfig(k=top_k, cost_rate=cost_rate)
-
-    fit_stats = axis_stats(fit_range) if any(a != 0.0 for a in tilt_grid) else None
+    val_dates = dates[val]
+    val_blocks = {name: np.asarray(feature_blocks[name])[val] for name in block_names}
+    val_signals = None if signal_panel is None else signal_panel.slice_dates(*validation_range)
+    fit_tilts = tilts(fit_range, tilt_grid)
     results: list[tuple[float, float, float]] = []
     for lam in lam_grid:
-        candidate = fit_on(fit_range, lam)
-        base = ForecasterModel(model=candidate, tilt=None, block_names=block_names,
+        base = ForecasterModel(model=fit_on(fit_range, lam), tilt=None, block_names=block_names,
                                validation_table=())
-        for alpha in tilt_grid:
-            trial = replace(base, tilt=tilt_for(alpha, fit_stats))
-            scores = trial.score_panel(val_blocks, val_panel.dates, tickers, val_signals)
-            curve = backtest_topk(scores, val_panel, cfg)
-            results.append((float(lam), float(alpha), sharpe_ratio(curve.daily_returns[1:])))
+        for alpha, tilt in zip(tilt_grid, fit_tilts):
+            scores = replace(base, tilt=tilt).score_panel(
+                val_blocks, val_dates, tickers, val_signals)
+            results.append((float(lam), float(alpha), float(evaluate(scores))))
 
     best_lam, best_alpha, _ = max(results, key=lambda r: (r[2], r[0], -r[1]))
-    final_range = (fit_range[0], val_hi)
-    final = fit_on(final_range, best_lam)
+    final_range = (fit_range[0], validation_range[1])
     return ForecasterModel(
-        model=final,
-        tilt=tilt_for(best_alpha, axis_stats(final_range) if best_alpha != 0.0 else None),
+        model=fit_on(final_range, best_lam),
+        tilt=tilts(final_range, [best_alpha])[0],
         block_names=block_names,
         validation_table=tuple(results),
     )

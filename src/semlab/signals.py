@@ -374,8 +374,8 @@ def mask_axes(panel: SignalPanel, axes: set[str] | frozenset[str] | str) -> Sign
 # ---------------------------------------------------------------------------
 
 def _axis_stats(panel: SignalPanel, days=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axis values of the non-neutral stock-days on ``days`` (a slice or
-    boolean mask over the dates), with their per-axis mean and std (ddof=1)."""
+    """Axis values of the non-neutral stock-days on ``days`` (a ``date_span``
+    slice of the calendar), with their per-axis mean and std (ddof=1)."""
     rows = panel.values[days][panel.non_neutral[days]]
     if rows.shape[0] < 5:
         raise RankError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError, check_names
 from .panels import MarketPanel
 from .signals import (
     AXES,
@@ -83,33 +83,55 @@ class SyntheticSpec:
                 raise ValidationError(f"beta_tickers not in universe: {sorted(unknown)}")
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
+        try:
+            np.datetime64(self.start_date, "D")
+        except ValueError:
+            raise ValidationError(f"start_date {self.start_date!r} is not a date") from None
 
     @staticmethod
     def from_dict(raw: dict) -> "SyntheticSpec":
-        tickers = raw.get("tickers", 10)
-        if not isinstance(tickers, int):
-            tickers = tuple(tickers)
-        known = {
-            "days", "start_date", "drift", "volatility", "coverage",
-            "beta", "beta_tickers", "horizon", "initial_price", "seed",
-        }
-        unknown = set(raw) - known - {"tickers"}
-        if unknown:
-            raise ValidationError(f"unknown synthetic-spec keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in raw.items() if k in known}
-        if "beta_tickers" in kwargs and kwargs["beta_tickers"] is not None:
-            kwargs["beta_tickers"] = tuple(kwargs["beta_tickers"])
-        if "beta" in kwargs:
-            kwargs["beta"] = tuple(kwargs["beta"])
-        if "days" not in kwargs:
-            raise ValidationError("synthetic spec needs a 'days' field")
-        return SyntheticSpec(tickers=tickers, **kwargs)
+        """The spec of a JSON object; a ConfigError names a faulty key."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a synthetic spec must be a JSON object, got {raw!r}")
+        check_names(raw, _SPEC_FORMS, "synthetic-spec key {!r}")
+        if "days" not in raw:
+            raise ConfigError("synthetic spec needs a 'days' field")
+        for key, value in raw.items():
+            if not any(_fits(value, form) for form in _SPEC_FORMS[key]):
+                forms = " or ".join(map(_form_name, _SPEC_FORMS[key]))
+                raise ConfigError(f"synthetic-spec key {key!r} must be {forms}, got {value!r}")
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+        return SyntheticSpec(**{"tickers": 10, **kwargs})
 
     @staticmethod
     def from_file(path: str) -> "SyntheticSpec":
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
         return SyntheticSpec.from_dict(raw)
+
+
+# The JSON forms each spec key takes: a type (a float also takes an int), [a
+# type] for a list of it, or None for null, which means the default.
+_SPEC_FORMS = {
+    "tickers": (int, [str]), "days": (int,), "start_date": (str,),
+    **dict.fromkeys(("drift", "volatility", "coverage"), (float, [float], None)),
+    "beta": ([float],), "beta_tickers": ([str], None),
+    "horizon": (int,), "initial_price": (float,), "seed": (int,),
+}
+
+
+def _fits(value, form) -> bool:
+    if isinstance(form, list):
+        return type(value) is list and all(_fits(v, form[0]) for v in value)
+    return value is form or type(value) is form or (form is float and type(value) is int)
+
+
+def _form_name(form) -> str:
+    return f"a list of {form[0].__name__}" if isinstance(form, list) else (
+        "null" if form is None else form.__name__)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ import pytest
 
 from semlab import (
     AXES,
+    BacktestConfig,
     CompositeScore,
     FactorModel,
+    backtest_topk,
     composite,
     fit_equal_weight_composite,
     fit_forecaster,
@@ -27,10 +29,11 @@ from semlab.errors import (
     ValidationError,
 )
 from semlab.factors import load_factor_model, save_factor_model
+from semlab.metrics import sharpe_ratio
 from semlab.panels import forward_returns
 from semlab.stats import spearman_ic
 
-from conftest import make_signal_panel
+from conftest import make_panel, make_signal_panel
 
 
 def ridge_oracle(X, y, lam, fit_intercept=True):
@@ -138,6 +141,15 @@ class TestFitSfp:
         panel = _panel_with_returns(n_days=10, n_tickers=2, seed=6)
         with pytest.raises(ValidationError, match="stock-days"):
             fit_sfp(panel, np.zeros((10, 2)), (panel.dates[0], panel.dates[-1]))
+
+    @pytest.mark.parametrize("shape", [(9, 2), (10, 1), (10, 3)])
+    def test_targets_off_the_panel_grid_rejected(self, shape):
+        # at (10, 1) the fit used to drop the second ticker without a word
+        panel = _panel_with_returns(n_days=10, n_tickers=2, seed=6)
+        for fit in (fit_sfp, fit_srf):
+            with pytest.raises(ValidationError, match=rf"targets have shape \({shape[0]}, "
+                                                      rf"{shape[1]}\), expected \(10, 2\)"):
+                fit(panel, np.zeros(shape), (panel.dates[0], panel.dates[-1]), min_stock_days=1)
 
 
 class TestFitSrf:
@@ -397,6 +409,13 @@ class TestSelectTemperature:
             select_temperature((1.0,), boom)
 
 
+def validation_sharpe(panel, val, k=10, cost_rate=0.001):
+    """The experiment runner's selection objective: the Sharpe ratio of the
+    top-k portfolio on the validation range."""
+    val_panel, cfg = panel.slice_dates(*val), BacktestConfig(k=k, cost_rate=cost_rate)
+    return lambda scores: sharpe_ratio(backtest_topk(scores, val_panel, cfg).daily_returns[1:])
+
+
 class TestForecaster:
     def _workspace(self, seed=19):
         spec = SyntheticSpec(tickers=6, days=260, coverage=0.6,
@@ -415,7 +434,7 @@ class TestForecaster:
     def test_zero_tilt_is_identity(self):
         panel, signals, fwd, blocks, train, val = self._workspace()
         fc = fit_forecaster(
-            blocks, fwd, panel, signals, train, val,
+            blocks, fwd, panel, signals, train, val, validation_sharpe(panel, val),
             lam_grid=(1e-3,), tilt_grid=(0.0,), min_stock_days=50,
         )
         assert fc.tilt is None
@@ -428,24 +447,63 @@ class TestForecaster:
     def test_selection_table_covers_grid(self):
         panel, signals, fwd, blocks, train, val = self._workspace()
         fc = fit_forecaster(
-            blocks, fwd, panel, signals, train, val,
+            blocks, fwd, panel, signals, train, val, validation_sharpe(panel, val),
             lam_grid=(1e-3, 1.0), tilt_grid=(0.0, 1.0), min_stock_days=50,
         )
         assert len(fc.validation_table) == 4
         assert fc.model.fit_range == (train[0], val[1])  # refit includes validation
+
+    def test_evaluate_scores_each_candidate_once_in_grid_order(self):
+        panel, signals, fwd, blocks, train, val = self._workspace()
+        seen = []
+
+        def record(scores):
+            seen.append(scores)
+            return float(len(seen))  # each candidate beats the one before
+
+        lams, alphas = (1.0, 1e-3, 10.0), (0.5, 0.0)
+        fc = fit_forecaster(blocks, fwd, panel, signals, train, val, record,
+                            lam_grid=lams, tilt_grid=alphas, min_stock_days=50)
+        assert fc.validation_table == tuple(
+            (lam, alpha, float(i + 1))
+            for i, (lam, alpha) in enumerate((lam, alpha) for lam in lams for alpha in alphas))
+        val_dates = panel.slice_dates(*val).dates
+        assert [(s.dates, s.tickers) for s in seen] == [(val_dates, panel.tickers)] * 6
+        # the last candidate scored highest: λ = 10 without tilt, refit through validation
+        assert fc.model.ridge_strength == 10.0 and fc.tilt is None
+        assert fc.model.fit_range == (train[0], val[1])
+
+    @pytest.mark.parametrize("alphas, alpha", [((0.5, 0.0, 1.0), None), ((1.0, 0.5), 0.5)])
+    def test_ties_take_the_largest_ridge_then_the_smallest_tilt(self, alphas, alpha):
+        panel, signals, fwd, blocks, train, val = self._workspace()
+        fc = fit_forecaster(blocks, fwd, panel, signals, train, val, lambda scores: 0.0,
+                            lam_grid=(1.0, 1e-3, 10.0), tilt_grid=alphas, min_stock_days=50)
+        assert fc.model.ridge_strength == 10.0
+        assert (fc.tilt and fc.tilt.alpha) == alpha
+
+    def test_too_few_rows_names_the_minimum_checked(self):
+        # one ticker, three fit dates: 3 usable rows for 3 columns plus an intercept
+        panel = make_panel(100 * np.exp(np.cumsum(np.full((12, 1), 0.01), axis=0)))
+        blocks = {"price": np.random.default_rng(3).normal(size=(12, 1, 3))}
+        train, val = (panel.dates[0], panel.dates[2]), (panel.dates[3], panel.dates[8])
+        with pytest.raises(ValidationError, match=r"only 3 usable stock-days in fit range "
+                                                  r"\('2020-01-02', '2020-01-06'\), need 4"):
+            fit_forecaster(blocks, forward_returns(panel, 1), panel, None, train, val,
+                           lambda scores: 0.0, lam_grid=(1.0,), min_stock_days=1)
 
     def test_empty_block_rejected(self):
         panel, signals, fwd, blocks, train, val = self._workspace()
         bad = dict(blocks)
         bad["dead"] = np.zeros((panel.n_dates, panel.n_tickers, 0))
         with pytest.raises(ConfigError):
-            fit_forecaster(bad, fwd, panel, signals, train, val,
+            fit_forecaster(bad, fwd, panel, signals, train, val, validation_sharpe(panel, val),
                            lam_grid=(1.0,), tilt_grid=(0.0,), min_stock_days=50)
 
     def test_validation_must_follow_fit(self):
         panel, signals, fwd, blocks, train, val = self._workspace()
         with pytest.raises(ConfigError):
             fit_forecaster(blocks, fwd, panel, signals, val, train,
+                           validation_sharpe(panel, train),
                            lam_grid=(1.0,), tilt_grid=(0.0,), min_stock_days=50)
 
     def test_signal_panel_on_reversed_tickers_rejected(self):
@@ -455,12 +513,13 @@ class TestForecaster:
         panel, signals, _ = synth_panel(spec)
         reversed_signals = signals.restrict(["DD", "CC", "BB", "AA"])
         blocks = {"price": np.random.default_rng(19).normal(size=(300, 4, 3))}
+        val = (panel.dates[180], panel.dates[239])
         with pytest.raises(AlignmentError, match="signal panel not aligned with the panel: "
                                                  "tickers differ at position 0: 'DD' vs 'AA'"):
             fit_forecaster(blocks, forward_returns(panel, 5), panel, reversed_signals,
-                           (panel.dates[0], panel.dates[179]),
-                           (panel.dates[180], panel.dates[239]),
-                           lam_grid=(1e-3,), tilt_grid=(0.0, 1.0), top_k=2, min_stock_days=50)
+                           (panel.dates[0], panel.dates[179]), val,
+                           validation_sharpe(panel, val, k=2),
+                           lam_grid=(1e-3,), tilt_grid=(0.0, 1.0), min_stock_days=50)
 
     def test_tilt_beats_naive_concatenation_on_gated_signal(self):
         # two-regime planted signal: loud news carries information, weak news
@@ -484,7 +543,6 @@ class TestForecaster:
             if hi > 0:
                 log_r[lag - 1:, :] += effect[:hi, :]
         close = 100 * np.exp(np.vstack([np.zeros(n_t), np.cumsum(log_r, axis=0)]))
-        from conftest import make_panel
         panel = make_panel(close)
         fwd = forward_returns(panel, 5)
         noise_block = rng.normal(size=(n_d, n_t, 4))
@@ -492,13 +550,14 @@ class TestForecaster:
         val = (panel.dates[450], panel.dates[679])
         naive = fit_forecaster(
             {"price": noise_block, "semantic": dev}, fwd, panel, sig, train, val,
-            lam_grid=(1e-3, 1e-1, 10.0), tilt_grid=(0.0,),
-            top_k=4, cost_rate=0.001, min_stock_days=100,
+            validation_sharpe(panel, val, k=4, cost_rate=0.001),
+            lam_grid=(1e-3, 1e-1, 10.0), tilt_grid=(0.0,), min_stock_days=100,
         )
         tilted = fit_forecaster(
             {"price": noise_block}, fwd, panel, sig, train, val,
+            validation_sharpe(panel, val, k=4, cost_rate=0.001),
             lam_grid=(1e-3, 1e-1, 10.0), tilt_grid=(0.5, 1.0), conviction=0.5,
-            top_k=4, cost_rate=0.001, min_stock_days=100,
+            min_stock_days=100,
         )
         best_naive = max(s for _, _, s in naive.validation_table)
         best_tilt = max(s for _, _, s in tilted.validation_table)
@@ -507,8 +566,10 @@ class TestForecaster:
     def test_tilt_changes_scores_only_on_high_conviction_covered_days(self):
         panel, signals, fwd, blocks, train, val = self._workspace(seed=20)
         base = fit_forecaster(blocks, fwd, panel, signals, train, val,
+                              validation_sharpe(panel, val),
                               lam_grid=(1e-3,), tilt_grid=(0.0,), min_stock_days=50)
         tilted = fit_forecaster(blocks, fwd, panel, signals, train, val,
+                                validation_sharpe(panel, val),
                                 lam_grid=(1e-3,), tilt_grid=(1.0,), min_stock_days=50)
         if tilted.tilt is None:
             pytest.skip("validation preferred the untilted model")

@@ -28,6 +28,7 @@ from semlab import (
 from semlab._grid import date_span
 from semlab.errors import AlignmentError, LabError, RangeError, ValidationError
 from semlab.factors import ForecasterModel
+from semlab.metrics import sharpe_ratio
 
 from conftest import business_days
 
@@ -132,6 +133,17 @@ def test_equity_curve_rejects_repeated_ticker():
         curve(("A", "A"))
 
 
+def test_equity_curve_cannot_be_restricted():
+    # wealth [1.0, 1.2] is the whole basket's; holdings of AA alone would not explain it
+    curve = EquityCurve(dates=("2020-01-02", "2020-01-03"), tickers=("AA", "BB"),
+                        holdings=np.full((2, 2), 0.5), wealth=np.array([1.0, 1.2]),
+                        daily_returns=np.array([0.0, 0.2]), cost_paid=np.zeros(2))
+    for keep in (["AA"], ["BB", "AA"], ["AA", "BB"]):
+        with pytest.raises(ValidationError, match="an equity curve cannot be restricted"):
+            curve.restrict(keep)
+    assert curve.slice_dates("2020-01-02", "2020-01-02").wealth.tolist() == [1.0]
+
+
 def _curve(dates, tickers, wealth=None):
     n = len(dates)
     return EquityCurve(dates=dates, tickers=tickers, holdings=np.zeros((n, len(tickers))),
@@ -165,7 +177,9 @@ def test_empty_slice_and_repeated_ticker_rejected(kind):
             grid.slice_dates(start, end)
     with pytest.raises(ValidationError, match="duplicate ticker 'AA'"):
         _grid(kind, ("2020-01-02", "2020-01-03"), ("AA", "BB", "AA"))
-    with pytest.raises(ValidationError, match="duplicate ticker 'BB'"):
+    # an equity curve refuses every restriction (test_equity_curve_cannot_be_restricted)
+    refusal = "cannot be restricted" if kind == "EquityCurve" else "duplicate ticker 'BB'"
+    with pytest.raises(ValidationError, match=refusal):
         grid.restrict(["BB", "BB"])
 
 
@@ -255,7 +269,8 @@ SITES = {
         _curve(BASE, TICKERS), _curve(d, t), [])),
     "fit_forecaster": ("signal panel", "panel", lambda d, t: fit_forecaster(
         BLOCKS, np.zeros((6, 4)), PANEL, _grid("SignalPanel", d, t),
-        (BASE[0], BASE[2]), (BASE[3], BASE[5]))),
+        (BASE[0], BASE[2]), (BASE[3], BASE[5]), lambda scores: sharpe_ratio(backtest_topk(
+            scores, PANEL.slice_dates(BASE[3], BASE[5]), BacktestConfig()).daily_returns[1:]))),
     "score_panel": ("signal panel", "scores", lambda d, t: MODEL.score_panel(
         BLOCKS, BASE, TICKERS, _grid("SignalPanel", d, t))),
 }

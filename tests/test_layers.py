@@ -1,0 +1,49 @@
+"""The package's import graph: every ``from .module import`` edge between
+the modules of ``src/semlab``, function-local ones included, forms no cycle,
+and every such import sits at module level."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semlab"
+
+
+def _imports() -> dict[str, list[tuple[str, ast.ImportFrom, bool]]]:
+    """module -> (imported module, node, at module level) for each relative
+    import of a sibling module; ``__init__`` is left out."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        top = set(map(id, tree.body))
+        graph[path.stem] = [(node.module, node, id(node) in top) for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) and node.level == 1
+                            and node.module]
+    return graph
+
+
+def test_import_graph_has_no_cycle():
+    edges = {module: sorted({target for target, _, _ in imports})
+             for module, imports in _imports().items()}
+    state: dict[str, str] = {}  # "open" while on the search path, then "done"
+
+    def visit(module: str, path: list[str]) -> None:
+        state[module] = "open"
+        for target in edges.get(module, ()):
+            assert state.get(target) != "open", "import cycle: " + " -> ".join(
+                path[path.index(target):] + [module, target])
+            if target not in state:
+                visit(target, path + [module])
+        state[module] = "done"
+
+    for module in edges:
+        if module not in state:
+            visit(module, [])
+
+
+def test_every_import_is_at_module_level():
+    local = [f"{module}.py:{node.lineno} imports .{target}"
+             for module, imports in _imports().items()
+             for target, node, top in imports if not top]
+    assert local == []

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from semlab import SyntheticSpec, synth_panel
-from semlab.errors import ValidationError
+from semlab import ExperimentConfig, SyntheticSpec, synth_panel
+from semlab.cli import main as cli_main
+from semlab.errors import ConfigError, ValidationError
 from semlab.panels import forward_returns
 from semlab.stats import spearman_ic
 
@@ -35,6 +37,12 @@ def test_same_seed_is_bit_identical():
 def test_coverage_fraction_validated():
     with pytest.raises(ValidationError, match="coverage"):
         SyntheticSpec(tickers=3, days=50, coverage=1.2)
+
+
+@pytest.mark.parametrize("start", ["2015/01/02", "2015-13-45"])
+def test_start_date_validated(start):
+    with pytest.raises(ValidationError, match=f"start_date '{start}' is not a date"):
+        SyntheticSpec(tickers=3, days=50, start_date=start)
 
 
 def test_planted_truth_recovery_within_three_se():
@@ -110,7 +118,7 @@ def test_spec_from_file_round_trip(tmp_path):
 def test_unknown_spec_keys_rejected(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"days": 10, "volatilty": 0.1}))
-    with pytest.raises(ValidationError, match="volatilty"):
+    with pytest.raises(ConfigError, match="'volatilty' \\(did you mean 'volatility'\\?\\)"):
         SyntheticSpec.from_file(str(path))
 
 
@@ -122,3 +130,45 @@ def test_panel_has_usable_ohlc():
     assert np.all(panel.low > 0)
     assert np.all(panel.high >= panel.open)
     assert np.all(panel.low <= panel.open)
+
+
+# the inline spec the factor_studies benchmark workload sends
+BENCH_SPEC = {"tickers": 100, "days": 2500, "start_date": "2015-01-02", "coverage": 0.35,
+              "beta": [0.0025, 0.0, 0.0, 0.0], "seed": 4}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"tickers": 4, "days": "300"}, "synthetic-spec key 'days' must be int, got '300'"),
+    ({"tickers": 4, "days": 300, "sed": 3},
+     "unknown synthetic-spec key 'sed' (did you mean 'seed'?)"),
+    ({"tickers": "ABC", "days": 300}, "synthetic-spec key 'tickers' must be int or a list of str, got 'ABC'"),
+    ({"days": 300, "beta": [0.1, "x", 0, 0]}, "synthetic-spec key 'beta' must be a list of float, got"),
+    ({"days": 300, "start_date": 20150102}, "synthetic-spec key 'start_date' must be str"),
+    ({"tickers": 4}, "synthetic spec needs a 'days' field"),
+])
+def test_spec_fault_is_a_config_error_naming_the_key(tmp_path, capsys, spec, message):
+    with pytest.raises(ConfigError) as info:
+        SyntheticSpec.from_dict(spec)
+    assert str(info.value).startswith(message)
+    # an inline spec fails when the config is read, before any data is made
+    raw = {"kind": "baselines", "seed": 1, "output_dir": str(tmp_path / "out"),
+           "data": {"synthetic": spec}, "ranges": {"test": ["2015-06-01", "2015-12-31"]}}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["synth", str(path), "1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config error: " + message)
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_spec_form_in_use_still_loads():
+    assert SyntheticSpec.from_dict(BENCH_SPEC) == SyntheticSpec(
+        tickers=100, days=2500, start_date="2015-01-02", coverage=0.35,
+        beta=(0.0025, 0.0, 0.0, 0.0), seed=4)
+    spec = SyntheticSpec.from_dict({
+        "tickers": ["AA", "BB"], "days": 10, "drift": None, "volatility": [0.01, 2],
+        "coverage": 1, "beta_tickers": ["BB"], "horizon": 3, "initial_price": 50, "seed": 0})
+    assert spec.tickers == ("AA", "BB") and spec.beta_tickers == ("BB",)
+    assert spec.volatility == (0.01, 2.0) and spec.coverage == (1.0, 1.0)
+    assert SyntheticSpec.from_dict({"days": 10}).tickers == tuple(f"SYN{i:02d}" for i in range(10))
