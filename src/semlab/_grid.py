@@ -1,8 +1,15 @@
 """The (date x ticker) grid that every dated record shares: the ``Grid`` base
 of the price, signal, feature and score panels and of the equity curve, with
 its one alignment check; calendar lookups; the long-form
-``date,ticker,<numbers>`` files that fill it; and the two artifact formats
-every module writes through, ``write_csv`` and ``write_json``.
+``date,ticker,<numbers>`` files that fill it, read by ``read_grid`` and
+written by its mirror ``write_grid``; and the two formats every other
+artifact is written through, ``write_csv`` and ``write_json``.
+
+``write_grid`` writes the bytes ``write_csv`` would, but quotes each label
+once and formats each number column with one ``repr`` pass. It holds one
+block of ``_BLOCK_DATES`` dates at a time: taking every column's floats at
+once raised the peak RSS of writing and re-reading a 100 x 2500 panel from
+about 170 to 189 MiB.
 
 The calendar is a strictly increasing tuple of ISO dates, which sort like
 the dates themselves, so a date range is two binary searches. A grid holds
@@ -14,10 +21,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -197,6 +206,55 @@ def write_csv(path: str, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# dates formatted per pass of write_grid; 8, 16 and 32 write a 100 x 2500
+# panel equally fast, and the smallest leaves the lowest peak RSS
+_BLOCK_DATES = 8
+
+
+def _csv_fields(labels) -> list[str]:
+    """Each label as ``csv.writer`` writes it in a row of two or more fields
+    (a lone empty field would be written as ``""`` instead of nothing)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((label, ""))
+        fields.append(buf.getvalue()[:-3])  # the empty field's "," and "\r\n"
+    return fields
+
+
+def write_grid(path: str, header, dates, tickers, columns) -> None:
+    """Write the long-form ``date,ticker,<numbers>`` file that ``read_grid``
+    reads: the ``header`` row, then one row per (date, ticker) cell in
+    row-major order, byte for byte what ``write_csv`` writes for the same
+    fields. Each entry of ``columns`` is a (dates, tickers) float array,
+    written by ``repr``, or a string written in every row.
+
+    Each label and string goes through ``csv.writer`` once; a float's
+    ``repr`` never needs quoting. Rows are formatted ``_BLOCK_DATES`` dates
+    at a time and written with ``writelines``."""
+    n_t = len(tickers)
+    columns = [_csv_fields([col])[0] if isinstance(col, str) else np.asarray(col, dtype=float)
+               for col in columns]
+    for col in columns:
+        if not isinstance(col, str) and col.shape != (len(dates), n_t):
+            raise ValidationError(f"column has shape {col.shape}, expected {(len(dates), n_t)}")
+    date_fields, ticker_fields = _csv_fields(dates), _csv_fields(tickers)
+    row = ",".join(["{}"] * (2 + len(columns))) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(dates), _BLOCK_DATES):
+            block = date_fields[lo:lo + _BLOCK_DATES]
+            cells = len(block) * n_t
+            fields = [repeat(col, cells) if isinstance(col, str)
+                      else map(repr, col[lo:lo + len(block)].ravel().tolist())
+                      for col in columns]
+            fh.writelines(map(row.format, [d for d in block for _ in range(n_t)],
+                              ticker_fields * len(block), *fields))
 
 
 def write_json(path: str, payload) -> None:

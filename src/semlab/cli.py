@@ -32,27 +32,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sniff(path: str) -> str:
+    """The ``validate_inputs`` argument a file is for, by its header."""
     with open(path) as fh:
         header = fh.readline().strip()
-    for kind, names in (("prices", PANEL_HEADER), ("signals", CACHE_HEADER)):
+    for kind, names in (("price_panel", PANEL_HEADER), ("signal_cache", CACHE_HEADER)):
         if header.startswith(",".join(names[:3])):
             return kind
     raise LabError(f"{path}: unrecognised header {header!r}")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    prices = None
-    signals = None
+    given: dict[str, str] = {}
     for path in args.paths:
         if not os.path.exists(path):
             print(f"[FAIL] {path}: no such file")
             return EXIT_DATA
         kind = _sniff(path)
-        if kind == "prices":
-            prices = path
-        else:
-            signals = path
-    report = validate_inputs(price_panel=prices, signal_cache=signals)
+        if kind in given:
+            raise ConfigError(f"two {kind} files given, {given[kind]} and {path}: "
+                              "validate checks at most one of each kind")
+        given[kind] = path
+    report = validate_inputs(**given)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_DATA

@@ -173,15 +173,20 @@ class CompositeScore(Grid):
 # Fitting on the signal panel
 # ---------------------------------------------------------------------------
 
+def _check_targets(grid: Grid, targets: np.ndarray) -> None:
+    """A ValidationError unless ``targets`` lie on the (dates, tickers) grid."""
+    if np.shape(targets) != (grid.n_dates, grid.n_tickers):
+        raise ValidationError(f"targets have shape {np.shape(targets)}, expected "
+                              f"{(grid.n_dates, grid.n_tickers)} on the {grid.WHAT}")
+
+
 def _pool_rows(
     grid: Grid, usable: np.ndarray, fit_range: tuple[str, str], need: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (date, ticker) positions of the ``usable`` cells of the
     ``grid`` on the fit range's dates, as a (date rows, ticker columns) index
     pair; at least ``need`` of them, or a ValidationError."""
-    if usable.shape != (grid.n_dates, grid.n_tickers):
-        raise ValidationError(f"targets have shape {usable.shape}, expected "
-                              f"{(grid.n_dates, grid.n_tickers)} on the {grid.WHAT}")
+    _check_targets(grid, usable)
     span = date_span(grid.dates, *fit_range)
     if span.start == span.stop:
         raise ValidationError(f"fit range {fit_range} covers no panel dates")
@@ -500,6 +505,7 @@ def fit_forecaster(
                          "on the panel calendar")
 
     # neither the usable rows nor the tilt's axis statistics depend on λ or α
+    _check_targets(market_panel, returns_fwd)  # a (dates, 1) target would broadcast
     usable = np.isfinite(returns_fwd) & np.all(np.isfinite(X_full), axis=2)
     need = max(min_stock_days, X_full.shape[2] + 1)
     col_names = tuple(f"{name}:{i}" for name in block_names

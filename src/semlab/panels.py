@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import Grid, check_increasing, date_span, frozen, read_grid, write_csv
+from ._grid import Grid, check_increasing, date_span, frozen, read_grid, write_grid
 from .errors import NumericalError, RangeError, ValidationError, WarmupError
 
 PANEL_HEADER = ("date", "ticker", "open", "high", "low", "close", "volume")
@@ -155,17 +155,17 @@ def load_price_panel(path: str) -> MarketPanel:
 
 
 def write_price_panel(panel: MarketPanel, path: str) -> None:
-    """Write a panel back to the long-form interchange format."""
-    write_csv(path, PANEL_HEADER, (
-        [
-            d, t,
-            repr(float(panel.open[i, j])) if panel.open is not None else repr(float(panel.close[i, j])),
-            repr(float(panel.high[i, j])) if panel.high is not None else repr(float(panel.close[i, j])),
-            repr(float(panel.low[i, j])) if panel.low is not None else repr(float(panel.close[i, j])),
-            repr(float(panel.close[i, j])),
-            repr(float(panel.volume[i, j])) if panel.volume is not None else "0.0",
-        ]
-        for i, d in enumerate(panel.dates) for j, t in enumerate(panel.tickers)))
+    """Write a panel back to the long-form interchange format by
+    ``_grid.write_grid``: the close stands in for a missing open, high or
+    low, and ``0.0`` for a missing volume."""
+    close = panel.close
+    write_grid(path, PANEL_HEADER, panel.dates, panel.tickers, [
+        close if panel.open is None else panel.open,
+        close if panel.high is None else panel.high,
+        close if panel.low is None else panel.low,
+        close,
+        "0.0" if panel.volume is None else panel.volume,
+    ])
 
 
 # ---------------------------------------------------------------------------

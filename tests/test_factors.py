@@ -491,6 +491,14 @@ class TestForecaster:
             fit_forecaster(blocks, forward_returns(panel, 1), panel, None, train, val,
                            lambda scores: 0.0, lam_grid=(1.0,), min_stock_days=1)
 
+    def test_target_off_the_panel_grid_rejected_before_any_fit(self):
+        panel, signals, fwd, blocks, train, val = self._workspace()
+        with pytest.raises(ValidationError, match=r"targets have shape \(260, 1\), "
+                                                  r"expected \(260, 6\) on the panel"):
+            fit_forecaster(blocks, forward_returns(panel, 5)[:, :1], panel, signals, train, val,
+                           lambda scores: pytest.fail("evaluated a fit"),
+                           lam_grid=(1.0,), tilt_grid=(0.0,), min_stock_days=50)
+
     def test_empty_block_rejected(self):
         panel, signals, fwd, blocks, train, val = self._workspace()
         bad = dict(blocks)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semlab import MarketPanel
-from semlab._grid import read_grid
+from semlab._grid import read_grid, write_grid
 from semlab.cli import main as cli_main
 from semlab.errors import ParseError, ValidationError
 from semlab.experiments import _load_dense_block
 from semlab.panels import load_price_panel, write_price_panel
 from semlab.signals import CACHE_HEADER, load_article_scores
 
+import scalar_write
 from conftest import business_days
 
 DATES = ("2020-01-02", "2020-01-03")
@@ -146,6 +147,20 @@ class TestSharedRules:
         assert cli_main(["validate", path]) == 2
         assert "[FAIL] price_panel:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind, given, bad_row", [
+        ("prices", "price_panel", "2020-01-02,AA,5,5,5,-5,10"),
+        ("articles", "signal_cache", "s-x,AA,2020/01/03,1,2,3,4"),
+    ])
+    def test_validate_rejects_a_second_file_of_a_kind(self, tmp_path, capsys, kind, given,
+                                                      bad_row):
+        # the first file used to be dropped: a bad panel before a good one passed
+        (tmp_path / "bad").mkdir()
+        bad, good = _write(tmp_path / "bad", kind, [bad_row]), _write(tmp_path, kind)
+        assert cli_main(["validate", bad, good]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"config error: two {given} files given, {bad} and {good}" in err
+
     @pytest.mark.parametrize("row, failed", [
         ("s-x,AA,2020/01/03,1,2,3,4", "[FAIL] signal_cache: "),
         ("s-x,ZZ,2020-01-03,1,2,3,4", "[FAIL] cache_tickers_in_universe: unknown tickers: ['ZZ']"),
@@ -226,3 +241,50 @@ def test_price_panel_write_then_load_is_bit_exact(tmp_path_factory, n_d, n_t, da
     assert (loaded.dates, loaded.tickers) == (panel.dates, panel.tickers)
     for name in ("close", "open", "high", "low", "volume"):
         assert getattr(loaded, name).tobytes() == getattr(panel, name).tobytes(), name
+
+
+# labels csv must quote or must not drop: empty, delimiter, quote, space, newline
+awkward_labels = st.lists(
+    st.one_of(st.sampled_from(["", ",", '"', " ", "\n"]), st.text('ab ,"\n', max_size=4)),
+    min_size=1, max_size=4, unique=True,
+)
+
+
+@given(st.integers(1, 70), awkward_labels, st.data())
+def test_price_panel_writer_matches_the_scalar_oracle(tmp_path_factory, n_d, labels, data):
+    tickers = tuple(sorted(labels))  # the loader's ticker order
+    shape = (n_d, len(tickers))
+
+    def block(elements):
+        size = n_d * len(tickers)
+        return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    def maybe(elements):
+        return block(elements) if data.draw(st.booleans(), label="present") else None
+
+    panel = MarketPanel(
+        dates=business_days("2020-01-02", n_d), tickers=tickers,
+        close=block(positive), open=maybe(positive), high=maybe(positive), low=maybe(positive),
+        volume=maybe(st.floats(min_value=0.0, max_value=1e300)),
+    )
+    tmp = tmp_path_factory.mktemp("writer")
+    write_price_panel(panel, str(tmp / "grid.csv"))
+    scalar_write.write_price_panel(panel, str(tmp / "scalar.csv"))
+    assert (tmp / "grid.csv").read_bytes() == (tmp / "scalar.csv").read_bytes()
+
+    if all(t == t.strip() for t in tickers):  # read_grid strips labels
+        loaded = load_price_panel(str(tmp / "grid.csv"))
+        assert (loaded.dates, loaded.tickers) == (panel.dates, panel.tickers)
+        for name, want in (("open", panel.open), ("high", panel.high), ("low", panel.low),
+                           ("close", panel.close)):
+            want = panel.close if want is None else want
+            assert getattr(loaded, name).tobytes() == want.tobytes(), name
+        volume = np.zeros(shape) if panel.volume is None else panel.volume
+        assert loaded.volume.tobytes() == volume.tobytes()
+
+
+def test_grid_writer_rejects_a_column_off_the_grid(tmp_path):
+    with pytest.raises(ValidationError, match=r"column has shape \(2, 1\), expected \(2, 2\)"):
+        write_grid(str(tmp_path / "grid.csv"), ("date", "ticker", "x"), DATES, TICKERS,
+                   [np.ones((2, 1))])
