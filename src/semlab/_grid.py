@@ -161,7 +161,7 @@ class Grid:
         for name in (*self.ARRAYS, *self.SERIES):
             arr = getattr(self, name)
             if arr is not None:
-                h.update(np.ascontiguousarray(arr).tobytes())
+                h.update(np.ascontiguousarray(arr))
         return h
 
     def content_hash(self) -> str:

@@ -97,39 +97,52 @@ def run_weight_schedule(panel: MarketPanel, targets: np.ndarray, cost_rate: floa
     Trading happens at a day's close only when that day's target vector
     differs from the previous one; otherwise positions drift. Costs are
     cost_rate x traded notional, charged on both buys and sells, and no trade
-    runs at the final close (there is no accrual day left to fund).
+    runs at the final close (there is no accrual day left to fund). Targets
+    must be finite, long-only and sum to at most 1 on each day.
     """
     n_d, n_t = panel.n_dates, panel.n_tickers
+    if n_d == 0:
+        raise ValidationError("cannot run a weight schedule on a panel with no dates")
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (n_d, n_t):
         raise ValidationError(f"targets shape {targets.shape}, expected {(n_d, n_t)}")
+    finite = np.isfinite(targets)
+    if not finite.all():
+        d, t = np.argwhere(~finite)[0]
+        raise ValidationError(
+            f"non-finite target weight at ({panel.dates[d]}, {panel.tickers[t]})")
     if np.any(targets < -1e-12) or np.any(targets.sum(axis=1) > 1.0 + 1e-9):
         raise ValidationError("target weights must be long-only and sum to <= 1")
 
+    # a trade on each day whose targets differ from the day before's (from
+    # all cash before the first day), never on the last day
+    trades = np.empty(n_d, dtype=bool)
+    trades[0] = np.any(targets[0] != 0.0)
+    trades[1:] = np.any(targets[1:] != targets[:-1], axis=1)
+    trades[-1] = False
+
+    # between two trades the book only drifts, so a run of days is marked at
+    # once: a row sum of C-ordered closes is bit-equal to the sum of that
+    # day's positions (a restricted panel holds its closes F-ordered)
+    close = np.ascontiguousarray(panel.close)
     cash = 1.0
     shares = np.zeros(n_t)
     wealth = np.empty(n_d)
     cost_paid = np.zeros(n_d)
-    last_target = np.zeros(n_t)
-    pending_cost = 0.0
-
-    for d in range(n_d):
-        prices = panel.close[d]
-        pos_val = shares * prices
-        wealth[d] = cash + pos_val.sum()
-        cost_paid[d] = pending_cost
-        pending_cost = 0.0
-        if d == n_d - 1:
-            break
-        if not np.array_equal(targets[d], last_target):
-            value = wealth[d]
-            target_val = targets[d] * value
-            traded = np.abs(target_val - pos_val).sum()
-            cost = cost_rate * traded
-            shares = target_val / prices
-            cash = value - target_val.sum() - cost
-            pending_cost = cost
-            last_target = targets[d].copy()
+    held_from = 0
+    for d in np.flatnonzero(trades).tolist():
+        if held_from < d:
+            wealth[held_from:d] = cash + (close[held_from:d] * shares).sum(axis=1)
+        pos_val = shares * close[d]
+        value = cash + pos_val.sum()
+        wealth[d] = value
+        target_val = targets[d] * value
+        cost = cost_rate * np.abs(target_val - pos_val).sum()
+        shares = target_val / close[d]
+        cash = value - target_val.sum() - cost
+        cost_paid[d + 1] = cost  # booked in the next day's mark
+        held_from = d + 1
+    wealth[held_from:] = cash + (close[held_from:] * shares).sum(axis=1)
 
     daily_returns = np.zeros(n_d)
     daily_returns[1:] = wealth[1:] / wealth[:-1] - 1.0

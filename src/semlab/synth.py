@@ -10,6 +10,7 @@ bit-identical for a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,19 @@ class SyntheticSpec:
         object.__setattr__(self, "coverage", broadcast("coverage", self.coverage, 0.2))
         if any(not 0.0 <= c <= 1.0 for c in self.coverage):
             raise ValidationError("coverage fractions must lie in [0, 1]")
-        if any(v <= 0 for v in self.volatility):
-            raise ValidationError("volatility must be positive")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         if len(self.beta) != 4:
             raise ValidationError("beta needs one coefficient per axis")
+        # written to pass only on a wanted value: NaN fails every comparison
+        for key, values, rule, ok in (
+            ("drift", self.drift, "finite", math.isfinite),
+            ("volatility", self.volatility, "positive and finite", _positive_finite),
+            ("beta", self.beta, "finite", math.isfinite),
+            ("initial_price", (self.initial_price,), "positive and finite", _positive_finite),
+        ):
+            bad = [v for v in values if not ok(v)]
+            if bad:
+                raise ValidationError(f"{key} must be {rule}, got {bad[0]!r}")
         if self.beta_tickers is not None:
             object.__setattr__(self, "beta_tickers", tuple(self.beta_tickers))
             unknown = set(self.beta_tickers) - set(self.tickers)
@@ -111,6 +120,10 @@ class SyntheticSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
         return SyntheticSpec.from_dict(raw)
+
+
+def _positive_finite(value: float) -> bool:
+    return 0.0 < value < math.inf
 
 
 # The JSON forms each spec key takes: a type (a float also takes an int), [a
@@ -166,15 +179,23 @@ def synth_panel(spec: SyntheticSpec, seed: int | None = None) -> tuple[MarketPan
     n_d = spec.days
     dates = _business_days(spec.start_date, n_d)
 
-    # sparse signals: one panel cell at a time, integer level means
+    # sparse signals: one panel cell at a time, integer level means. A level is
+    # 1 + the number of its axis's first four CDF thresholds that u passes, so
+    # a last threshold a round-off below 1.0 cannot make a level 6. Each
+    # threshold is repeated along the tickers: a comparison then runs over
+    # whole (tickers, 4) rows of u instead of broadcasting over its last axis.
     present = rng.random((n_d, n_t)) < np.asarray(spec.coverage)[None, :]
     probs = np.stack([DEFAULT_SCORE_DISTRIBUTIONS[a] for a in AXES])  # (4, 5)
     cdf = np.cumsum(probs, axis=1)
     u = rng.random((n_d, n_t, 4))
-    levels = 1 + (u[..., None] >= cdf[None, None, :, :]).sum(axis=-1)
-    levels = np.minimum(levels, 5)  # cumsum round-off guard
-    values = np.where(present[:, :, None], levels.astype(float), NEUTRAL)
+    values = np.ones_like(u)
+    for thresholds in np.repeat(cdf.T[:4, None, :], n_t, axis=1):  # (4, n_t, 4)
+        values += u >= thresholds
+    values[~present] = NEUTRAL
     sig = SignalPanel(dates=dates, tickers=spec.tickers, values=values, non_neutral=present)
+    # the panel holds its own copy; freeing the draws before the prices are
+    # built lowers the peak RSS of a semlab synth run
+    del u, values
 
     beta = np.asarray(spec.beta)
     beta_mask = np.ones(n_t, dtype=bool)
@@ -183,7 +204,9 @@ def synth_panel(spec: SyntheticSpec, seed: int | None = None) -> tuple[MarketPan
 
     drift = np.asarray(spec.drift)
     vol = np.asarray(spec.volatility)
-    log_rets = drift[None, :] + vol[None, :] * rng.standard_normal((n_d - 1, n_t))
+    log_rets = rng.standard_normal((n_d - 1, n_t))
+    log_rets *= vol
+    log_rets += drift
     # planted effect: deviations on day d feed days d+1 .. d+horizon
     effect = (sig.deviations @ beta) * present * beta_mask[None, :]  # (n_d, n_t)
     per_day = effect / spec.horizon
@@ -193,19 +216,27 @@ def synth_panel(spec: SyntheticSpec, seed: int | None = None) -> tuple[MarketPan
             break
         log_rets[lag - 1 :, :] += per_day[:src_hi, :]
 
-    log_prices = np.concatenate(
-        [np.zeros((1, n_t)), np.cumsum(log_rets, axis=0)], axis=0
-    )
-    close = spec.initial_price * np.exp(log_prices)
+    close = np.zeros((n_d, n_t))  # log prices, then prices in place
+    np.cumsum(log_rets, axis=0, out=close[1:])
+    np.exp(close, out=close)
+    close *= spec.initial_price
 
-    # synthetic intraday range keeps high >= close >= low for the indicators
-    spread = np.abs(rng.standard_normal((n_d, n_t, 2))) * 0.3 * vol[None, :, None]
-    high = close * (1.0 + spread[:, :, 0])
-    low = close / (1.0 + spread[:, :, 1])
+    # synthetic intraday range keeps high >= close >= low for the indicators;
+    # 1 + |z| * 0.3 * vol is built in place, rounded in that order
+    spread = rng.standard_normal((n_d, n_t, 2))
+    np.abs(spread, out=spread)
+    spread *= 0.3
+    spread *= vol[None, :, None]
+    spread += 1.0
+    high = close * spread[:, :, 0]
+    low = close / spread[:, :, 1]
     open_ = np.concatenate([close[:1], close[:-1]], axis=0)
-    high = np.maximum(high, np.maximum(open_, close))
-    low = np.minimum(low, np.minimum(open_, close))
-    volume = np.exp(rng.normal(12.0, 0.5, size=(n_d, n_t)))
+    for price in (open_, close):
+        np.maximum(high, price, out=high)
+        np.minimum(low, price, out=low)
+    del spread
+    volume = rng.normal(12.0, 0.5, size=(n_d, n_t))
+    np.exp(volume, out=volume)
 
     mkt = MarketPanel(
         dates=dates, tickers=spec.tickers, close=close,

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from semlab import (
     BacktestConfig,
     CompositeScore,
+    MarketPanel,
     backtest_topk,
     baseline,
     cost_sweep,
@@ -24,6 +25,7 @@ from semlab.errors import RangeError, ValidationError
 from semlab.metrics import metrics
 from semlab.signals import coverage_stats
 
+import scalar_ledger
 from conftest import make_panel
 
 
@@ -154,6 +156,23 @@ class TestLedger:
         with pytest.raises(ValidationError, match="sum"):
             run_weight_schedule(panel, bad, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_named_by_date_and_ticker(self, value):
+        # NaN fails both the long-only and the sum check, and would turn the
+        # wealth NaN from the day after its trade on
+        panel = make_panel(np.full((6, 3), 5.0), tickers=("A", "B", "C"))
+        targets = np.full((6, 3), 0.25)
+        targets[2, 1] = value
+        targets[4, 0] = value
+        with pytest.raises(ValidationError,
+                           match=rf"non-finite target weight at \({panel.dates[2]}, B\)"):
+            run_weight_schedule(panel, targets, 0.001)
+
+    def test_panel_without_dates_rejected(self):
+        panel = MarketPanel(dates=(), tickers=("A", "B"), close=np.empty((0, 2)))
+        with pytest.raises(ValidationError, match="no dates"):
+            run_weight_schedule(panel, np.empty((0, 2)), 0.0)
+
     def test_export_round_trips_values(self, tmp_path):
         panel = make_panel(np.array([[100.0, 100.0], [110.0, 90.0], [105.0, 99.0]]))
         scores = make_scores(panel, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
@@ -211,8 +230,8 @@ def weight_schedules(draw, n_d, n_t):
 
 
 @st.composite
-def ledger_cases(draw):
-    close = draw(price_paths())
+def ledger_cases(draw, max_tickers=4):
+    close = draw(price_paths(max_tickers=max_tickers))
     targets = draw(weight_schedules(*close.shape))
     cost_rate = draw(st.floats(0.0, 0.01))
     return close, targets, cost_rate
@@ -239,6 +258,19 @@ class TestLedgerProperties:
             assert curve.cost_paid[d + 1] == pytest.approx(cost, rel=1e-12, abs=1e-15)
             marked = cash + (shares * close[d + 1]).sum()
             assert curve.wealth[d + 1] == pytest.approx(marked, rel=1e-12)
+
+    # 12 tickers: a row of 8 or more is summed pairwise, so a mark summed in
+    # another order than one day's positions would differ in the last bits
+    @given(ledger_cases(max_tickers=12), st.sampled_from("CF"))
+    def test_ledger_matches_the_scalar_oracle_bit_for_bit(self, case, order):
+        close, targets, cost_rate = case
+        # a restricted panel holds its closes in Fortran order
+        panel = make_panel(np.asarray(close, order=order))
+        curve = run_weight_schedule(panel, targets, cost_rate)
+        wealth, cost_paid, daily_returns = scalar_ledger.ledger(close, targets, cost_rate)
+        assert np.array_equal(curve.wealth, wealth)
+        assert np.array_equal(curve.cost_paid, cost_paid)
+        assert np.array_equal(curve.daily_returns, daily_returns)
 
     @given(ledger_cases(), st.lists(st.floats(0.0, 0.01), min_size=2, max_size=4))
     def test_final_wealth_does_not_rise_with_cost(self, case, cost_rates):

@@ -3,12 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semlab import ExperimentConfig, SyntheticSpec, synth_panel
 from semlab.cli import main as cli_main
 from semlab.errors import ConfigError, ValidationError
 from semlab.panels import forward_returns
 from semlab.stats import spearman_ic
+
+import scalar_synth
 
 
 def _ols_with_se(X, y):
@@ -172,3 +175,66 @@ def test_every_spec_form_in_use_still_loads():
     assert spec.tickers == ("AA", "BB") and spec.beta_tickers == ("BB",)
     assert spec.volatility == (0.01, 2.0) and spec.coverage == (1.0, 1.0)
     assert SyntheticSpec.from_dict({"days": 10}).tickers == tuple(f"SYN{i:02d}" for i in range(10))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"drift": float("nan")}, "drift must be finite, got nan"),
+    ({"drift": [0.0, 0.1, float("-inf")]}, "drift must be finite, got -inf"),
+    ({"volatility": float("nan")}, "volatility must be positive and finite, got nan"),
+    ({"volatility": [0.01, float("inf"), 0.01]}, "volatility must be positive and finite, got inf"),
+    ({"volatility": 0.0}, "volatility must be positive and finite, got 0.0"),
+    ({"initial_price": float("nan")}, "initial_price must be positive and finite, got nan"),
+    ({"initial_price": float("inf")}, "initial_price must be positive and finite, got inf"),
+    ({"initial_price": 0}, "initial_price must be positive and finite, got 0"),
+    ({"initial_price": -5.0}, "initial_price must be positive and finite, got -5.0"),
+    ({"beta": (0.0, float("nan"), 0.0, 0.0)}, "beta must be finite, got nan"),
+])
+def test_non_finite_or_non_positive_spec_value_names_its_key(kwargs, message):
+    # each once failed only later, as a non-finite or non-positive close
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        SyntheticSpec(tickers=3, days=50, **kwargs)
+
+
+def test_nan_literal_in_a_spec_file_names_its_key(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"tickers": 3, "days": 50, "drift": NaN}')
+    with pytest.raises(ValidationError, match="drift must be finite, got nan"):
+        SyntheticSpec.from_file(str(path))
+
+
+@st.composite
+def synthetic_specs(draw):
+    """Specs over the generator's edges: one ticker, two days, a horizon past
+    the last day, coverage 0 and 1, zero drift and planted subsets."""
+    n_t = draw(st.integers(1, 12))
+    tickers = tuple(f"T{j}" for j in range(n_t))
+
+    def scalar_or_per_ticker(values):
+        one = st.sampled_from(values) | st.floats(min(values), max(values))
+        return draw(one | st.lists(one, min_size=n_t, max_size=n_t))
+
+    subset = st.lists(st.sampled_from(tickers), unique=True).map(tuple)
+    return SyntheticSpec(
+        tickers=tickers,
+        days=draw(st.integers(2, 60)),
+        coverage=scalar_or_per_ticker((0.0, 1.0)),
+        volatility=scalar_or_per_ticker((0.001, 1.0)),
+        drift=scalar_or_per_ticker((-1.0, 0.0, 1.0)),
+        beta=tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))),
+        beta_tickers=draw(st.none() | subset),
+        horizon=draw(st.integers(1, 9)),
+        seed=draw(st.integers(0, 2**63)),
+    )
+
+
+@given(synthetic_specs())
+def test_generator_matches_the_scalar_oracle_bit_for_bit(spec):
+    market, signals, truth = synth_panel(spec)
+    want_market, want_signals, want_truth = scalar_synth.synth_panel(spec)
+    assert truth == want_truth
+    assert market.content_hash() == want_market.content_hash()
+    assert signals.content_hash() == want_signals.content_hash()
+    for name in ("open", "high", "low", "close", "volume"):
+        assert np.array_equal(getattr(market, name), getattr(want_market, name)), name
+    assert np.array_equal(signals.values, want_signals.values)
+    assert np.array_equal(signals.non_neutral, want_signals.non_neutral)
