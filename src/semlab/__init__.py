@@ -22,7 +22,6 @@ from .signals import (
     aggregate_signals,
     coverage_stats,
     mask_axes,
-    mock_score,
     pca_effective_dim,
 )
 from .synth import PlantedTruth, SyntheticSpec, synth_panel

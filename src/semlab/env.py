@@ -22,7 +22,7 @@ from ._grid import frozen, write_csv, write_json
 from .backtest import EquityCurve
 from .errors import PolicyFaultError, RangeError, ValidationError
 from .panels import FeaturePanel, MarketPanel, TurbulenceSeries
-from .signals import AXES, NEUTRAL, SignalPanel, _mask_axis_set
+from .signals import AXES, NEUTRAL, SignalPanel
 
 
 @dataclass(frozen=True)
@@ -380,19 +380,13 @@ def run_policy(
     env: TradingEnv,
     policy: Policy,
     start_date: str | None = None,
-    mask: set[str] | str | None = None,
     seed: int | None = None,
 ) -> tuple[EquityCurve, np.ndarray, list[dict]]:
     """Roll a policy through a full episode.
 
-    ``mask`` (axis names or "ALL") pins the signal slice of every observation
-    to neutral before the policy sees it — the panel itself is untouched.
     Returns the normalised equity curve, the reward trace, and per-step info
     dicts (with date/wealth/peak attached, ready for the episode log).
     """
-    masked = frozenset() if mask is None else _mask_axis_set(mask)
-    mask_slices = [env.layout.signal_slice(a) for a in sorted(masked)]
-
     policy.reset(seed)
     state = env.reset(start_date)
     w0 = env.config.initial_cash
@@ -406,8 +400,6 @@ def run_policy(
     step_idx = 0
     while True:
         obs = env.observation(state)
-        for sl in mask_slices:
-            obs[sl] = NEUTRAL
         action = np.asarray(policy(obs), dtype=float)
         if action.shape != (env.n_tickers,) or not np.all(np.isfinite(action)):
             raise PolicyFaultError(f"policy emitted bad action at step {step_idx}")

@@ -75,6 +75,7 @@ from .signals import (
     aggregate_signals,
     coverage_stats,
     load_article_scores,
+    mask_axes,
 )
 from .stats import (
     lag1_autocorr,
@@ -628,14 +629,17 @@ def _run_env_eval(s: _Study) -> None:
         mask_label = "none" if mask is None else (
             mask if isinstance(mask, str) else "+".join(sorted(mask))
         )
+        # a masked run sees the masked axes at their neutral default on every day
+        mask_env = env if mask is None else TradingEnv(
+            ws.panel, features, mask_axes(ws.signals, mask), turb, env.config)
         for s in range(p["n_seeds"]):
             seed = cfg.seed + s
             policy = make_policy(seed)
             # a deterministic policy plays the same episode under every seed,
             # so later seeds repeat the first seed's figures
             if s == 0 or not policy.deterministic:
-                curve, rewards, infos = run_policy(env, policy, start_date=p["start_date"],
-                                                   mask=mask, seed=seed)
+                curve, rewards, infos = run_policy(mask_env, policy, start_date=p["start_date"],
+                                                   seed=seed)
                 cr = float(np.prod(1.0 + curve.daily_returns[1:]) - 1.0)
                 try:
                     sh = sharpe_ratio(curve.daily_returns[1:])

@@ -12,7 +12,6 @@ still covered.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -25,9 +24,9 @@ from .errors import ParseError, RankError, ValidationError
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
 NEUTRAL = 3.0
 
-# Default per-axis score distributions for the mock scorer, over {1..5}.
-# Chosen so the axis means land on 3.35 / 2.47 / 3.51 / 2.74 with the
-# right-skewed risk/volatility shape typical of financial headlines.
+# Per-axis distributions of synthetic article scores over {1..5}, the levels
+# ``synth_panel`` draws. Chosen so the axis means are 3.35 / 2.47 / 3.51 / 2.74
+# with the right-skewed risk/volatility shape typical of financial headlines.
 DEFAULT_SCORE_DISTRIBUTIONS: dict[str, tuple[float, ...]] = {
     "sentiment": (0.05, 0.15, 0.35, 0.30, 0.15),
     "risk": (0.20, 0.35, 0.28, 0.12, 0.05),
@@ -144,15 +143,6 @@ class SignalPanel(Grid):
         h.update(",".join(sorted(self.masked_axes)).encode())
         return h.hexdigest()
 
-    def equals(self, other: "SignalPanel") -> bool:
-        return (
-            self.dates == other.dates
-            and self.tickers == other.tickers
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.non_neutral, other.non_neutral)
-            and self.masked_axes == other.masked_axes
-        )
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -183,45 +173,6 @@ class AggregationReport:
     @property
     def total(self) -> int:
         return len(self.unmatched_tickers) + len(self.out_of_calendar)
-
-
-# ---------------------------------------------------------------------------
-# Mock scorer
-# ---------------------------------------------------------------------------
-
-def mock_score(
-    text: str,
-    ticker: str,
-    seed: int,
-    distributions: dict[str, tuple[float, ...]] | None = None,
-) -> tuple[int, int, int, int]:
-    """Deterministic hash-based stand-in for a hosted scoring model: the four
-    integer scores of one article, in AXES order.
-
-    The (text, ticker, seed) triple is hashed into one uniform draw per axis
-    and pushed through the axis distribution's inverse CDF, so the same
-    inputs always produce the same integer scores and the sample shape tracks
-    the configured distributions. Never fails, even on empty text.
-    """
-    dists = DEFAULT_SCORE_DISTRIBUTIONS if distributions is None else distributions
-    scores = []
-    for axis in AXES:
-        probs = dists[axis]
-        if len(probs) != 5 or abs(sum(probs) - 1.0) > 1e-9 or min(probs) < 0:
-            raise ValidationError(f"bad score distribution for {axis}")
-        digest = hashlib.blake2b(
-            f"{seed}|{axis}|{ticker}|{text}".encode(), digest_size=8
-        ).digest()
-        u = int.from_bytes(digest, "big") / 2**64
-        cum = 0.0
-        value = 5
-        for level, p in enumerate(probs, start=1):
-            cum += p
-            if u < cum:
-                value = level
-                break
-        scores.append(value)
-    return tuple(scores)
 
 
 # ---------------------------------------------------------------------------

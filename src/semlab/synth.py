@@ -171,8 +171,8 @@ def synth_panel(spec: SyntheticSpec, seed: int | None = None) -> tuple[MarketPan
     Daily log returns are drift + vol * z plus, for each non-neutral signal
     on day d, beta . deviation / horizon added over days d+1 .. d+horizon, so
     the horizon-day forward return regresses on the deviation with the
-    planted coefficients. Score levels come from the same distributions the
-    mock scorer uses.
+    planted coefficients. Score levels are drawn from
+    ``DEFAULT_SCORE_DISTRIBUTIONS``.
     """
     rng = np.random.default_rng(spec.seed if seed is None else seed)
     n_t = len(spec.tickers)

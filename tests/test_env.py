@@ -4,11 +4,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semlab import (
+    AXES,
+    NEUTRAL,
     EnvConfig,
     SyntheticSpec,
     TradingEnv,
     builtin_policies,
     drawdown_penalty,
+    mask_axes,
     run_policy,
     step_reward,
     synth_panel,
@@ -46,8 +49,12 @@ def long_window_setup(env_setup):
     return panel, features, signals, compute_turbulence(panel, window=80)
 
 
-def build_env(env_setup, **cfg_kwargs):
+def build_env(env_setup, mask=None, **cfg_kwargs):
+    """The environment on the fixture's data, its signal panel masked by
+    ``mask`` (axis names or "ALL"; None leaves it unmasked)."""
     panel, features, signals, turb = env_setup
+    if mask is not None:
+        signals = mask_axes(signals, mask)
     return TradingEnv(panel, features, signals, turb, EnvConfig(**cfg_kwargs))
 
 
@@ -324,16 +331,16 @@ class TestPolicies:
         assert not np.array_equal(c1.wealth, c3.wealth)
 
     def test_threshold_policy_under_full_mask_is_hold(self, env_setup):
-        env = build_env(env_setup)
+        env = build_env(env_setup, mask="ALL")
         pol = SignalThresholdPolicy(env.layout, axis="sentiment", level=3.0)
-        masked, _, _ = run_policy(env, pol, mask="ALL")
+        masked, _, _ = run_policy(env, pol)
         assert np.all(masked.wealth == 1.0)
 
     def test_mask_irrelevant_for_signal_blind_policy(self, env_setup):
         env = build_env(env_setup)
         pol = UniformRandomPolicy(env.n_tickers)
         full, rf, _ = run_policy(env, pol, seed=11)
-        masked, rm, _ = run_policy(env, pol, mask="ALL", seed=11)
+        masked, rm, _ = run_policy(build_env(env_setup, mask="ALL"), pol, seed=11)
         np.testing.assert_array_equal(full.wealth, masked.wealth)
         np.testing.assert_array_equal(rf, rm)
 
@@ -346,10 +353,10 @@ class TestPolicies:
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True))
     def test_deterministic_policy_ignores_the_seed(self, env_setup, make, mask, seeds):
         """What lets env_eval roll a deterministic policy out once per mask."""
-        env = build_env(env_setup)
+        env = build_env(env_setup, mask=mask)
         policy = make(env)
         assert policy.deterministic
-        (c1, r1, i1), (c2, r2, i2) = (run_policy(env, policy, mask=mask, seed=s) for s in seeds)
+        (c1, r1, i1), (c2, r2, i2) = (run_policy(env, policy, seed=s) for s in seeds)
         np.testing.assert_array_equal(c1.wealth, c2.wealth)
         np.testing.assert_array_equal(c1.daily_returns, c2.daily_returns)
         np.testing.assert_array_equal(r1, r2)
@@ -376,11 +383,42 @@ class TestPolicies:
         with pytest.raises(PolicyFaultError, match="step 0"):
             run_policy(env, Broken(env.n_tickers))
 
-    def test_unknown_mask_axis(self, env_setup):
-        env = build_env(env_setup)
-        with pytest.raises(ValidationError, match="unknown"):
-            run_policy(env, HoldPolicy(env.n_tickers), mask={"sent"})
 
+
+class ObservationRecorder(UniformRandomPolicy):
+    """``uniform_random`` that keeps a copy of every observation it is shown."""
+
+    def reset(self, seed=None):
+        super().reset(seed)
+        self.seen = []
+
+    def __call__(self, obs):
+        self.seen.append(obs.copy())
+        return super().__call__(obs)
+
+
+class TestMaskedPanel:
+    @pytest.mark.parametrize("mask", [None, "ALL", {"sentiment"}, {"risk", "volatility_forecast"}],
+                             ids=["none", "ALL", "sentiment", "risk+volatility_forecast"])
+    def test_observations_are_the_unmasked_ones_with_neutral_slices(self, env_setup, mask):
+        """Oracle: the rule of pinning each masked axis's observation slice to
+        NEUTRAL, applied to the unmasked environment's observations."""
+        full, masked = build_env(env_setup), build_env(env_setup, mask=mask)
+        seen_full, seen_masked = (ObservationRecorder(full.n_tickers) for _ in range(2))
+        curve_full, rewards_full, _ = run_policy(full, seen_full, seed=21)
+        curve_masked, rewards_masked, _ = run_policy(masked, seen_masked, seed=21)
+        axes = () if mask is None else AXES if mask == "ALL" else sorted(mask)
+        assert len(seen_masked.seen) == len(seen_full.seen)
+        pinned_any = False
+        for want, got in zip(seen_full.seen, seen_masked.seen):
+            for axis in axes:
+                sl = full.layout.signal_slice(axis)
+                pinned_any |= bool(np.any(want[sl] != NEUTRAL))
+                want[sl] = NEUTRAL
+            assert got.tobytes() == want.tobytes()
+        assert pinned_any == bool(axes)  # each mask hides some non-neutral signal
+        np.testing.assert_array_equal(curve_masked.wealth, curve_full.wealth)
+        np.testing.assert_array_equal(rewards_masked, rewards_full)
 
 class TestEpisodeLog:
     def test_log_columns(self, env_setup, tmp_path):
