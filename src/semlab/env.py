@@ -345,8 +345,9 @@ class UniformRandomPolicy(Policy):
 class SignalThresholdPolicy(Policy):
     """Buys names whose chosen signal axis is above the level, sells below.
 
-    Reads only the signal slice of the observation, so masking that slice is
-    the only way to change its behaviour.
+    Reads only the signal slice of the observation, so on an environment
+    built over a masked signal panel (``mask_axes``) it sees the masked axes
+    at the neutral default.
     """
 
     deterministic = True

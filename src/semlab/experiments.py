@@ -186,12 +186,23 @@ class ExperimentConfig:
                 _check_date("param 'start_date'", p["start_date"])
             check_names([p["policy"]], POLICIES, "policy {!r}")
             check_names([p["axis"]], AXES, "signal axis {!r}")
+            if p["n_seeds"] < 1:
+                raise ConfigError(f"param 'n_seeds' must be >= 1, got {p['n_seeds']}")
+            if not p["masks"]:
+                raise ConfigError("param 'masks' must hold at least one mask")
+            seen: set[frozenset[str]] = set()
             for mask in p["masks"]:
                 if isinstance(mask, (list, tuple)):
                     check_names(mask, AXES, "axis {!r} in param 'masks'")
                 elif mask not in (None, "ALL"):
                     raise ConfigError(
                         f"param 'masks' items must be null, \"ALL\" or a list of axes: {mask!r}")
+                # one rollout group per axis set: a repeat would count its rollouts twice
+                axes = frozenset(AXES if mask == "ALL" else mask or ())
+                if axes in seen:
+                    raise ConfigError(
+                        f"param 'masks' item {mask!r} masks the same axes as an earlier item")
+                seen.add(axes)
         object.__setattr__(self, "p", p)
 
     @staticmethod

@@ -286,19 +286,6 @@ def coverage_stats(panel: SignalPanel) -> CoverageReport:
     )
 
 
-def _mask_axis_set(axes: set[str] | frozenset[str] | str) -> frozenset[str]:
-    """The axes a mask names: a set of axis names, or the string "ALL"."""
-    if isinstance(axes, str):
-        if axes != "ALL":
-            raise ValidationError(f"unknown axis name {axes!r} (did you mean 'ALL'?)")
-        return frozenset(AXES)
-    axes = frozenset(axes)
-    unknown = axes - set(AXES)
-    if unknown:
-        raise ValidationError(f"unknown axis names: {sorted(unknown)}")
-    return axes
-
-
 def mask_axes(panel: SignalPanel, axes: set[str] | frozenset[str] | str) -> SignalPanel:
     """Return a copy with the selected coordinates pinned to 3.0 everywhere.
 
@@ -308,7 +295,11 @@ def mask_axes(panel: SignalPanel, axes: set[str] | frozenset[str] | str) -> Sign
     flags clear. Masking is a projection — repeating or splitting the same
     mask set gives an identical panel.
     """
-    masked = panel.masked_axes | _mask_axis_set(axes)
+    if isinstance(axes, str):
+        if axes != "ALL":
+            raise ValidationError(f"unknown axis name {axes!r} (did you mean 'ALL'?)")
+        axes = AXES
+    masked = panel.masked_axes | frozenset(axes)
     values = np.array(panel.values, copy=True)
     for a, axis in enumerate(AXES):
         if axis in masked:

@@ -10,7 +10,7 @@ from semlab.cli import main as cli_main
 from semlab.errors import AlignmentError, ConfigError, ParseError, ValidationError
 from semlab.env import HoldPolicy, SignalThresholdPolicy, run_policy
 from semlab.experiments import _KINDS, KINDS, _load_dense_block
-from semlab.signals import load_article_scores
+from semlab.signals import AXES, load_article_scores
 
 from conftest import business_days
 
@@ -210,6 +210,14 @@ class TestDeclaredParams:
         ({"masks": [None, "sentiment"]}, r"a list of axes: 'sentiment'$"),
         ({"masks": [["risk", "sentimnt"]]},
          r"unknown axis 'sentimnt' in param 'masks' \(did you mean 'sentiment'\?\)"),
+        ({"masks": []}, r"param 'masks' must hold at least one mask$"),
+        ({"masks": [None, None]}, r"param 'masks' item None masks the same axes as an earlier"),
+        ({"masks": [None, []]}, r"item \[\] masks the same axes as an earlier item$"),
+        ({"masks": [["risk", "sentiment"], ["sentiment", "risk"]]},
+         r"item \['sentiment', 'risk'\] masks the same axes as an earlier item$"),
+        ({"masks": ["ALL", list(AXES)]}, r"masks the same axes as an earlier item$"),
+        ({"n_seeds": 0}, r"param 'n_seeds' must be >= 1, got 0$"),
+        ({"n_seeds": -3}, r"param 'n_seeds' must be >= 1, got -3$"),
         ({"policy": "holdd"}, r"unknown policy 'holdd' \(did you mean 'hold'\?\)"),
         ({"axis": "rsk"}, r"unknown signal axis 'rsk' \(did you mean 'risk'\?\)"),
     ])

@@ -272,10 +272,14 @@ class TestMasking:
         mask_axes(panel, axes)
         np.testing.assert_array_equal(panel.values, before)
 
-    def test_unknown_axis_rejected(self):
+    @pytest.mark.parametrize("axes, match", [
+        ({"sentimentt"}, r"unknown axis names: \['sentimentt'\]"),
+        ("all", r"unknown axis name 'all' \(did you mean 'ALL'\?\)"),
+    ])
+    def test_unknown_axis_rejected(self, axes, match):
         panel = make_signal_panel(np.full((2, 1, 4), NEUTRAL))
-        with pytest.raises(ValidationError, match="unknown axis"):
-            mask_axes(panel, {"sentimentt"})
+        with pytest.raises(ValidationError, match=match):
+            mask_axes(panel, axes)
 
 
 class TestDuplicateTickers:
