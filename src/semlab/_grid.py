@@ -35,8 +35,9 @@ from .errors import AlignmentError, LabError, ParseError, RangeError, Validation
 
 
 def frozen(arr, dtype=float) -> np.ndarray:
-    """A read-only copy of ``arr`` as ``dtype``."""
-    out = np.array(arr, dtype=dtype, copy=True)
+    """A read-only C-ordered copy of ``arr`` as ``dtype``, so a grid's row
+    reductions round alike however its arrays were cut."""
+    out = np.array(arr, dtype=dtype, copy=True, order="C")
     out.flags.writeable = False
     return out
 
@@ -161,7 +162,7 @@ class Grid:
         for name in (*self.ARRAYS, *self.SERIES):
             arr = getattr(self, name)
             if arr is not None:
-                h.update(np.ascontiguousarray(arr))
+                h.update(arr)
         return h
 
     def content_hash(self) -> str:

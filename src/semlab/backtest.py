@@ -122,9 +122,9 @@ def run_weight_schedule(panel: MarketPanel, targets: np.ndarray, cost_rate: floa
     trades[-1] = False
 
     # between two trades the book only drifts, so a run of days is marked at
-    # once: a row sum of C-ordered closes is bit-equal to the sum of that
-    # day's positions (a restricted panel holds its closes F-ordered)
-    close = np.ascontiguousarray(panel.close)
+    # once: a row sum of the (C-ordered) closes is bit-equal to the sum of
+    # that day's positions
+    close = panel.close
     cash = 1.0
     shares = np.zeros(n_t)
     wealth = np.empty(n_d)

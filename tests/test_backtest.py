@@ -264,7 +264,7 @@ class TestLedgerProperties:
     @given(ledger_cases(max_tickers=12), st.sampled_from("CF"))
     def test_ledger_matches_the_scalar_oracle_bit_for_bit(self, case, order):
         close, targets, cost_rate = case
-        # a restricted panel holds its closes in Fortran order
+        # the panel holds a Fortran-ordered input's closes in C order
         panel = make_panel(np.asarray(close, order=order))
         curve = run_weight_schedule(panel, targets, cost_rate)
         wealth, cost_paid, daily_returns = scalar_ledger.ledger(close, targets, cost_rate)

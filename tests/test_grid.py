@@ -4,6 +4,7 @@ slicing commuting with ticker restriction, calendar and ticker checks, and
 the content hash."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,21 @@ def test_slice_dates_and_restrict_commute(dates, keep, start, end, seed):
                     np.testing.assert_array_equal(getattr(sub, name),
                                                   getattr(panel, name)[rows][:, cols])
 
+
+
+@given(calendars.filter(len), universes, st.integers(0, 2**16))
+def test_restricted_grid_is_the_grid_built_from_those_columns(dates, keep, seed):
+    """The same bytes and strides as a grid built from the kept columns (as a
+    file of those tickers would load), so row reductions round alike."""
+    cols = [TICKERS.index(t) for t in keep]
+    for panel in _panels(dates, seed):
+        names = [n for n in ARRAYS if getattr(panel, n, None) is not None]
+        built = replace(panel, tickers=tuple(keep), **{
+            n: np.ascontiguousarray(getattr(panel, n)[:, cols]) for n in names})
+        restricted = panel.restrict(keep)
+        for n in names:
+            got, want = getattr(restricted, n), getattr(built, n)
+            assert (got.strides, got.tobytes()) == (want.strides, want.tobytes()), n
 
 @pytest.mark.parametrize("build", [
     lambda d: MarketPanel(dates=d, tickers=("AA",), close=np.ones((2, 1))),
