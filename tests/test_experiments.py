@@ -210,6 +210,8 @@ class TestDeclaredParams:
         ({"masks": [None, "sentiment"]}, r"a list of axes: 'sentiment'$"),
         ({"masks": [["risk", "sentimnt"]]},
          r"unknown axis 'sentimnt' in param 'masks' \(did you mean 'sentiment'\?\)"),
+        ({"policy": "holdd"}, r"unknown policy 'holdd' \(did you mean 'hold'\?\)"),
+        ({"axis": "rsk"}, r"unknown signal axis 'rsk' \(did you mean 'risk'\?\)"),
         ({"masks": []}, r"param 'masks' must hold at least one mask$"),
         ({"masks": [None, None]}, r"param 'masks' item None masks the same axes as an earlier"),
         ({"masks": [None, []]}, r"item \[\] masks the same axes as an earlier item$"),
@@ -218,8 +220,6 @@ class TestDeclaredParams:
         ({"masks": ["ALL", list(AXES)]}, r"masks the same axes as an earlier item$"),
         ({"n_seeds": 0}, r"param 'n_seeds' must be >= 1, got 0$"),
         ({"n_seeds": -3}, r"param 'n_seeds' must be >= 1, got -3$"),
-        ({"policy": "holdd"}, r"unknown policy 'holdd' \(did you mean 'hold'\?\)"),
-        ({"axis": "rsk"}, r"unknown signal axis 'rsk' \(did you mean 'risk'\?\)"),
     ])
     def test_env_eval_values_checked_before_data_is_read(self, tmp_path, capsys, params, match):
         raw = config_dict("env_eval", tmp_path / "out", params=params)

@@ -272,14 +272,16 @@ class TestMasking:
         mask_axes(panel, axes)
         np.testing.assert_array_equal(panel.values, before)
 
-    @pytest.mark.parametrize("axes, match", [
-        ({"sentimentt"}, r"unknown axis names: \['sentimentt'\]"),
-        ("all", r"unknown axis name 'all' \(did you mean 'ALL'\?\)"),
-    ])
-    def test_unknown_axis_rejected(self, axes, match):
+    def test_unknown_axis_rejected(self):
         panel = make_signal_panel(np.full((2, 1, 4), NEUTRAL))
-        with pytest.raises(ValidationError, match=match):
-            mask_axes(panel, axes)
+        with pytest.raises(ValidationError, match="unknown axis"):
+            mask_axes(panel, {"sentimentt"})
+
+    def test_a_string_other_than_all_rejected(self):
+        panel = make_signal_panel(np.full((2, 1, 4), NEUTRAL))
+        with pytest.raises(ValidationError,
+                           match=r"unknown axis name 'all' \(did you mean 'ALL'\?\)"):
+            mask_axes(panel, "all")
 
 
 class TestDuplicateTickers:
