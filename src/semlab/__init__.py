@@ -44,8 +44,6 @@ from .backtest import (
     EquityCurve,
     backtest_topk,
     baseline,
-    cost_sweep,
-    stratified_backtest,
     subperiod_report,
 )
 from .env import (

@@ -1,4 +1,4 @@
-"""Daily top-k long-only backtests, baselines, sweeps, and breakdowns.
+"""Daily top-k long-only backtests, baselines, and sub-period breakdowns.
 
 One ledger drives everything: a target-weight schedule is executed at each
 day's close, positions drift until the targets change, and per-leg costs are
@@ -18,9 +18,8 @@ import numpy as np
 from ._grid import Grid, date_span, write_csv
 from .errors import LabError, RangeError, ValidationError
 from .factors import CompositeScore, scw_weights
-from .metrics import metrics, sharpe_ratio
+from .metrics import sharpe_ratio
 from .panels import MarketPanel, simple_returns
-from .signals import CoverageReport
 
 logger = logging.getLogger(__name__)
 
@@ -29,7 +28,6 @@ logger = logging.getLogger(__name__)
 class BacktestConfig:
     k: int = 10
     cost_rate: float = 0.001
-    universe: tuple[str, ...] | None = None
     period: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
@@ -37,12 +35,6 @@ class BacktestConfig:
             raise ValidationError(f"basket size must be >= 1, got {self.k}")
         if self.cost_rate < 0:
             raise ValidationError(f"cost rate must be >= 0, got {self.cost_rate}")
-        if self.universe is not None:
-            object.__setattr__(self, "universe", tuple(self.universe))
-            if self.k > len(self.universe):
-                raise ValidationError(
-                    f"basket size {self.k} exceeds universe of {len(self.universe)}"
-                )
 
 
 @dataclass(frozen=True)
@@ -166,11 +158,7 @@ def backtest_topk(
     tickers than k shrink the basket (with a logged warning); days with no
     scored tickers hold the previous positions.
     """
-    sub_panel = panel
-    sub_scores = scores
-    if config.universe is not None:
-        sub_panel = sub_panel.restrict(config.universe)
-        sub_scores = sub_scores.restrict(config.universe)
+    sub_panel, sub_scores = panel, scores
     if config.period is not None:
         sub_panel = sub_panel.slice_dates(*config.period)
         sub_scores = sub_scores.slice_dates(*config.period)
@@ -237,17 +225,16 @@ def baseline(
     Momentum and equal-vol need enough panel history before the configured
     period to cover their lookbacks.
     """
-    sub = panel if config.universe is None else panel.restrict(config.universe)
-    period = config.period or (sub.dates[0], sub.dates[-1])
+    period = config.period or (panel.dates[0], panel.dates[-1])
 
     def first_in_period() -> int:
-        first = date_span(sub.dates, period[0], sub.dates[-1]).start
-        if first == sub.n_dates:
+        first = date_span(panel.dates, period[0], panel.dates[-1]).start
+        if first == panel.n_dates:
             raise RangeError(f"no panel dates at or after {period[0]}")
         return first
 
     if kind == "ew_buy_and_hold":
-        view = sub.slice_dates(*period)
+        view = panel.slice_dates(*period)
         targets = np.zeros((view.n_dates, view.n_tickers))
         targets[:] = 1.0 / view.n_tickers
         return run_weight_schedule(view, targets, 0.0)
@@ -257,24 +244,23 @@ def baseline(
             raise RangeError(
                 f"momentum lookback {lookback} needs {lookback} rows before {period[0]}"
             )
-        rel = np.full_like(sub.close, np.nan)
-        rel[lookback:] = sub.close[lookback:] / sub.close[:-lookback] - 1.0
-        scores = CompositeScore(dates=sub.dates, tickers=sub.tickers, values=rel)
-        cfg = BacktestConfig(k=config.k, cost_rate=config.cost_rate, period=period)
-        return backtest_topk(scores, sub, cfg)
+        rel = np.full_like(panel.close, np.nan)
+        rel[lookback:] = panel.close[lookback:] / panel.close[:-lookback] - 1.0
+        scores = CompositeScore(dates=panel.dates, tickers=panel.tickers, values=rel)
+        return backtest_topk(scores, panel, replace(config, period=period))
 
     if kind == "equal_vol":
         first = first_in_period()
-        rets = simple_returns(sub)
-        vol = np.full_like(sub.close, np.nan)
-        for d in range(vol_window + 1, sub.n_dates):
+        rets = simple_returns(panel)
+        vol = np.full_like(panel.close, np.nan)
+        for d in range(vol_window + 1, panel.n_dates):
             vol[d] = rets[d - vol_window : d].std(axis=0, ddof=1)
         if first < vol_window + 1:
             raise RangeError(
                 f"equal-vol window {vol_window} needs {vol_window + 1} rows before {period[0]}"
             )
-        view = sub.slice_dates(*period)
-        vol_view = vol[date_span(sub.dates, *period)]
+        view = panel.slice_dates(*period)
+        vol_view = vol[date_span(panel.dates, *period)]
         if np.any(vol_view <= 0):
             vol_view = np.where(vol_view <= 0, np.nan, vol_view)
         inv = 1.0 / vol_view
@@ -287,76 +273,8 @@ def baseline(
 
 
 # ---------------------------------------------------------------------------
-# Sweeps, strata, sub-periods
+# Sub-periods
 # ---------------------------------------------------------------------------
-
-def cost_sweep(
-    scores: CompositeScore,
-    panel: MarketPanel,
-    config: BacktestConfig,
-    costs: tuple[float, ...],
-    weighting: str | tuple[str, float] = "equal",
-) -> list[dict]:
-    """Re-run the same strategy across per-trade cost levels.
-
-    The buy-and-hold comparator is cost-free and therefore constant across
-    rows. Returns one dict per cost with the curve attached.
-    """
-    costs = tuple(costs)
-    if any(c < 0 for c in costs):
-        raise ValidationError("costs must be non-negative")
-    if list(costs) != sorted(costs):
-        raise ValidationError("costs must be sorted ascending")
-    bh = baseline(panel, "ew_buy_and_hold", config)
-    bh_report = metrics(bh)
-    rows = []
-    for c in costs:
-        curve = backtest_topk(scores, panel, replace(config, cost_rate=c), weighting)
-        rep = metrics(curve)
-        rows.append({
-            "cost": c,
-            "cr": rep.cr,
-            "sharpe": rep.sharpe,
-            "mdd": rep.mdd,
-            "benchmark_cr": bh_report.cr,
-            "benchmark_sharpe": bh_report.sharpe,
-            "curve": curve,
-        })
-    return rows
-
-
-def stratified_backtest(
-    scores: CompositeScore,
-    panel: MarketPanel,
-    coverage: CoverageReport,
-    config: BacktestConfig,
-    k_per_stratum: int = 5,
-) -> dict[str, dict]:
-    """Run the strategy inside each coverage tercile against the same-universe
-    buy-and-hold sleeve.
-
-    Scores come from the full-panel model; only the eligible universe is
-    restricted. Terciles smaller than the basket shrink it with a warning.
-    """
-    out: dict[str, dict] = {}
-    for label in ("Low", "Mid", "High"):
-        members = coverage.tercile_members(label)
-        if not members:
-            raise ValidationError(f"tercile {label} is empty")
-        k = min(k_per_stratum, len(members))
-        if k < k_per_stratum:
-            logger.warning(
-                "tercile %s has %d tickers < k=%d; basket shrinks",
-                label, len(members), k_per_stratum,
-            )
-        cfg = BacktestConfig(
-            k=k, cost_rate=config.cost_rate, universe=tuple(members), period=config.period
-        )
-        strat = backtest_topk(scores, panel, cfg)
-        bench = baseline(panel, "ew_buy_and_hold", cfg)
-        out[label] = {"tickers": tuple(members), "strategy": strat, "benchmark": bench}
-    return out
-
 
 def subperiod_report(
     curve: EquityCurve,
@@ -369,7 +287,7 @@ def subperiod_report(
     A period's compounded return covers the return observations whose dates
     fall inside it; the very first curve date carries no observation. Periods
     must lie inside the curve and must not overlap. The benchmark must share
-    the curve's calendar; it may hold another universe.
+    the curve's calendar; it may hold other tickers.
     """
     curve.check_aligned(benchmark, "benchmark", _dates_only=True)
     seen: list[tuple[str, str]] = []

@@ -27,8 +27,6 @@ from .backtest import (
     EquityCurve,
     baseline,
     backtest_topk,
-    cost_sweep,
-    stratified_backtest,
     subperiod_report,
     write_equity_curve,
 )
@@ -108,6 +106,11 @@ def _conform(where: str, value, default):
     return tuple(value) if isinstance(value, list) else value
 
 
+def _mask_set(mask) -> frozenset[str]:
+    """The axes an env_eval ``masks`` item pins: null none, "ALL" all four."""
+    return frozenset(AXES if mask == "ALL" else mask or ())
+
+
 def _check_date(where: str, date) -> None:
     """A ConfigError unless ``date`` is a YYYY-MM-DD string: calendars are
     searched by string order, which other shapes do not follow."""
@@ -173,6 +176,14 @@ class ExperimentConfig:
         check_names(self.params, declared, where)
         p = {name: _conform(where.format(name), self.params[name], default)
              if name in self.params else default for name, default in declared.items()}
+        costs = p.get("costs", ())
+        if any(c < 0 for c in costs) or list(costs) != sorted(costs):
+            raise ConfigError(f"{where.format('costs')} must be non-negative and ascending, "
+                              f"got {self.params['costs']!r}")
+        # the default () leaves _conform no item type to check against
+        if any(type(a) not in _ACCEPTS[float] for a in p.get("tilt_grid", ())):
+            raise ConfigError(f"{where.format('tilt_grid')} items must be numbers, "
+                              f"got {self.params['tilt_grid']!r}")
         for entry in p.get("periods", ()):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise ConfigError(
@@ -198,7 +209,7 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"param 'masks' items must be null, \"ALL\" or a list of axes: {mask!r}")
                 # one rollout group per axis set: a repeat would count its rollouts twice
-                axes = frozenset(AXES if mask == "ALL" else mask or ())
+                axes = _mask_set(mask)
                 if axes in seen:
                     raise ConfigError(
                         f"param 'masks' item {mask!r} masks the same axes as an earlier item")
@@ -557,31 +568,34 @@ def _run_baselines(s: _Study) -> None:
 
 
 def _run_cost_sweep(s: _Study) -> None:
-    rows = cost_sweep(s.scores(s.sfp_model()), s.ws.panel, s.bt, s.cfg.p["costs"])
+    scores, bench = s.scores(s.sfp_model()), metrics(s.benchmark)
+    rows = []
+    for cost in s.cfg.p["costs"]:
+        rep = metrics(backtest_topk(scores, s.ws.panel, replace(s.bt, cost_rate=cost)))
+        rows.append([_fmt(cost), _fmt(rep.cr * 100), _fmt(rep.sharpe), _fmt(rep.mdd * 100),
+                     _fmt(bench.cr * 100), _fmt(bench.sharpe)])
     s.out.write_rows(
         "sweep.csv",
-        ["cost", "cr_pct", "sharpe", "mdd_pct", "benchmark_cr_pct", "benchmark_sharpe"],
-        [
-            [_fmt(r["cost"]), _fmt(r["cr"] * 100), _fmt(r["sharpe"]),
-             _fmt(r["mdd"] * 100), _fmt(r["benchmark_cr"] * 100), _fmt(r["benchmark_sharpe"])]
-            for r in rows
-        ],
+        ["cost", "cr_pct", "sharpe", "mdd_pct", "benchmark_cr_pct", "benchmark_sharpe"], rows,
     )
 
 
 def _run_stratified(s: _Study) -> None:
+    # the full-panel scores, ranked within each tercile's tickers
     scores = s.scores(s.sfp_model())
     coverage = coverage_stats(s.test_signals)
-    strata = stratified_backtest(scores, s.ws.panel, coverage, s.bt, s.cfg.p["k_per_stratum"])
+    bt = replace(s.bt, k=s.cfg.p["k_per_stratum"])
     rows = []
     for label in ("Low", "Mid", "High"):
-        entry = strata[label]
-        for name, curve in (("strategy", entry["strategy"]), ("benchmark", entry["benchmark"])):
+        members = coverage.tercile_members(label)
+        if not members:
+            raise ValidationError(f"tercile {label} is empty")
+        panel = s.ws.panel.restrict(members)
+        for leg, curve in (("strategy", backtest_topk(scores.restrict(members), panel, bt)),
+                           ("benchmark", baseline(panel, "ew_buy_and_hold", bt))):
             rep = metrics(curve)
-            rows.append([
-                label, name, len(entry["tickers"]),
-                _fmt(rep.cr * 100), _fmt(rep.sharpe), _fmt(rep.mdd * 100),
-            ])
+            rows.append([label, leg, len(members),
+                         _fmt(rep.cr * 100), _fmt(rep.sharpe), _fmt(rep.mdd * 100)])
     s.out.write_rows(
         "stratified.csv",
         ["tercile", "leg", "n_tickers", "cr_pct", "sharpe", "mdd_pct"], rows,
@@ -637,12 +651,11 @@ def _run_env_eval(s: _Study) -> None:
     rows = []
     by_mask: dict[str, dict[str, list[float]]] = {}
     for mask in p["masks"]:
-        mask_label = "none" if mask is None else (
-            mask if isinstance(mask, str) else "+".join(sorted(mask))
-        )
+        axes = _mask_set(mask)
+        mask_label = "ALL" if mask == "ALL" else "+".join(sorted(axes)) or "none"
         # a masked run sees the masked axes at their neutral default on every day
-        mask_env = env if mask is None else TradingEnv(
-            ws.panel, features, mask_axes(ws.signals, mask), turb, env.config)
+        mask_env = TradingEnv(ws.panel, features, mask_axes(ws.signals, axes), turb,
+                              env.config) if axes else env
         for s in range(p["n_seeds"]):
             seed = cfg.seed + s
             policy = make_policy(seed)
@@ -671,7 +684,7 @@ def _run_env_eval(s: _Study) -> None:
         for metric in ("cr", "sharpe"):
             vals = [v for v in by_mask[label][metric] if np.isfinite(v)]
             if len(vals) >= 2:
-                mean, std, _ = seed_summary(vals)
+                mean, std = seed_summary(vals)
                 summary_rows.append([label, metric, len(vals), _fmt(mean), _fmt(std)])
     if len(labels) == 2:
         a = by_mask[labels[0]]["cr"]

@@ -293,17 +293,9 @@ def lag1_autocorr(
 # Seed-level comparison
 # ---------------------------------------------------------------------------
 
-def seed_summary(
-    values, comparator=None
-) -> tuple[float, float, TestResult | None]:
-    """Mean and sample std over seeds, plus an optional Mann-Whitney U test
-    against a second seed set."""
+def seed_summary(values) -> tuple[float, float]:
+    """Mean and sample std over seeds."""
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise ValidationError(f"need >= 2 seeds, got {v.size}")
-    mean = float(v.mean())
-    std = float(v.std(ddof=1))
-    test = None
-    if comparator is not None:
-        test = mann_whitney_u(v, np.asarray(comparator, dtype=float))
-    return mean, std, test
+    return float(v.mean()), float(v.std(ddof=1))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._grid import check_unique, is_date
 from .errors import ConfigError, ValidationError, check_names
 from .panels import MarketPanel
 from .signals import (
@@ -53,6 +54,7 @@ class SyntheticSpec:
                 self, "tickers", tuple(f"SYN{i:02d}" for i in range(self.tickers))
             )
         object.__setattr__(self, "tickers", tuple(self.tickers))
+        check_unique(self.tickers, "synthetic spec")
         n = len(self.tickers)
         if n < 1 or self.days < 2:
             raise ValidationError("need at least 1 ticker and 2 days")
@@ -93,9 +95,12 @@ class SyntheticSpec:
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
         try:
-            np.datetime64(self.start_date, "D")
-        except ValueError:
-            raise ValidationError(f"start_date {self.start_date!r} is not a date") from None
+            np.datetime64(self.start_date, "D")  # a day of the calendar, not 2015-13-45
+            well_formed = is_date(self.start_date)  # in the shape whose string order is the date's
+        except (TypeError, ValueError):
+            well_formed = False
+        if not well_formed:
+            raise ValidationError(f"start_date {self.start_date!r} is not a date")
 
     @staticmethod
     def from_dict(raw: dict) -> "SyntheticSpec":

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -13,6 +15,21 @@ settings.load_profile("semlab")
 def business_days(start: str, count: int) -> tuple[str, ...]:
     days = np.busday_offset(np.datetime64(start), np.arange(count), roll="forward")
     return tuple(str(d) for d in days)
+
+
+def study_config(kind: str, outdir, spec: dict, split: int, params: dict) -> dict:
+    """A raw ``kind`` config on the inline synthetic ``spec``: train on its
+    first ``split`` days, test on the rest."""
+    cal = business_days(spec.get("start_date", "2015-01-02"), spec["days"])
+    return {"kind": kind, "seed": 7, "output_dir": str(outdir), "data": {"synthetic": spec},
+            "ranges": {"train": [cal[0], cal[split - 1]], "test": [cal[split], cal[-1]]},
+            "params": params}
+
+
+def read_rows(path) -> list[dict]:
+    """The rows of a written CSV artifact, as dicts of strings."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def make_panel(close: np.ndarray, start: str = "2020-01-02", tickers=None) -> MarketPanel:

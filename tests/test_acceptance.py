@@ -35,7 +35,6 @@ from semlab import (
     run_policy,
     spearman_ic,
     step_reward,
-    stratified_backtest,
     synth_panel,
     wilcoxon_signed_rank,
 )
@@ -43,9 +42,9 @@ from semlab.env import SignalThresholdPolicy, UniformRandomPolicy
 from semlab.experiments import KINDS, run
 from semlab.metrics import annualized_return, calmar_ratio
 from semlab.panels import compute_indicators, compute_turbulence
-from semlab.signals import NEUTRAL, ArticleTable, coverage_stats
+from semlab.signals import NEUTRAL, ArticleTable
 
-from conftest import business_days, make_panel, make_signal_panel
+from conftest import business_days, make_panel, make_signal_panel, read_rows, study_config
 
 
 def report(num: int, text: str) -> None:
@@ -273,32 +272,24 @@ def test_criterion_7_planted_signal_study():
 
 # -- 8 ----------------------------------------------------------------------
 
-def test_criterion_8_stratified_composition_diagnostic():
-    tickers = tuple(f"S{i:02d}" for i in range(30))
+def test_criterion_8_stratified_composition_diagnostic(tmp_path):
+    tickers = [f"S{i:02d}" for i in range(30)]
     wins = {"Low": 0, "Mid": 0, "High": 0}
     for seed in range(20):
-        spec = SyntheticSpec(
-            tickers=tickers, days=1200,
-            coverage=[0.05] * 10 + [0.18] * 10 + [0.50] * 10,
-            beta=(0.008, 0, 0, 0), beta_tickers=tickers[20:],
-            drift=0.0003, volatility=0.02, seed=seed,
-        )
-        panel, signals, _ = synth_panel(spec)
-        fwd = forward_returns(panel, 5)
-        train = (panel.dates[0], panel.dates[599])
-        test = (panel.dates[600], panel.dates[-1])
-        model = fit_sfp(signals, fwd, train)
-        scores = composite(signals.slice_dates(*test), model)
-        cov = coverage_stats(signals.slice_dates(*test))
-        assert set(cov.tercile_members("High")) == set(tickers[20:])
-        strata = stratified_backtest(
-            scores, panel, cov, BacktestConfig(k=10, cost_rate=0.0, period=test),
-            k_per_stratum=5,
-        )
-        for label in wins:
-            s = metrics(strata[label]["strategy"]).cr
-            b = metrics(strata[label]["benchmark"]).cr
-            wins[label] += s > b
+        spec = {
+            "tickers": tickers, "days": 1200,
+            "coverage": [0.05] * 10 + [0.18] * 10 + [0.50] * 10,
+            "beta": [0.008, 0, 0, 0], "beta_tickers": tickers[20:],
+            "drift": 0.0003, "volatility": 0.02, "seed": seed,
+        }
+        out = tmp_path / str(seed)
+        run(ExperimentConfig.from_dict(study_config(
+            "stratified", out, spec, 600, {"cost_rate": 0.0, "k_per_stratum": 5})))
+        high = {r["ticker"] for r in read_rows(out / "coverage.csv") if r["tercile"] == "High"}
+        assert high == set(tickers[20:])
+        rows = read_rows(out / "stratified.csv")
+        for strategy, bench in zip(rows[::2], rows[1::2]):
+            wins[strategy["tercile"]] += float(strategy["cr_pct"]) > float(bench["cr_pct"])
     p_high = sps.binomtest(wins["High"], 20, alternative="greater").pvalue
     p_low = sps.binomtest(wins["Low"], 20, alternative="greater").pvalue
     p_mid = sps.binomtest(wins["Mid"], 20, alternative="greater").pvalue

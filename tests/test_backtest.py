@@ -11,19 +11,11 @@ from semlab import (
     MarketPanel,
     backtest_topk,
     baseline,
-    cost_sweep,
-    composite,
-    fit_sfp,
-    forward_returns,
-    stratified_backtest,
     subperiod_report,
-    synth_panel,
-    SyntheticSpec,
 )
 from semlab.backtest import run_weight_schedule, write_equity_curve
 from semlab.errors import RangeError, ValidationError
 from semlab.metrics import metrics
-from semlab.signals import coverage_stats
 
 import scalar_ledger
 from conftest import make_panel
@@ -115,22 +107,6 @@ class TestLedger:
         s2 = backtest_topk(make_scores(panel, shifted), panel,
                            BacktestConfig(k=2, cost_rate=0.001), ("scw", 0.7))
         np.testing.assert_allclose(s1.wealth, s2.wealth, atol=1e-12, rtol=0)
-
-    def test_universe_restriction_consistency(self):
-        rng = np.random.default_rng(4)
-        n_d, n_t = 30, 6
-        close = 40 * np.exp(np.cumsum(rng.normal(0, 0.01, (n_d, n_t)), axis=0))
-        panel = make_panel(close)
-        scores = make_scores(panel, rng.normal(size=(n_d, n_t)))
-        subset = (panel.tickers[1], panel.tickers[3], panel.tickers[4])
-        via_config = backtest_topk(
-            scores, panel, BacktestConfig(k=2, cost_rate=0.001, universe=subset)
-        )
-        via_restrict = backtest_topk(
-            scores.restrict(subset), panel.restrict(subset),
-            BacktestConfig(k=2, cost_rate=0.001),
-        )
-        np.testing.assert_array_equal(via_config.wealth, via_restrict.wealth)
 
     def test_basket_shrinks_with_warning(self, caplog):
         panel = make_panel(np.full((6, 3), 10.0))
@@ -320,89 +296,6 @@ class TestBaselines:
         panel = make_panel(np.full((5, 2), 10.0))
         with pytest.raises(ValidationError, match="unknown baseline"):
             baseline(panel, "carry", BacktestConfig())
-
-
-class TestCostSweep:
-    def _setup(self):
-        spec = SyntheticSpec(tickers=8, days=500, coverage=0.4,
-                             beta=(0.005, 0, 0, 0), seed=31)
-        panel, signals, _ = synth_panel(spec)
-        fwd = forward_returns(panel, 5)
-        model = fit_sfp(signals, fwd, (panel.dates[0], panel.dates[249]))
-        scores = composite(signals.slice_dates(panel.dates[250], panel.dates[-1]), model)
-        cfg = BacktestConfig(k=3, cost_rate=0.001,
-                             period=(panel.dates[250], panel.dates[-1]))
-        return scores, panel, cfg
-
-    def test_zero_cost_row_equals_base_backtest(self):
-        scores, panel, cfg = self._setup()
-        rows = cost_sweep(scores, panel, cfg, (0.0, 0.001))
-        base = backtest_topk(scores, panel,
-                             BacktestConfig(k=3, cost_rate=0.0, period=cfg.period))
-        assert rows[0]["cr"] == pytest.approx(metrics(base).cr, abs=1e-12)
-
-    def test_returns_non_increasing_in_cost(self):
-        scores, panel, cfg = self._setup()
-        rows = cost_sweep(scores, panel, cfg, (0.0, 0.0005, 0.001, 0.005, 0.02))
-        crs = [r["cr"] for r in rows]
-        assert all(a >= b for a, b in zip(crs, crs[1:]))
-        assert len({r["benchmark_cr"] for r in rows}) == 1  # comparator fixed
-
-    def test_requires_sorted_costs(self):
-        scores, panel, cfg = self._setup()
-        with pytest.raises(ValidationError, match="sorted"):
-            cost_sweep(scores, panel, cfg, (0.01, 0.001))
-
-
-class TestStratified:
-    def test_uniform_coverage_terciles_indistinguishable(self):
-        # with identical coverage and a universe-wide planted effect, no
-        # tercile should outperform its own benchmark more often than chance
-        from semlab.stats import mann_whitney_u
-
-        edges = {"Low": [], "Mid": [], "High": []}
-        for seed in range(10):
-            spec = SyntheticSpec(tickers=9, days=700, coverage=0.4,
-                                 beta=(0.004, 0, 0, 0), seed=seed)
-            panel, signals, _ = synth_panel(spec)
-            fwd = forward_returns(panel, 5)
-            train = (panel.dates[0], panel.dates[349])
-            test = (panel.dates[350], panel.dates[-1])
-            model = fit_sfp(signals, fwd, train)
-            scores = composite(signals.slice_dates(*test), model)
-            cov = coverage_stats(signals.slice_dates(*test))
-            strata = stratified_backtest(
-                scores, panel, cov, BacktestConfig(k=3, cost_rate=0.0, period=test),
-                k_per_stratum=2,
-            )
-            for label in edges:
-                s = metrics(strata[label]["strategy"]).cr
-                b = metrics(strata[label]["benchmark"]).cr
-                edges[label].append(s - b)
-        for a, b in (("Low", "Mid"), ("Mid", "High"), ("Low", "High")):
-            res = mann_whitney_u(edges[a], edges[b])
-            assert res.p_value > 0.01, f"{a} vs {b} spuriously different"
-
-    def test_pairs_strategy_and_benchmark_per_tercile(self):
-        spec = SyntheticSpec(
-            tickers=9, days=420, coverage=[0.05] * 3 + [0.2] * 3 + [0.5] * 3,
-            beta=(0.005, 0, 0, 0), seed=32,
-        )
-        panel, signals, _ = synth_panel(spec)
-        fwd = forward_returns(panel, 5)
-        model = fit_sfp(signals, fwd, (panel.dates[0], panel.dates[199]))
-        test = (panel.dates[200], panel.dates[-1])
-        scores = composite(signals.slice_dates(*test), model)
-        cov = coverage_stats(signals.slice_dates(*test))
-        strata = stratified_backtest(
-            scores, panel, cov, BacktestConfig(k=3, cost_rate=0.001, period=test),
-            k_per_stratum=2,
-        )
-        assert set(strata) == {"Low", "Mid", "High"}
-        for entry in strata.values():
-            assert len(entry["tickers"]) == 3
-            assert entry["strategy"].dates == entry["benchmark"].dates
-            assert np.all(entry["benchmark"].cost_paid == 0.0)
 
 
 class TestSubperiod:

@@ -5,14 +5,25 @@ import re
 import numpy as np
 import pytest
 
-from semlab import ExperimentConfig, SyntheticSpec, experiments, run, synth_panel, validate_inputs
+from semlab import (
+    BacktestConfig,
+    ExperimentConfig,
+    SyntheticSpec,
+    baseline,
+    experiments,
+    mann_whitney_u,
+    metrics,
+    run,
+    synth_panel,
+    validate_inputs,
+)
 from semlab.cli import main as cli_main
 from semlab.errors import AlignmentError, ConfigError, ParseError, ValidationError
 from semlab.env import HoldPolicy, SignalThresholdPolicy, run_policy
 from semlab.experiments import _KINDS, KINDS, _load_dense_block
 from semlab.signals import AXES, load_article_scores
 
-from conftest import business_days
+from conftest import business_days, read_rows, study_config
 
 
 CAL = business_days("2015-01-02", 420)
@@ -100,6 +111,10 @@ class TestDeclaredParams:
         ("cost_sweep", "costs", [0, "0.002"]),
         ("forecaster", "tilt", 1),
         ("env_eval", "start_date", 20150102),
+        ("cost_sweep", "costs", [0.002, 0.001]),
+        ("cost_sweep", "costs", [-0.001, 0.001]),
+        ("forecaster", "tilt_grid", ["a"]),
+        ("forecaster", "tilt_grid", [True]),
     ])
     def test_mistyped_value_exits_1(self, tmp_path, capsys, kind, key, value):
         raw = config_dict(kind, tmp_path / "out")
@@ -333,6 +348,76 @@ class TestRunKinds:
         assert leftovers == []
 
 
+class TestCostSweep:
+    """The cost_sweep kind re-runs the sfp-4axis portfolio at each cost level."""
+
+    COSTS = [0.0, 0.0005, 0.001, 0.005, 0.02]
+
+    @pytest.fixture(scope="class")
+    def sweep(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sweep")
+        run(ExperimentConfig.from_dict(config_dict("cost_sweep", out, params={"costs": self.COSTS})))
+        return read_rows(out / "sweep.csv")
+
+    def test_returns_non_increasing_in_cost(self, sweep):
+        assert [float(r["cost"]) for r in sweep] == self.COSTS
+        crs = [float(r["cr_pct"]) for r in sweep]
+        assert all(a >= b for a, b in zip(crs, crs[1:]))
+        # the comparator pays no cost, so one row holds for all
+        assert len({(r["benchmark_cr_pct"], r["benchmark_sharpe"]) for r in sweep}) == 1
+
+    def test_row_at_the_sfp_cost_equals_the_sfp_report(self, sweep, tmp_path):
+        run(ExperimentConfig.from_dict(config_dict("sfp", tmp_path)))  # cost_rate 0.001
+        report = {r["strategy"]: r for r in read_rows(tmp_path / "report.csv")}
+        row = next(r for r in sweep if r["cost"] == "0.001000")
+        for col in ("cr_pct", "sharpe", "mdd_pct"):
+            assert row[col] == report["sfp-4axis"][col], col
+        for col in ("cr_pct", "sharpe"):
+            assert row[f"benchmark_{col}"] == report["ew-buy-and-hold"][col], col
+
+
+class TestStratified:
+    """The stratified kind ranks the full-panel scores within each coverage
+    tercile's tickers, against the buy-and-hold index of those tickers."""
+
+    def test_uniform_coverage_terciles_indistinguishable(self, tmp_path):
+        # with identical coverage and a universe-wide planted effect, no
+        # tercile should outperform its own benchmark more often than chance
+        edges = {"Low": [], "Mid": [], "High": []}
+        for seed in range(10):
+            spec = {"tickers": 9, "days": 700, "coverage": 0.4,
+                    "beta": [0.004, 0, 0, 0], "seed": seed}
+            out = tmp_path / str(seed)
+            run(ExperimentConfig.from_dict(study_config(
+                "stratified", out, spec, 350, {"cost_rate": 0.0, "k_per_stratum": 2})))
+            rows = read_rows(out / "stratified.csv")
+            for strategy, bench in zip(rows[::2], rows[1::2]):
+                edges[strategy["tercile"]].append(
+                    float(strategy["cr_pct"]) - float(bench["cr_pct"]))
+        for a, b in (("Low", "Mid"), ("Mid", "High"), ("Low", "High")):
+            res = mann_whitney_u(edges[a], edges[b])
+            assert res.p_value > 0.01, f"{a} vs {b} spuriously different"
+
+    def test_pairs_strategy_and_benchmark_per_tercile(self, tmp_path):
+        spec = {"tickers": 9, "days": 420, "coverage": [0.05] * 3 + [0.2] * 3 + [0.5] * 3,
+                "beta": [0.005, 0, 0, 0], "seed": 32}
+        run(ExperimentConfig.from_dict(study_config(
+            "stratified", tmp_path, spec, 200, {"k_per_stratum": 2})))
+        rows = read_rows(tmp_path / "stratified.csv")
+        assert [(r["tercile"], r["leg"]) for r in rows] == [
+            (t, leg) for t in ("Low", "Mid", "High") for leg in ("strategy", "benchmark")]
+        coverage = read_rows(tmp_path / "coverage.csv")
+        panel, _, _ = synth_panel(SyntheticSpec.from_dict(spec))
+        period = (panel.dates[200], panel.dates[-1])
+        for strategy, bench in zip(rows[::2], rows[1::2]):
+            members = [c["ticker"] for c in coverage if c["tercile"] == strategy["tercile"]]
+            assert strategy["n_tickers"] == bench["n_tickers"] == str(len(members)) == "3"
+            index = metrics(baseline(panel.restrict(members), "ew_buy_and_hold",
+                                     BacktestConfig(period=period)))
+            assert bench["cr_pct"] == f"{index.cr * 100:.6f}"
+            assert bench["sharpe"] == f"{index.sharpe:.6f}"
+
+
 class TestDenseBlock:
     DATES = ("2020-01-02", "2020-01-03")
     TICKERS = ("AA", "BB")
@@ -432,6 +517,21 @@ class TestEnvEvalRollouts:
         monkeypatch.setattr(experiments, "run_policy", counting)
         self._run(tmp_path / policy, policy)
         assert seen == seeds  # config seed 7; one call per (mask, seed) rolled out
+
+    @pytest.mark.parametrize("masks, same_as, episode", [
+        ([[]], [None], "episode_none.csv"),
+        ([["risk", "risk"]], [["risk"]], "episode_risk.csv"),
+    ])
+    def test_mask_is_labelled_and_run_by_its_axis_set(self, tmp_path, masks, same_as, episode):
+        def artifacts(outdir, masks):
+            params = {"n_seeds": 1, "masks": masks}
+            run(ExperimentConfig.from_dict(config_dict("env_eval", outdir, params=params)))
+            return {name: (outdir / name).read_bytes()
+                    for name in os.listdir(outdir) if name != "manifest.json"}
+
+        given = artifacts(tmp_path / "given", masks)
+        assert episode in given
+        assert given == artifacts(tmp_path / "same", same_as)
 
 
 class TestValidateInputs:

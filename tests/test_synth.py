@@ -42,7 +42,7 @@ def test_coverage_fraction_validated():
         SyntheticSpec(tickers=3, days=50, coverage=1.2)
 
 
-@pytest.mark.parametrize("start", ["2015/01/02", "2015-13-45"])
+@pytest.mark.parametrize("start", ["2015/01/02", "2015-13-45", "2015", "2015-01-03T00"])
 def test_start_date_validated(start):
     with pytest.raises(ValidationError, match=f"start_date '{start}' is not a date"):
         SyntheticSpec(tickers=3, days=50, start_date=start)
@@ -188,11 +188,13 @@ def test_every_spec_form_in_use_still_loads():
     ({"initial_price": 0}, "initial_price must be positive and finite, got 0"),
     ({"initial_price": -5.0}, "initial_price must be positive and finite, got -5.0"),
     ({"beta": (0.0, float("nan"), 0.0, 0.0)}, "beta must be finite, got nan"),
+    ({"tickers": ("A", "B", "A")}, "duplicate ticker 'A' in synthetic spec"),
 ])
 def test_non_finite_or_non_positive_spec_value_names_its_key(kwargs, message):
-    # each once failed only later, as a non-finite or non-positive close
+    # each once failed only later, in synth_panel: most as a non-finite or
+    # non-positive close, a repeated ticker after all the draws
     with pytest.raises(ValidationError, match=re.escape(message)):
-        SyntheticSpec(tickers=3, days=50, **kwargs)
+        SyntheticSpec(**{"tickers": 3, "days": 50, **kwargs})
 
 
 def test_nan_literal_in_a_spec_file_names_its_key(tmp_path):
