@@ -5,6 +5,16 @@ its one alignment check; calendar lookups; the long-form
 written by its mirror ``write_grid``; and the two formats every other
 artifact is written through, ``write_csv`` and ``write_json``.
 
+``read_grid`` reads in two stages. The fast one hands blocks of
+``_BLOCK_LINES`` lines to numpy's C parser (``np.loadtxt`` with a structured
+dtype: two label fields of ``_LABEL_WIDTH`` characters and one number field),
+maps each block's distinct labels through a dict, and strips them. It
+declines a file on any fault and on anything it cannot vouch for, such as a
+label that fills its field (loadtxt would cut it) or a number only Python's
+``float`` reads (``1_0``). The exact stage then re-reads the file row by row
+through ``records``, and every error that names a line comes from it, so a
+result or an error does not depend on the stage that read the file.
+
 ``write_grid`` writes the bytes ``write_csv`` would, but quotes each label
 once and formats each number column with one ``repr`` pass. It holds one
 block of ``_BLOCK_DATES`` dates at a time: taking every column's floats at
@@ -23,10 +33,11 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import islice, repeat
 from typing import ClassVar
 
 import numpy as np
@@ -290,20 +301,73 @@ def _axis(seen: dict[str, int], given) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, np.array([at.get(s, -1) for s in seen], dtype=np.int64)
 
 
-def read_grid(path: str, header: tuple[str, ...] | None = None,
-              calendar: tuple[str, ...] | None = None, universe: tuple[str, ...] | None = None,
-              ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Read a long-form ``date,ticker,<numbers>`` file (with ``header``, or
-    any such header for None) onto a dense (dates, tickers, numbers) grid;
-    returns (dates, tickers, grid).
+# lines per np.loadtxt call in the fast read of read_grid: reading the whole
+# file as one block raised the peak RSS of writing and re-reading a 100 x 2500
+# panel from about 170 to 276-289 MiB; blocks of 2048 or 8192 lines left it
+# at about 170 MiB and read equally fast
+_BLOCK_LINES = 8192
+# characters in each label field of the fast read; loadtxt cuts a longer label
+# silently, so a label that fills the field sends the file to the exact loop
+_LABEL_WIDTH = 16
+# characters that send a file to the exact loop: a NUL, which the label field
+# would drop, and the separators U+001C-U+001F, which loadtxt strips from a
+# number and Python's float does not
+_UNVOUCHED = "\0\x1c\x1d\x1e\x1f"
 
-    Blank rows are skipped. A row of the wrong length, a date not YYYY-MM-DD,
-    a field that is not a number or a second row for one cell is a
-    ParseError naming its line; a nan or inf a ValidationError naming it.
-    The grid spans ``calendar`` and ``universe``, skipping rows outside them,
-    or else the file's own sorted dates and tickers; cells with no row are an
-    AlignmentError listing the gaps.
-    """
+
+class _Declined(Exception):
+    """The fast read cannot vouch for a file; the exact loop reads it."""
+
+
+def _fast_rows(path: str, header: tuple[str, ...] | None):
+    """The labels, label indices and numbers the exact loop would collect,
+    read ``_BLOCK_LINES`` lines at a time by ``np.loadtxt``, with no line
+    numbers; _Declined on any fault and on anything it cannot vouch for.
+
+    The structured dtype checks each row's field count. Each block's labels
+    are mapped through a dict of its distinct raw labels, then stripped. A
+    character in ``_UNVOUCHED`` and a quote in a block that may end inside a
+    quoted field decline; so does any label or number loadtxt rejects, such
+    as ``1_0``, which Python's ``float`` reads as 10.0."""
+    date_at: dict[str, int] = {}
+    ticker_at: dict[str, int] = {}
+    di, ti, flat = array("q"), array("q"), array("d")
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
+            width = len(read_header(csv.reader(fh), path, header))
+            label = f"U{_LABEL_WIDTH}"
+            dtype = np.dtype([("date", label), ("ticker", label), ("values", float, (width - 2,))])
+            while lines := list(islice(fh, _BLOCK_LINES)):
+                text = "".join(lines)
+                full = len(lines) == _BLOCK_LINES  # may end inside a quoted field
+                if any(c in text for c in _UNVOUCHED) or ('"' in text and full):
+                    raise _Declined
+                block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+                for field, at, out in (("date", date_at, di), ("ticker", ticker_at, ti)):
+                    column = block[field].tolist()
+                    local = dict.fromkeys(column)
+                    for raw in local:
+                        if len(raw) >= _LABEL_WIDTH:  # perhaps cut short
+                            raise _Declined
+                        stripped = raw.strip()
+                        i = at.get(stripped)
+                        if i is None:
+                            if field == "date" and not is_date(stripped):
+                                raise _Declined
+                            i = at[stripped] = len(at)
+                        local[raw] = i
+                    out.extend(map(local.__getitem__, column))
+                flat.frombytes(block["values"].tobytes())
+    except Exception:  # whatever the fault, the exact loop reports it
+        raise _Declined from None
+    return date_at, ticker_at, di, ti, flat, None
+
+
+def _exact_rows(path: str, header: tuple[str, ...] | None):
+    """What ``_fast_rows`` returns, with the physical line of each row, read
+    row by row from ``records``: the source of every ParseError message."""
     # labels by first-seen index; one entry per row in the flat buffers
     date_at: dict[str, int] = {}
     ticker_at: dict[str, int] = {}
@@ -324,12 +388,20 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
         di.append(i)
         ti.append(j)
         lines.append(lineno)
-    if not lines:
-        raise AlignmentError(f"{path}: no data rows")
+    return date_at, ticker_at, di, ti, flat, lines
 
-    values = np.frombuffer(flat).reshape(len(lines), -1)
+
+def _place(path, date_at, ticker_at, di, ti, flat, lines, calendar, universe):
+    """The dense grid of ``read_grid`` from the rows of ``_fast_rows`` or
+    ``_exact_rows``; _Declined where a message must name a line and the rows
+    came without line numbers."""
+    if not di:
+        raise AlignmentError(f"{path}: no data rows")
+    values = np.frombuffer(flat).reshape(len(di), -1)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
+        if lines is None:
+            raise _Declined
         r = int(np.argmin(finite))
         date, ticker = list(date_at)[di[r]], list(ticker_at)[ti[r]]
         raise ValidationError(f"{path}: non-finite value at ({date}, {ticker}), line {lines[r]}")
@@ -340,6 +412,8 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
     cells = d[placed] * len(tickers) + t[placed]
     count = np.bincount(cells, minlength=len(dates) * len(tickers))
     if (count > 1).any():
+        if lines is None:
+            raise _Declined
         order = np.argsort(cells, kind="stable")
         r = placed[order[1:][np.diff(cells[order]) == 0].min()]
         raise ParseError(
@@ -352,3 +426,29 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
     grid = np.empty((len(dates) * len(tickers), values.shape[1]))
     grid[cells] = values[placed]
     return dates, tickers, grid.reshape(len(dates), len(tickers), values.shape[1])
+
+
+def read_grid(path: str, header: tuple[str, ...] | None = None,
+              calendar: tuple[str, ...] | None = None, universe: tuple[str, ...] | None = None,
+              ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Read a long-form ``date,ticker,<numbers>`` file (with ``header``, or
+    any such header for None) onto a dense (dates, tickers, numbers) grid;
+    returns (dates, tickers, grid).
+
+    Blank rows are skipped. A row of the wrong length, a date not YYYY-MM-DD,
+    a field that is not a number or a second row for one cell is a
+    ParseError naming its line; a nan or inf a ValidationError naming it.
+    The grid spans ``calendar`` and ``universe``, skipping rows outside them,
+    or else the file's own sorted dates and tickers; cells with no row are an
+    AlignmentError listing the gaps.
+
+    The fast stage (``_fast_rows``) reads labels of up to ``_LABEL_WIDTH`` - 1
+    characters with numpy's C parser; on any fault, and on any file it cannot
+    vouch for, the exact stage (``_exact_rows``) re-reads the file row by row
+    and raises every error that names a line, so the result or error is the
+    same whichever stage read the file.
+    """
+    try:
+        return _place(path, *_fast_rows(path, header), calendar, universe)
+    except _Declined:
+        return _place(path, *_exact_rows(path, header), calendar, universe)

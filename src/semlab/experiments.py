@@ -165,7 +165,10 @@ class ExperimentConfig:
         if "signal_cache" in self.data and "price_panel" not in self.data:
             raise ConfigError("data key 'signal_cache' goes only beside 'price_panel'")
         if not isinstance(self.data.get("synthetic", ""), str):  # an inline spec
-            SyntheticSpec.from_dict(self.data["synthetic"])
+            try:
+                SyntheticSpec.from_dict(self.data["synthetic"])
+            except ValidationError as exc:  # a spec rule, such as unique tickers
+                raise ConfigError(str(exc)) from None
         if self.universe is not None:
             if not (isinstance(self.universe, (list, tuple))
                     and all(isinstance(t, str) for t in self.universe)):
@@ -656,12 +659,12 @@ def _run_env_eval(s: _Study) -> None:
         # a masked run sees the masked axes at their neutral default on every day
         mask_env = TradingEnv(ws.panel, features, mask_axes(ws.signals, axes), turb,
                               env.config) if axes else env
-        for s in range(p["n_seeds"]):
-            seed = cfg.seed + s
+        for i in range(p["n_seeds"]):
+            seed = cfg.seed + i
             policy = make_policy(seed)
             # a deterministic policy plays the same episode under every seed,
             # so later seeds repeat the first seed's figures
-            if s == 0 or not policy.deterministic:
+            if i == 0 or not policy.deterministic:
                 curve, rewards, infos = run_policy(mask_env, policy, start_date=p["start_date"],
                                                    seed=seed)
                 cr = float(np.prod(1.0 + curve.daily_returns[1:]) - 1.0)
@@ -674,7 +677,7 @@ def _run_env_eval(s: _Study) -> None:
             group = by_mask.setdefault(mask_label, {"cr": [], "sharpe": []})
             group["cr"].append(cr)
             group["sharpe"].append(sh)
-            if s == 0:
+            if i == 0:
                 write_episode_log(infos, out.path(f"episode_{mask_label}.csv"))
     out.write_rows("env_seeds.csv", ["mask", "seed", "cr_pct", "sharpe", "total_reward"], rows)
 

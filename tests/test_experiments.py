@@ -127,6 +127,20 @@ class TestDeclaredParams:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("spec, named", [
+        ({"tickers": ["A", "A"]}, "duplicate ticker 'A'"),
+        ({"coverage": 1.5}, "coverage"),
+        ({"start_date": "2015"}, "start_date"),
+        ({"tickerz": 3}, "unknown synthetic-spec key 'tickerz'"),
+    ])
+    def test_inline_spec_breaking_a_rule_exits_1(self, tmp_path, capsys, spec, named):
+        raw = config_dict("baselines", tmp_path / "out")
+        raw["data"]["synthetic"] = {**SYNTH, **spec}
+        assert self._cli(tmp_path, raw) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not (tmp_path / "out").exists()
+
     def test_values_resolve_to_declared_types(self, tmp_path):
         cfg = ExperimentConfig.from_dict(config_dict(
             "cost_sweep", tmp_path, params={"ridge_strength": 0, "costs": [0, 0.002]}))

@@ -1,14 +1,20 @@
 """The long-form input files: the rules the price, dense-block and article
-loaders share, and where the grid reader places rows."""
+loaders share, where the grid reader places rows, and its fast read against
+the exact loop it falls back to."""
+
+import csv
+import io
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from semlab import MarketPanel
+from semlab import MarketPanel, _grid
 from semlab._grid import read_grid, write_grid
 from semlab.cli import main as cli_main
-from semlab.errors import ParseError, ValidationError
+from semlab.errors import AlignmentError, ParseError, ValidationError
 from semlab.experiments import _load_dense_block
 from semlab.panels import load_price_panel, write_price_panel
 from semlab.signals import CACHE_HEADER, load_article_scores
@@ -288,3 +294,168 @@ def test_grid_writer_rejects_a_column_off_the_grid(tmp_path):
     with pytest.raises(ValidationError, match=r"column has shape \(2, 1\), expected \(2, 2\)"):
         write_grid(str(tmp_path / "grid.csv"), ("date", "ticker", "x"), DATES, TICKERS,
                    [np.ones((2, 1))])
+
+
+# ---------------------------------------------------------------------------
+# The fast read: whatever numpy's C parser reads, read_grid returns or raises
+# exactly what the row-by-row loop does, and clean files never reach that loop
+# ---------------------------------------------------------------------------
+
+def _exact(path, header=None, calendar=None, universe=None):
+    """``read_grid`` through the exact loop alone."""
+    return _grid._place(path, *_grid._exact_rows(path, header), calendar, universe)
+
+
+def _outcome(read, *args):
+    """What a read returns, or the type and message of what it raises."""
+    try:
+        dates, tickers, grid = read(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return dates, tickers, grid.shape, grid.tobytes()
+
+
+def _fast_only(block_lines=_grid._BLOCK_LINES):
+    """A context in which the fast read reads ``block_lines`` lines per block
+    and falling back to the exact loop fails the test."""
+    return mock.patch.multiple(_grid, _BLOCK_LINES=block_lines, _exact_rows=mock.Mock(
+        side_effect=AssertionError("the fast read declined")))
+
+
+# spellings Python's float reads and loadtxt may not, numbers that are no
+# numbers, and padding and quoting the csv module strips
+odd_numbers = st.sampled_from(["1_0", "\u0661", "inf", "-nan", "", "x", "0x10", " 2.5 ", "+.5",
+                               "1e3", "-0.0", "\t7\t", '"3"', '" 4 "', "\xa05", "\u30005",
+                               "\x1c6", "6\x1f"])
+MUTATIONS = ("extra field", "duplicate", "gap", "bad date", "odd label", "odd number")
+
+
+@st.composite
+def grid_files(draw):
+    """(file text, header argument, calendar, universe) for a grid file with
+    awkward labels and spellings, written through csv or joined raw, with up
+    to two mutations that may make it fail, and up to two blank rows."""
+    k = draw(st.integers(1, 3))
+    dates = business_days("2020-01-02", draw(st.integers(1, 3)))
+    label = st.text("AB", min_size=1, max_size=4) | st.text('AB ,"\n\r\t', min_size=1, max_size=4)
+    tickers = draw(st.lists(label, min_size=1, max_size=3, unique_by=str.strip))
+    header = ["date", "ticker", *(f"c{c}" for c in range(k))]
+    rows = [[d, t, *map(repr, draw(st.lists(finite, min_size=k, max_size=k)))]
+            for d in dates for t in tickers]
+    rows = draw(st.permutations(rows))
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        r = draw(st.integers(0, len(rows) - 1))
+        if mutation == "extra field":
+            rows[r] = [*rows[r], ""]
+        elif mutation == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[r]))
+        elif mutation == "gap" and len(rows) > 1:
+            del rows[r]
+        elif mutation == "bad date":
+            rows[r] = ["2020/01/02", *rows[r][1:]]
+        elif mutation == "odd label":  # longer than the fast read's field, or with a NUL
+            old, new = rows[r][1], draw(st.sampled_from(["T" * 20, "A\0"]))
+            rows = [[row[0], new if row[1] == old else row[1], *row[2:]] for row in rows]
+        elif mutation == "odd number" and len(rows[r]) > 2:
+            rows[r] = [*rows[r][:2], draw(odd_numbers), *rows[r][3:]]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [""], ["  "]])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = draw(st.sampled_from(["minimal", "all", "raw"]))
+    if quoting == "raw":  # labels unquoted: a stray quote or newline stays as it is
+        text = "".join(",".join(row) + newline for row in [header, *rows])
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=newline,
+                   quoting=csv.QUOTE_ALL if quoting == "all" else csv.QUOTE_MINIMAL
+                   ).writerows([header, *rows])
+        text = buf.getvalue()
+    labels = sorted({t.strip() for t in tickers} | {"QQ"})
+    calendar = draw(st.none() | st.lists(st.sampled_from([*dates, "2021-01-04"]), min_size=1,
+                                         unique=True).map(sorted).map(tuple))
+    universe = draw(st.none() | st.lists(st.sampled_from(labels), min_size=1,
+                                         unique=True).map(tuple))
+    return text, draw(st.sampled_from([None, tuple(header)])), calendar, universe
+
+
+@settings(max_examples=500)
+@given(grid_files(), st.integers(1, 5) | st.just(_grid._BLOCK_LINES))
+def test_read_grid_equals_the_exact_loop(tmp_path_factory, file, block_lines):
+    text, header, calendar, universe = file
+    path = tmp_path_factory.mktemp("fast") / "grid.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(_grid, "_BLOCK_LINES", block_lines):
+        got = _outcome(read_grid, str(path), header, calendar, universe)
+    assert got == _outcome(_exact, str(path), header, calendar, universe)
+
+
+@given(grids(), st.randoms(use_true_random=False), st.integers(1, 5))
+def test_clean_files_take_the_fast_read(tmp_path_factory, grid, rnd, block_lines):
+    dates, tickers, values = grid
+    extra = [("2019-12-31", tickers[0]), (dates[-1], "QQQQ")]
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    with _fast_only(block_lines):
+        got = read_grid(_grid_file(path, grid, extra, rnd), None, dates, tickers)
+    assert got[:2] == grid[:2]
+    assert got[2].tobytes() == values.tobytes()
+
+
+class TestFastRead:
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_trailing_extra_field_names_its_line(self, tmp_path, kind):
+        rows = [LOADERS[kind][1].format(d=d, t=t) for d in DATES for t in TICKERS]
+        rows[1] += ","
+        n = LOADERS[kind][0].count(",") + 1
+        with pytest.raises(ParseError,
+                           match=rf"{kind}\.csv: line 3: expected {n} fields, got {n + 1}$"):
+            LOADERS[kind][2](_write(tmp_path, kind, rows))
+
+    def test_a_label_longer_than_the_fast_field_reads_whole(self, tmp_path):
+        long = "T" * 20
+        rows = [LOADERS["prices"][1].format(d=d, t=t) for d in DATES for t in ("AA", long)]
+        panel = load_price_panel(_write(tmp_path, "prices", rows))
+        assert panel.tickers == ("AA", long)
+
+    def test_a_padded_long_label_is_not_cut_onto_another(self, tmp_path):
+        # cut to the fast read's field, the second label would strip to AB
+        path = tmp_path / "grid.csv"
+        path.write_text(f"date,ticker,x\n2020-01-02,AB,1\n2020-01-03,{' ' * 14}ABCD,2\n")
+        with pytest.raises(AlignmentError, match=r"calendar gaps: AB missing 2020-01-03; "):
+            read_grid(str(path))
+
+    @pytest.mark.parametrize("number", ["\x1c5", "5\x1f"])
+    def test_a_number_only_loadtxt_reads_names_its_line(self, tmp_path, number):
+        # loadtxt strips the separators U+001C-U+001F; Python's float does not
+        rows = [LOADERS["prices"][1].format(d=d, t=t) for d in DATES for t in TICKERS]
+        rows[2] = rows[2].rsplit(",", 1)[0] + "," + number
+        with pytest.raises(ParseError, match=r"prices\.csv: line 4: could not convert"):
+            load_price_panel(_write(tmp_path, "prices", rows))
+
+    def test_underscored_number_reads_as_float_does(self, tmp_path):
+        rows = [LOADERS["prices"][1].format(d=d, t=t) for d in DATES for t in TICKERS]
+        rows[0] = rows[0].rsplit(",", 1)[0] + ",1_0"
+        assert load_price_panel(_write(tmp_path, "prices", rows)).volume[0, 0] == 10.0
+
+    def test_a_nul_in_a_label_is_kept(self, tmp_path):
+        # numpy's label field would drop a trailing NUL
+        path = tmp_path / "grid.csv"
+        path.write_text("date,ticker,x\n2020-01-02,A\0,1\n2020-01-02,B,2\n")
+        assert read_grid(str(path))[1] == ("A\0", "B")
+
+    def test_a_quoted_field_across_blocks_names_its_line(self, tmp_path):
+        # read alone, the second line would pass for a row dated 2020-01-0"
+        path = tmp_path / "grid.csv"
+        path.write_text('date,ticker,x\n2020-01-02,AA,"1\n2020-01-0",AA,2\n')
+        with mock.patch.object(_grid, "_BLOCK_LINES", 1), pytest.raises(
+                ParseError, match=r"grid\.csv: line 2: expected 3 fields, got 5$"):
+            read_grid(str(path))
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_blank_rows_read_without_a_warning(self, tmp_path, kind):
+        rows = [LOADERS[kind][1].format(d=d, t=t) for d in DATES for t in TICKERS]
+        padded = ["", *rows[:2], "", "", "", *rows[2:], "", ""]
+        expected = _load(kind, _write(tmp_path, kind, rows))
+        path = _write(tmp_path, kind, padded)
+        with warnings.catch_warnings(), _fast_only(block_lines=2):  # a block of blanks
+            warnings.simplefilter("error")
+            assert _load(kind, path) == expected
