@@ -5,21 +5,27 @@ its one alignment check; calendar lookups; the long-form
 written by its mirror ``write_grid``; and the two formats every other
 artifact is written through, ``write_csv`` and ``write_json``.
 
-``read_grid`` reads in two stages. The fast one hands blocks of
-``_BLOCK_LINES`` lines to numpy's C parser (``np.loadtxt`` with a structured
-dtype: two label fields of ``_LABEL_WIDTH`` characters and one number field),
-maps each block's distinct labels through a dict, and strips them. It
-declines a file on any fault and on anything it cannot vouch for, such as a
-label that fills its field (loadtxt would cut it) or a number only Python's
-``float`` reads (``1_0``). The exact stage then re-reads the file row by row
+``read_grid`` reads in two stages, and so does the article cache's
+``signals.load_article_scores``. The fast one, ``fast_fields``, hands blocks
+of ``_BLOCK_LINES`` lines to numpy's C parser (``np.loadtxt`` with a
+structured dtype: label fields of a fixed width each, then one field of
+``float`` numbers for a grid or ``int64`` scores for the cache), maps each
+block's distinct labels through a dict, and strips them. It declines a file
+on any fault and on anything it cannot vouch for, such as a label that fills
+its field (loadtxt would cut it) or a number only Python's ``float`` or
+``int`` reads (``1_0``). The exact stage then re-reads the file row by row
 through ``records``, and every error that names a line comes from it, so a
 result or an error does not depend on the stage that read the file.
 
 ``write_grid`` writes the bytes ``write_csv`` would, but quotes each label
-once and formats each number column with one ``repr`` pass. It holds one
-block of ``_BLOCK_DATES`` dates at a time: taking every column's floats at
-once raised the peak RSS of writing and re-reading a 100 x 2500 panel from
-about 170 to 189 MiB.
+once and ``repr``s each distinct number of a block once (``_reprs``): the
+formatting is most of a write's time, and price panels repeat numbers (a
+synthetic open is the day before's close, and often its high or low; a
+panel without OHLC writes its close four times). It holds one block of
+``_BLOCK_DATES`` dates at a time: taking every column's floats at once
+raised the peak RSS of writing and re-reading a 100 x 2500 panel from about
+170 to 189 MiB, and a string table over the whole file would hold every
+distinct string at once.
 
 The calendar is a strictly increasing tuple of ISO dates, which sort like
 the dates themselves, so a date range is two binary searches. A grid holds
@@ -239,6 +245,17 @@ def _csv_fields(labels) -> list[str]:
     return fields
 
 
+def _reprs(arrays: list[np.ndarray]) -> list[list[str]]:
+    """The ``repr`` of each float of each array, flattened, with each
+    distinct number formatted once. Numbers are told apart by their bits:
+    ``-0.0`` equals ``0.0`` but prints apart from it."""
+    if not arrays:
+        return []
+    distinct, inverse = np.unique(np.stack(arrays).view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return text[inverse.reshape(len(arrays), -1)].tolist()
+
+
 def write_grid(path: str, header, dates, tickers, columns) -> None:
     """Write the long-form ``date,ticker,<numbers>`` file that ``read_grid``
     reads: the ``header`` row, then one row per (date, ticker) cell in
@@ -247,26 +264,28 @@ def write_grid(path: str, header, dates, tickers, columns) -> None:
     written by ``repr``, or a string written in every row.
 
     Each label and string goes through ``csv.writer`` once; a float's
-    ``repr`` never needs quoting. Rows are formatted ``_BLOCK_DATES`` dates
-    at a time and written with ``writelines``."""
+    ``repr`` never needs quoting. Rows are joined and written ``_BLOCK_DATES``
+    dates at a time; within a block, ``_reprs`` formats each distinct number
+    once."""
     n_t = len(tickers)
     columns = [_csv_fields([col])[0] if isinstance(col, str) else np.asarray(col, dtype=float)
                for col in columns]
     for col in columns:
         if not isinstance(col, str) and col.shape != (len(dates), n_t):
             raise ValidationError(f"column has shape {col.shape}, expected {(len(dates), n_t)}")
+    numbers = [col for col in columns if not isinstance(col, str)]
     date_fields, ticker_fields = _csv_fields(dates), _csv_fields(tickers)
-    row = ",".join(["{}"] * (2 + len(columns))) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, len(dates), _BLOCK_DATES):
             block = date_fields[lo:lo + _BLOCK_DATES]
             cells = len(block) * n_t
-            fields = [repeat(col, cells) if isinstance(col, str)
-                      else map(repr, col[lo:lo + len(block)].ravel().tolist())
+            formatted = iter(_reprs([col[lo:lo + len(block)] for col in numbers]))
+            fields = [repeat(col, cells) if isinstance(col, str) else next(formatted)
                       for col in columns]
-            fh.writelines(map(row.format, [d for d in block for _ in range(n_t)],
-                              ticker_fields * len(block), *fields))
+            rows = map(",".join, zip([d for d in block for _ in range(n_t)],
+                                     ticker_fields * len(block), *fields))
+            fh.write("\r\n".join([*rows, ""]))
 
 
 def write_json(path: str, payload) -> None:
@@ -315,53 +334,61 @@ _LABEL_WIDTH = 16
 _UNVOUCHED = "\0\x1c\x1d\x1e\x1f"
 
 
-class _Declined(Exception):
+class Declined(Exception):
     """The fast read cannot vouch for a file; the exact loop reads it."""
 
 
-def _fast_rows(path: str, header: tuple[str, ...] | None):
-    """The labels, label indices and numbers the exact loop would collect,
-    read ``_BLOCK_LINES`` lines at a time by ``np.loadtxt``, with no line
-    numbers; _Declined on any fault and on anything it cannot vouch for.
+def fast_fields(path: str, header: tuple[str, ...] | None, widths: tuple[int, ...], number):
+    """The data rows of a delimited file whose header ``read_header``
+    accepts, read ``_BLOCK_LINES`` lines at a time by ``np.loadtxt``, with no
+    line numbers: for each leading label field (``widths`` gives each one's
+    width in characters), a dict of its stripped labels in first-seen order
+    and each row's index into it; then the other fields of every row, read
+    as ``number`` (``float`` or ``np.int64``), as one flat array. Declined on
+    any fault and on anything it cannot vouch for.
 
     The structured dtype checks each row's field count. Each block's labels
     are mapped through a dict of its distinct raw labels, then stripped. A
-    character in ``_UNVOUCHED`` and a quote in a block that may end inside a
-    quoted field decline; so does any label or number loadtxt rejects, such
-    as ``1_0``, which Python's ``float`` reads as 10.0."""
-    date_at: dict[str, int] = {}
-    ticker_at: dict[str, int] = {}
-    di, ti, flat = array("q"), array("q"), array("d")
+    raw label that fills its field (loadtxt may have cut it), a character in
+    ``_UNVOUCHED`` and a quote in a block that may end inside a quoted field
+    decline; so does any label or number loadtxt rejects, such as ``1_0``,
+    which Python's ``float`` and ``int`` read as 10."""
+    label_at: list[dict[str, int]] = [{} for _ in widths]
+    indices = [array("q") for _ in widths]
+    flat = bytearray()
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
             width = len(read_header(csv.reader(fh), path, header))
-            label = f"U{_LABEL_WIDTH}"
-            dtype = np.dtype([("date", label), ("ticker", label), ("values", float, (width - 2,))])
+            dtype = np.dtype([*((f"label{k}", f"U{w}") for k, w in enumerate(widths)),
+                              ("numbers", number, (width - len(widths),))])
             while lines := list(islice(fh, _BLOCK_LINES)):
                 text = "".join(lines)
                 full = len(lines) == _BLOCK_LINES  # may end inside a quoted field
                 if any(c in text for c in _UNVOUCHED) or ('"' in text and full):
-                    raise _Declined
+                    raise Declined
                 block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                                    quotechar='"', ndmin=1)
-                for field, at, out in (("date", date_at, di), ("ticker", ticker_at, ti)):
-                    column = block[field].tolist()
+                for k, (w, at, out) in enumerate(zip(widths, label_at, indices)):
+                    column = block[f"label{k}"].tolist()
                     local = dict.fromkeys(column)
                     for raw in local:
-                        if len(raw) >= _LABEL_WIDTH:  # perhaps cut short
-                            raise _Declined
-                        stripped = raw.strip()
-                        i = at.get(stripped)
-                        if i is None:
-                            if field == "date" and not is_date(stripped):
-                                raise _Declined
-                            i = at[stripped] = len(at)
-                        local[raw] = i
+                        if len(raw) >= w:  # perhaps cut short
+                            raise Declined
+                        local[raw] = at.setdefault(raw.strip(), len(at))
                     out.extend(map(local.__getitem__, column))
-                flat.frombytes(block["values"].tobytes())
+                flat += block["numbers"].tobytes()
     except Exception:  # whatever the fault, the exact loop reports it
-        raise _Declined from None
+        raise Declined from None
+    return label_at, indices, np.frombuffer(flat, dtype=number)
+
+
+def _fast_rows(path: str, header: tuple[str, ...] | None):
+    """The labels, label indices and numbers the exact loop would collect,
+    read by ``fast_fields``; Declined on a date not YYYY-MM-DD."""
+    (date_at, ticker_at), (di, ti), flat = fast_fields(path, header, (_LABEL_WIDTH,) * 2, float)
+    if not all(map(is_date, date_at)):
+        raise Declined
     return date_at, ticker_at, di, ti, flat, None
 
 
@@ -393,7 +420,7 @@ def _exact_rows(path: str, header: tuple[str, ...] | None):
 
 def _place(path, date_at, ticker_at, di, ti, flat, lines, calendar, universe):
     """The dense grid of ``read_grid`` from the rows of ``_fast_rows`` or
-    ``_exact_rows``; _Declined where a message must name a line and the rows
+    ``_exact_rows``; Declined where a message must name a line and the rows
     came without line numbers."""
     if not di:
         raise AlignmentError(f"{path}: no data rows")
@@ -401,7 +428,7 @@ def _place(path, date_at, ticker_at, di, ti, flat, lines, calendar, universe):
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         if lines is None:
-            raise _Declined
+            raise Declined
         r = int(np.argmin(finite))
         date, ticker = list(date_at)[di[r]], list(ticker_at)[ti[r]]
         raise ValidationError(f"{path}: non-finite value at ({date}, {ticker}), line {lines[r]}")
@@ -413,7 +440,7 @@ def _place(path, date_at, ticker_at, di, ti, flat, lines, calendar, universe):
     count = np.bincount(cells, minlength=len(dates) * len(tickers))
     if (count > 1).any():
         if lines is None:
-            raise _Declined
+            raise Declined
         order = np.argsort(cells, kind="stable")
         r = placed[order[1:][np.diff(cells[order]) == 0].min()]
         raise ParseError(
@@ -450,5 +477,5 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
     """
     try:
         return _place(path, *_fast_rows(path, header), calendar, universe)
-    except _Declined:
+    except Declined:
         return _place(path, *_exact_rows(path, header), calendar, universe)

@@ -165,10 +165,7 @@ class ExperimentConfig:
         if "signal_cache" in self.data and "price_panel" not in self.data:
             raise ConfigError("data key 'signal_cache' goes only beside 'price_panel'")
         if not isinstance(self.data.get("synthetic", ""), str):  # an inline spec
-            try:
-                SyntheticSpec.from_dict(self.data["synthetic"])
-            except ValidationError as exc:  # a spec rule, such as unique tickers
-                raise ConfigError(str(exc)) from None
+            SyntheticSpec.from_dict(self.data["synthetic"])
         if self.universe is not None:
             if not (isinstance(self.universe, (list, tuple))
                     and all(isinstance(t, str) for t in self.universe)):

@@ -358,13 +358,17 @@ def compute_turbulence(panel: MarketPanel, window: int = 252) -> TurbulenceSerie
         raise ValidationError(f"window {window} must be >= tickers + 2 = {n + 2}")
     rets = simple_returns(panel)
     values = np.full(panel.n_dates, np.nan)
+    diagonal = np.diag_indices(n)
+    scale = np.true_divide(1, window - 1)
     for d in range(window + 1, panel.n_dates):
         hist = rets[d - window : d]
         mu = hist.mean(axis=0)
-        cov = np.cov(hist, rowvar=False, ddof=1)
-        cov = np.atleast_2d(cov)
-        ridge = 1e-6 * np.trace(cov) / n
-        cov[np.diag_indices_from(cov)] += ridge
+        # np.cov(hist, rowvar=False) without its per-call checks, in its own
+        # operations, so every value is bit for bit what it returns
+        x = (hist - mu).T
+        cov = np.dot(x, x.T.conj())
+        cov *= scale
+        cov[diagonal] += 1e-6 * np.trace(cov) / n
         diff = rets[d] - mu
         if not diff.any():
             values[d] = 0.0  # day identical to the trailing mean

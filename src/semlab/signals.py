@@ -18,7 +18,8 @@ from itertools import repeat
 
 import numpy as np
 
-from ._grid import Grid, check_date, check_increasing, frozen, records, write_csv
+from ._grid import (_LABEL_WIDTH, Declined, Grid, check_date, check_increasing, fast_fields,
+                    frozen, is_date, records, write_csv)
 from .errors import ParseError, RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -373,12 +374,47 @@ def write_article_scores(articles: ArticleTable, path: str) -> None:
         articles.source_ids, articles.tickers, articles.dates, *articles.scores.T.tolist()))
 
 
+# characters in the source-id field of the fast read, wider than the ticker
+# and date fields; an id that fills it sends the file to the exact loop
+_ID_WIDTH = 32
+
+
 def load_article_scores(path: str) -> ArticleTable:
     """Read the delimited cache ``source_id,ticker,date,<four integer scores>``
     into an ``ArticleTable``, with the header, blank-row and field-count rules
     of ``_grid.records`` and its YYYY-MM-DD ``check_date``. A score that is
     not an integer is a ParseError, one outside [1, 5] a ValidationError, each
-    naming its line."""
+    naming its line.
+
+    The file is read in the two stages of ``_grid.read_grid``: the fast one
+    (``_fast_articles``) reads source ids of up to ``_ID_WIDTH`` - 1
+    characters with numpy's C parser; on any fault, and on any file it cannot
+    vouch for, the exact one (``_exact_articles``) re-reads it row by row and
+    raises every error that names a line, so the result or error is the same
+    whichever stage read the file."""
+    try:
+        return _fast_articles(path)
+    except Declined:
+        return _exact_articles(path)
+
+
+def _fast_articles(path: str) -> ArticleTable:
+    """The table ``_exact_articles`` reads, from ``_grid.fast_fields``;
+    Declined on a date not YYYY-MM-DD and on a score outside [1, 5], whose
+    messages name a line."""
+    widths = (_ID_WIDTH, _LABEL_WIDTH, _LABEL_WIDTH)
+    label_at, indices, flat = fast_fields(path, CACHE_HEADER, widths, np.int64)
+    scores = flat.reshape(-1, 4)
+    if not all(map(is_date, label_at[2])) or ((scores < 1) | (scores > 5)).any():
+        raise Declined
+    columns = (np.array(list(at), dtype=object)[np.frombuffer(i, dtype=np.int64)].tolist()
+               for at, i in zip(label_at, indices))
+    return ArticleTable(*columns, scores)
+
+
+def _exact_articles(path: str) -> ArticleTable:
+    """The cache read row by row from ``_grid.records``: the source of every
+    message of ``load_article_scores`` that names a line."""
     source_ids: list[str] = []
     tickers: list[str] = []
     dates: list[str] = []

@@ -104,7 +104,8 @@ class SyntheticSpec:
 
     @staticmethod
     def from_dict(raw: dict) -> "SyntheticSpec":
-        """The spec of a JSON object; a ConfigError names a faulty key."""
+        """The spec of a JSON object; a ConfigError names a faulty key or
+        the spec rule it breaks, such as unique tickers."""
         if not isinstance(raw, dict):
             raise ConfigError(f"a synthetic spec must be a JSON object, got {raw!r}")
         check_names(raw, _SPEC_FORMS, "synthetic-spec key {!r}")
@@ -115,7 +116,10 @@ class SyntheticSpec:
                 forms = " or ".join(map(_form_name, _SPEC_FORMS[key]))
                 raise ConfigError(f"synthetic-spec key {key!r} must be {forms}, got {value!r}")
         kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-        return SyntheticSpec(**{"tickers": 10, **kwargs})
+        try:
+            return SyntheticSpec(**{"tickers": 10, **kwargs})
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
 
     @staticmethod
     def from_file(path: str) -> "SyntheticSpec":

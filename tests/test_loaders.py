@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semlab import MarketPanel, _grid
+from semlab import MarketPanel, _grid, signals
 from semlab._grid import read_grid, write_grid
 from semlab.cli import main as cli_main
 from semlab.errors import AlignmentError, ParseError, ValidationError
 from semlab.experiments import _load_dense_block
 from semlab.panels import load_price_panel, write_price_panel
-from semlab.signals import CACHE_HEADER, load_article_scores
+from semlab.signals import CACHE_HEADER, ArticleTable, load_article_scores, write_article_scores
 
 import scalar_write
 from conftest import business_days
@@ -256,10 +256,19 @@ awkward_labels = st.lists(
 )
 
 
-@given(st.integers(1, 70), awkward_labels, st.data())
-def test_price_panel_writer_matches_the_scalar_oracle(tmp_path_factory, n_d, labels, data):
+@given(st.integers(1, 70), awkward_labels, st.booleans(), st.data())
+def test_price_panel_writer_matches_the_scalar_oracle(tmp_path_factory, n_d, labels, pooled,
+                                                      data):
+    # up to 70 dates: many of the writer's blocks, each formatting its
+    # distinct numbers once; a pooled panel repeats a few numbers within and
+    # across columns, and its volumes hold -0.0 beside 0.0, equal but printed
+    # apart
     tickers = tuple(sorted(labels))  # the loader's ticker order
     shape = (n_d, len(tickers))
+    prices, volumes = positive, st.floats(min_value=0.0, max_value=1e300)
+    if pooled:
+        pool = data.draw(st.lists(positive, min_size=1, max_size=3), label="pool")
+        prices, volumes = st.sampled_from(pool), st.sampled_from([0.0, -0.0, *pool])
 
     def block(elements):
         size = n_d * len(tickers)
@@ -271,8 +280,8 @@ def test_price_panel_writer_matches_the_scalar_oracle(tmp_path_factory, n_d, lab
 
     panel = MarketPanel(
         dates=business_days("2020-01-02", n_d), tickers=tickers,
-        close=block(positive), open=maybe(positive), high=maybe(positive), low=maybe(positive),
-        volume=maybe(st.floats(min_value=0.0, max_value=1e300)),
+        close=block(prices), open=maybe(prices), high=maybe(prices), low=maybe(prices),
+        volume=maybe(volumes),
     )
     tmp = tmp_path_factory.mktemp("writer")
     write_price_panel(panel, str(tmp / "grid.csv"))
@@ -459,3 +468,137 @@ class TestFastRead:
         with warnings.catch_warnings(), _fast_only(block_lines=2):  # a block of blanks
             warnings.simplefilter("error")
             assert _load(kind, path) == expected
+
+
+# ---------------------------------------------------------------------------
+# The article cache's fast read: the same stages over three label fields and
+# integer scores, equal to its exact loop in result, error type and message
+# ---------------------------------------------------------------------------
+
+def _cache_outcome(read, path):
+    """What a cache read returns, or the type and message of what it raises."""
+    try:
+        table = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return table.source_ids, table.tickers, table.dates, table.scores.shape, table.scores.tobytes()
+
+
+# spellings Python's int reads and loadtxt may not, or the other way round,
+# numbers out of int64 or out of [1, 5], and padding the csv module strips
+odd_scores = st.sampled_from(["1_0", "٣", "\x1c3", "3\x1f", " +3 ", "\t2\t", "\xa02",
+                              "　4", "３", "03", "-0", "0", "6", "-1", "3.0", "1e0",
+                              "", "x", '"3"', "99999999999999999999", "9223372036854775808",
+                              "5\x0b", "\x853"])
+CACHE_MUTATIONS = ("extra field", "bad date", "long id", "nul", "odd score", "out of range",
+                   "quoted newline")
+
+
+@st.composite
+def cache_files(draw):
+    """The text of an article cache with plain or awkward ids and tickers,
+    written through csv or joined raw, with up to two mutations that may make
+    it fail, and up to two blank rows."""
+    dates = business_days("2020-01-02", 3)
+    label = st.text('AB ,"\n\r\t' if draw(st.booleans()) else "AB", min_size=1, max_size=4)
+    rows = [[draw(label), draw(label), draw(st.sampled_from(dates)),
+             *map(str, draw(st.lists(st.integers(1, 5), min_size=4, max_size=4)))]
+            for _ in range(draw(st.integers(1, 6)))]
+    for mutation in draw(st.lists(st.sampled_from(CACHE_MUTATIONS), max_size=2)):
+        r = draw(st.integers(0, len(rows) - 1))
+        if mutation == "extra field":
+            rows[r] = [*rows[r], ""]
+        elif mutation == "bad date":
+            rows[r][2] = draw(st.sampled_from(["2020/01/02", " 2020-01-02", "20200102"]))
+        elif mutation == "long id":  # as long as the fast read's id field, or longer
+            rows[r][0] = "I" * draw(st.sampled_from([signals._ID_WIDTH, signals._ID_WIDTH + 8]))
+        elif mutation == "nul":
+            rows[r][draw(st.integers(0, 1))] += "\0"
+        elif mutation == "odd score":
+            rows[r][draw(st.integers(3, 6))] = draw(odd_scores)
+        elif mutation == "out of range":
+            rows[r][draw(st.integers(3, 6))] = draw(st.sampled_from(["0", "6", "-1", " 9"]))
+        elif mutation == "quoted newline":  # int reads "3\n"; the record spans lines
+            rows[r][6] += "\n"
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [""], ["  "]])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = draw(st.sampled_from(["minimal", "all", "raw"]))
+    table = [list(CACHE_HEADER), *rows]
+    if quoting == "raw":
+        return "".join(",".join(row) + newline for row in table)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=newline,
+               quoting=csv.QUOTE_ALL if quoting == "all" else csv.QUOTE_MINIMAL).writerows(table)
+    return buf.getvalue()
+
+
+@settings(max_examples=500)
+@given(cache_files(), st.integers(1, 5) | st.just(_grid._BLOCK_LINES))
+def test_load_article_scores_equals_the_exact_loop(tmp_path_factory, text, block_lines):
+    path = tmp_path_factory.mktemp("cache") / "cache.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(_grid, "_BLOCK_LINES", block_lines):
+        got = _cache_outcome(load_article_scores, str(path))
+    assert got == _cache_outcome(signals._exact_articles, str(path))
+
+
+@given(st.lists(st.tuples(st.text("AB -.", min_size=1, max_size=6).map(str.strip),
+                          st.sampled_from(TICKERS), st.sampled_from(DATES),
+                          st.lists(st.integers(1, 5), min_size=4, max_size=4)), max_size=12),
+       st.integers(1, 5))
+def test_clean_cache_takes_the_fast_read(tmp_path_factory, rows, block_lines):
+    articles = ArticleTable([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+                            np.array([r[3] for r in rows], dtype=np.int64).reshape(-1, 4))
+    path = str(tmp_path_factory.mktemp("cache") / "cache.csv")
+    write_article_scores(articles, path)
+    with mock.patch.object(_grid, "_BLOCK_LINES", block_lines), mock.patch.object(
+            signals, "_exact_articles", side_effect=AssertionError("the fast read declined")):
+        assert load_article_scores(path) == articles
+
+
+class TestCacheFastRead:
+    def _cache(self, tmp_path, score="1", source_id="s-1"):
+        """A two-row cache whose second row's last score is ``score`` and
+        whose first row's id is ``source_id``, read with no quote in it."""
+        rows = [f"{source_id},AA,{DATES[0]},1,2,3,4", f"s-2,BB,{DATES[1]},1,2,3,{score}"]
+        return _write(tmp_path, "articles", rows)
+
+    @pytest.mark.parametrize("score", ["\x1c3", "3\x1f"])
+    def test_a_score_only_loadtxt_reads_names_its_line(self, tmp_path, score):
+        # loadtxt strips the separators U+001C-U+001F; Python's int does not
+        with pytest.raises(ParseError, match=r"articles\.csv: line 3: invalid literal"):
+            load_article_scores(self._cache(tmp_path, score))
+
+    @pytest.mark.parametrize("score", ["0_3", "٣", "３"])
+    def test_a_score_only_int_reads_reads_as_int_does(self, tmp_path, score):
+        assert load_article_scores(self._cache(tmp_path, score)).scores[1, 3] == 3
+
+    def test_an_overflowing_score_names_its_line(self, tmp_path):
+        with pytest.raises(ParseError, match=r"articles\.csv: line 3: int too big to convert$"):
+            load_article_scores(self._cache(tmp_path, "9" * 20))
+
+    @pytest.mark.parametrize("extra", [0, 8])
+    def test_an_id_as_long_as_the_fast_field_reads_whole(self, tmp_path, extra):
+        source_id = "I" * (signals._ID_WIDTH + extra)
+        table = load_article_scores(self._cache(tmp_path, source_id=source_id))
+        assert table.source_ids == (source_id, "s-2")
+
+    def test_a_padded_long_id_is_not_cut_onto_another(self, tmp_path):
+        # cut to the fast read's field, the padded id would strip to s-2
+        source_id = " " * (signals._ID_WIDTH - 3) + "s-2X"
+        table = load_article_scores(self._cache(tmp_path, source_id=source_id))
+        assert table.source_ids == ("s-2X", "s-2")
+
+    def test_a_nul_in_an_id_is_kept(self, tmp_path):
+        # numpy's label field would drop a trailing NUL
+        assert load_article_scores(self._cache(tmp_path, source_id="s\0")).source_ids[0] == "s\0"
+
+    def test_a_quoted_field_across_blocks_names_its_line(self, tmp_path):
+        # read alone, the second line would pass for a row with the id s-2"
+        path = tmp_path / "articles.csv"
+        path.write_text(",".join(CACHE_HEADER) + f'\ns-1,AA,{DATES[0]},1,2,3,"4\n'
+                        f's-2",BB,{DATES[1]},1,2,3,4\n')
+        with mock.patch.object(_grid, "_BLOCK_LINES", 1), pytest.raises(
+                ParseError, match=r"articles\.csv: line 2: expected 7 fields, got 13$"):
+            load_article_scores(str(path))

@@ -4,6 +4,7 @@ import pytest
 from semlab import MarketPanel, compute_indicators, compute_turbulence, forward_returns
 from semlab.errors import (
     AlignmentError,
+    NumericalError,
     ParseError,
     RangeError,
     ValidationError,
@@ -11,6 +12,7 @@ from semlab.errors import (
 )
 from semlab.panels import INDICATORS_ALL, TurbulenceSeries, load_price_panel, write_price_panel
 
+import scalar_turbulence
 from conftest import make_panel
 
 
@@ -265,6 +267,35 @@ class TestTurbulence:
         thresholds = np.linspace(0, 20, 15)
         counts = [turb.gate(threshold=t).sum() for t in thresholds]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    @staticmethod
+    def _outcome(turbulence, panel, window):
+        """The index's bytes, or the type and message of what it raises."""
+        try:
+            return turbulence(panel, window).tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("case", ["iid-1", "iid-5", "iid-12", "iid-30", "zero-distance",
+                                      "singular"])
+    def test_matches_the_scalar_oracle_bit_for_bit(self, case):
+        if case.startswith("iid"):
+            n_t = int(case.split("-")[1])
+            window = 252 if n_t == 30 else 3 * n_t + 2
+            panel = self._iid_panel(n_t, n_t=n_t, n_d=window + 60)
+        else:
+            # dyadic growth factors keep the zero-distance day exact; a flat
+            # window then a jump leaves a zero covariance that no ridge lifts
+            factors = ([1.5, 0.75] * 10 + [1.125] if case == "zero-distance"
+                       else [1.0] * 20 + [1.5, 1.0])
+            close = 64.0 * np.cumprod([1.0, *factors])[:, None] * np.ones(3)
+            panel, window = make_panel(close), 20
+        got = self._outcome(lambda p, w: compute_turbulence(p, w).values, panel, window)
+        assert got == self._outcome(scalar_turbulence.turbulence, panel, window)
+        if case == "zero-distance":
+            assert compute_turbulence(panel, window).values[21] == 0.0
+        if case == "singular":
+            assert got == (NumericalError, f"singular return covariance at {panel.dates[21]}")
 
     def test_window_precondition(self):
         panel = self._iid_panel(3, n_t=10, n_d=100)

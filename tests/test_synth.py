@@ -148,6 +148,7 @@ BENCH_SPEC = {"tickers": 100, "days": 2500, "start_date": "2015-01-02", "coverag
     ({"days": 300, "beta": [0.1, "x", 0, 0]}, "synthetic-spec key 'beta' must be a list of float, got"),
     ({"days": 300, "start_date": 20150102}, "synthetic-spec key 'start_date' must be str"),
     ({"tickers": 4}, "synthetic spec needs a 'days' field"),
+    ({"tickers": ["A", "A"], "days": 50}, "duplicate ticker 'A' in synthetic spec"),
 ])
 def test_spec_fault_is_a_config_error_naming_the_key(tmp_path, capsys, spec, message):
     with pytest.raises(ConfigError) as info:
@@ -163,6 +164,11 @@ def test_spec_fault_is_a_config_error_naming_the_key(tmp_path, capsys, spec, mes
     assert cli_main(["synth", str(path), "1", "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("config error: " + message)
     assert not (tmp_path / "o").exists()
+    # a spec file is read when the run starts; a broken rule once exited 2 here
+    raw["data"]["synthetic"] = str(path)
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert cli_main(["run", str(tmp_path / "cfg.json")]) == 1
+    assert capsys.readouterr().err.startswith("config error: " + message)
 
 
 def test_every_spec_form_in_use_still_loads():
@@ -200,7 +206,7 @@ def test_non_finite_or_non_positive_spec_value_names_its_key(kwargs, message):
 def test_nan_literal_in_a_spec_file_names_its_key(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text('{"tickers": 3, "days": 50, "drift": NaN}')
-    with pytest.raises(ValidationError, match="drift must be finite, got nan"):
+    with pytest.raises(ConfigError, match="drift must be finite, got nan"):
         SyntheticSpec.from_file(str(path))
 
 
