@@ -334,11 +334,17 @@ def load_workspace(cfg: ExperimentConfig) -> Workspace:
 # ---------------------------------------------------------------------------
 
 class ArtifactWriter:
-    """Tracks files written by one run so failures can clean up after themselves."""
+    """Tracks files written by one run so failures can clean up after
+    themselves, and the directories this writer made once they are empty."""
 
     def __init__(self, output_dir: str):
         self.output_dir = output_dir
         self.created: list[str] = []
+        self.made_dirs: list[str] = []  # the output dir and its missing parents, leaf first
+        d = os.path.abspath(output_dir)
+        while not os.path.isdir(d):
+            self.made_dirs.append(d)
+            d = os.path.dirname(d)
         os.makedirs(output_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
@@ -350,6 +356,10 @@ class ArtifactWriter:
         for p in self.created:
             if os.path.exists(p):
                 os.remove(p)
+        for d in self.made_dirs:
+            if os.listdir(d):
+                break
+            os.rmdir(d)
 
     def write_rows(self, name: str, header: list[str], rows: list[list]) -> None:
         write_csv(self.path(name), header, rows)

@@ -361,6 +361,33 @@ class TestRunKinds:
         leftovers = list((tmp_path / "broken").glob("*")) if (tmp_path / "broken").exists() else []
         assert leftovers == []
 
+    def _broken_spec_config(self, tmp_path, outdir):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"tickers": ["A", "A"], "days": 50}))
+        raw = config_dict("sfp", outdir)
+        raw["data"] = {"synthetic": str(spec)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    @pytest.mark.parametrize("outdir", ["out", "a/b/out"])
+    def test_failure_removes_the_output_dirs_it_made(self, tmp_path, capsys, outdir):
+        cfg = self._broken_spec_config(tmp_path, tmp_path / outdir)
+        assert cli_main(["run", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error: duplicate ticker 'A'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "spec.json"]
+
+    def test_failure_keeps_an_output_dir_that_was_there(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "notes.txt").write_text("kept")
+        (tmp_path / "empty").mkdir()
+        for outdir in ("out", "empty", "empty/made"):
+            assert cli_main(["run", self._broken_spec_config(tmp_path, tmp_path / outdir)]) == 1
+            assert capsys.readouterr().err.startswith("config error: duplicate ticker 'A'")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["notes.txt"]
+        assert (tmp_path / "out" / "notes.txt").read_text() == "kept"
+        assert list((tmp_path / "empty").iterdir()) == []
+
 
 class TestCostSweep:
     """The cost_sweep kind re-runs the sfp-4axis portfolio at each cost level."""

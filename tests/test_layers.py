@@ -47,3 +47,16 @@ def test_every_import_is_at_module_level():
              for module, imports in _imports().items()
              for target, node, top in imports if not top]
     assert local == []
+
+
+def test_only_the_grid_module_imports_orjson():
+    # the text of a written number is one module's decision
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
+                     else [])
+            if any(name.split(".")[0] == "orjson" for name in names):
+                importers.add(path.stem)
+    assert importers == {"_grid"}

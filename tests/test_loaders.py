@@ -259,10 +259,9 @@ awkward_labels = st.lists(
 @given(st.integers(1, 70), awkward_labels, st.booleans(), st.data())
 def test_price_panel_writer_matches_the_scalar_oracle(tmp_path_factory, n_d, labels, pooled,
                                                       data):
-    # up to 70 dates: many of the writer's blocks, each formatting its
-    # distinct numbers once; a pooled panel repeats a few numbers within and
-    # across columns, and its volumes hold -0.0 beside 0.0, equal but printed
-    # apart
+    # up to 70 dates: many of the writer's blocks; a pooled panel repeats a
+    # few numbers within and across columns, and its volumes hold -0.0 beside
+    # 0.0, equal but printed apart
     tickers = tuple(sorted(labels))  # the loader's ticker order
     shape = (n_d, len(tickers))
     prices, volumes = positive, st.floats(min_value=0.0, max_value=1e300)
@@ -297,6 +296,38 @@ def test_price_panel_writer_matches_the_scalar_oracle(tmp_path_factory, n_d, lab
             assert getattr(loaded, name).tobytes() == want.tobytes(), name
         volume = np.zeros(shape) if panel.volume is None else panel.volume
         assert loaded.volume.tobytes() == volume.tobytes()
+
+
+# the bits of any float64: sign, exponent and mantissa drawn apart, with the
+# all-zero and all-one exponents and the zero mantissa drawn often, so that
+# zeros, subnormals, infinities and NaN payloads all come up
+float_bits = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                       st.integers(0, 1),
+                       st.one_of(st.sampled_from([0, 2047]), st.integers(0, 2047)),
+                       st.one_of(st.just(0), st.integers(0, 2 ** 52 - 1)))
+
+
+@given(st.lists(float_bits, max_size=40))
+def test_float_texts_are_reprs(bits):
+    values = np.array(bits, dtype=np.uint64).view(float)
+    assert _grid._float_texts(values) == [repr(x) for x in values.tolist()]
+
+
+def _around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# the edges of the range orjson's text is trusted in, and numbers whose
+# shortest text is an integer
+EDGES = [*_around(1e-4), *_around(-1e-4), *_around(1e16), *_around(-1e16), *_around(2.0 ** 53),
+         1.0, -3.0, 100.0, 123456789.0, 1e15, 4503599627370496.0, 0.0, -0.0,
+         5e-324, 1.7976931348623157e308, np.nan, -np.nan, np.inf, -np.inf]
+
+
+def test_float_texts_at_the_edges_are_reprs():
+    values = np.array(EDGES)
+    assert _grid._float_texts(values) == [repr(x) for x in values.tolist()]
+    assert _grid._float_texts(np.array([])) == []
 
 
 def test_grid_writer_rejects_a_column_off_the_grid(tmp_path):
