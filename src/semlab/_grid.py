@@ -5,16 +5,22 @@ its one alignment check; calendar lookups; the long-form
 written by its mirror ``write_grid``; and the two formats every other
 artifact is written through, ``write_csv`` and ``write_json``.
 
-``read_grid`` reads in two stages, and so does the article cache's
-``signals.load_article_scores``. The fast one, ``fast_fields``, hands blocks
-of ``_BLOCK_LINES`` lines to numpy's C parser (``np.loadtxt`` with a
-structured dtype: label fields of a fixed width each, then one field of
-``float`` numbers for a grid or ``int64`` scores for the cache), maps each
-block's distinct labels through a dict, and strips them. It declines a file
-on any fault and on anything it cannot vouch for, such as a label that fills
-its field (loadtxt would cut it) or a number only Python's ``float`` or
-``int`` reads (``1_0``). The exact stage then re-reads the file row by row
-through ``records``, and every error that names a line comes from it, so a
+Both delimited inputs, the grid files of ``read_grid`` and the article cache
+of ``signals.load_article_scores``, are read by ``read_fields`` in two
+stages, each returning the same fields: every leading label field as a dict
+of its labels in first-seen order with each row's index into it, the numbers
+as one flat array, and each row's physical line, which only the exact stage
+gives. The fast stage, ``fast_fields``, hands blocks of ``_BLOCK_LINES``
+lines to numpy's C parser (``np.loadtxt`` with a structured dtype: label
+fields of a fixed width each, then one field of ``float`` or ``int``
+numbers), maps each block's distinct labels through a dict and strips them.
+It declines a file on any fault and on anything it cannot vouch for, such as
+a label that fills its field (loadtxt would cut it), a date not YYYY-MM-DD
+or a number only Python's ``float`` or ``int`` reads (``1_0``). The exact
+stage, ``exact_fields``, then re-reads the file row by row through
+``records``. Each reader passes a ``build`` that turns the fields into its
+result and declines where its message must name a line but has no line
+numbers, so every error that names a line comes from the exact stage, and a
 result or an error does not depend on the stage that read the file.
 
 ``write_grid`` writes the bytes ``write_csv`` would, but quotes each label
@@ -43,6 +49,7 @@ import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice, repeat
 from typing import ClassVar
 
@@ -312,12 +319,6 @@ def is_date(date: str) -> bool:
     return len(date) == 10 and date[4] == "-" and date[7] == "-"
 
 
-def check_date(date: str, path: str, lineno: int) -> None:
-    """A ParseError naming the line unless ``date`` has the YYYY-MM-DD shape."""
-    if not is_date(date):
-        raise ParseError(f"{path}: line {lineno}: bad date {date!r} (want YYYY-MM-DD)")
-
-
 def _axis(seen: dict[str, int], given) -> tuple[tuple[str, ...], np.ndarray]:
     """The labels of an axis (``given``, else the seen ones sorted) and the
     position on it of each seen label, in first-seen order (-1: not on it)."""
@@ -326,7 +327,7 @@ def _axis(seen: dict[str, int], given) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, np.array([at.get(s, -1) for s in seen], dtype=np.int64)
 
 
-# lines per np.loadtxt call in the fast read of read_grid: reading the whole
+# lines per np.loadtxt call in the fast read of read_fields: reading the whole
 # file as one block raised the peak RSS of writing and re-reading a 100 x 2500
 # panel from about 170 to 276-289 MiB; blocks of 2048 or 8192 lines left it
 # at about 170 MiB and read equally fast
@@ -344,14 +345,17 @@ class Declined(Exception):
     """The fast read cannot vouch for a file; the exact loop reads it."""
 
 
-def fast_fields(path: str, header: tuple[str, ...] | None, widths: tuple[int, ...], number):
+def fast_fields(path: str, header: tuple[str, ...] | None, widths: tuple[int, ...], number,
+                date_field: int):
     """The data rows of a delimited file whose header ``read_header``
-    accepts, read ``_BLOCK_LINES`` lines at a time by ``np.loadtxt``, with no
-    line numbers: for each leading label field (``widths`` gives each one's
-    width in characters), a dict of its stripped labels in first-seen order
-    and each row's index into it; then the other fields of every row, read
-    as ``number`` (``float`` or ``np.int64``), as one flat array. Declined on
-    any fault and on anything it cannot vouch for.
+    accepts, read ``_BLOCK_LINES`` lines at a time by ``np.loadtxt``: for
+    each leading label field (``widths`` gives each one's width in
+    characters), a dict of its stripped labels in first-seen order and each
+    row's index into it; then the other fields of every row, read as
+    ``number`` (``float`` or ``int``), as one flat array; then None, in place
+    of ``exact_fields``' line numbers. Declined on any fault, on a label of
+    field ``date_field`` that is not YYYY-MM-DD, and on anything it cannot
+    vouch for.
 
     The structured dtype checks each row's field count. Each block's labels
     are mapped through a dict of its distinct raw labels, then stripped. A
@@ -386,51 +390,57 @@ def fast_fields(path: str, header: tuple[str, ...] | None, widths: tuple[int, ..
                 flat += block["numbers"].tobytes()
     except Exception:  # whatever the fault, the exact loop reports it
         raise Declined from None
-    return label_at, indices, np.frombuffer(flat, dtype=number)
-
-
-def _fast_rows(path: str, header: tuple[str, ...] | None):
-    """The labels, label indices and numbers the exact loop would collect,
-    read by ``fast_fields``; Declined on a date not YYYY-MM-DD."""
-    (date_at, ticker_at), (di, ti), flat = fast_fields(path, header, (_LABEL_WIDTH,) * 2, float)
-    if not all(map(is_date, date_at)):
+    if not all(map(is_date, label_at[date_field])):
         raise Declined
-    return date_at, ticker_at, di, ti, flat, None
+    return label_at, indices, np.frombuffer(flat, dtype=number), None
 
 
-def _exact_rows(path: str, header: tuple[str, ...] | None):
-    """What ``_fast_rows`` returns, with the physical line of each row, read
-    row by row from ``records``: the source of every ParseError message."""
-    # labels by first-seen index; one entry per row in the flat buffers
-    date_at: dict[str, int] = {}
-    ticker_at: dict[str, int] = {}
-    di, ti, lines, flat = array("q"), array("q"), array("q"), array("d")
+def exact_fields(path: str, header: tuple[str, ...] | None, widths: tuple[int, ...], number,
+                 date_field: int):
+    """What ``fast_fields`` returns, with the physical line of each row in
+    place of None, read row by row from ``records``: the source of every
+    ParseError message. Within a row, the date in field ``date_field`` is
+    checked the first time it is seen, then the numbers are read by
+    ``number``; each fault is a ParseError naming the line."""
+    label_at: list[dict[str, int]] = [{} for _ in widths]
+    indices = [array("q") for _ in widths]
+    lines, flat = array("q"), array("d" if number is float else "q")
+    seen = label_at[date_field]
     for lineno, row in records(path, header):
-        date, ticker = row[0].strip(), row[1].strip()
-        i = date_at.get(date)
-        if i is None:
-            check_date(date, path, lineno)
-            i = date_at[date] = len(date_at)
-        j = ticker_at.get(ticker)
-        if j is None:
-            j = ticker_at[ticker] = len(ticker_at)
+        labels = [field.strip() for field in row[:len(widths)]]
+        date = labels[date_field]
+        if date not in seen and not is_date(date):
+            raise ParseError(f"{path}: line {lineno}: bad date {date!r} (want YYYY-MM-DD)")
+        for label, at, out in zip(labels, label_at, indices):
+            out.append(at.setdefault(label, len(at)))
         try:
-            flat.extend(map(float, row[2:]))
-        except ValueError as exc:
+            flat.extend(map(number, row[len(widths):]))
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond int64
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        di.append(i)
-        ti.append(j)
         lines.append(lineno)
-    return date_at, ticker_at, di, ti, flat, lines
+    return label_at, indices, np.frombuffer(flat, dtype=number), lines
 
 
-def _place(path, date_at, ticker_at, di, ti, flat, lines, calendar, universe):
-    """The dense grid of ``read_grid`` from the rows of ``_fast_rows`` or
-    ``_exact_rows``; Declined where a message must name a line and the rows
+def read_fields(path: str, header: tuple[str, ...] | None, widths: tuple[int, ...], number,
+                date_field: int, build):
+    """``build`` applied to the fields of ``fast_fields``, or, when either
+    declines, to those of ``exact_fields``. ``build`` declines where it must
+    name a line and was given None for the line numbers, so the result or
+    error is the same whichever stage read the file."""
+    try:
+        return build(*fast_fields(path, header, widths, number, date_field))
+    except Declined:
+        return build(*exact_fields(path, header, widths, number, date_field))
+
+
+def _place(path, calendar, universe, label_at, indices, flat, lines):
+    """The dense grid of ``read_grid`` from the fields of ``fast_fields`` or
+    ``exact_fields``; Declined where a message must name a line and the rows
     came without line numbers."""
+    (date_at, ticker_at), (di, ti) = label_at, indices
     if not di:
         raise AlignmentError(f"{path}: no data rows")
-    values = np.frombuffer(flat).reshape(len(di), -1)
+    values = flat.reshape(len(di), -1)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         if lines is None:
@@ -475,13 +485,10 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
     or else the file's own sorted dates and tickers; cells with no row are an
     AlignmentError listing the gaps.
 
-    The fast stage (``_fast_rows``) reads labels of up to ``_LABEL_WIDTH`` - 1
-    characters with numpy's C parser; on any fault, and on any file it cannot
-    vouch for, the exact stage (``_exact_rows``) re-reads the file row by row
-    and raises every error that names a line, so the result or error is the
-    same whichever stage read the file.
+    The file is read by ``read_fields``: numpy's C parser reads labels of up
+    to ``_LABEL_WIDTH`` - 1 characters, and the exact row loop re-reads any
+    file the C parser cannot vouch for and raises every error that names a
+    line.
     """
-    try:
-        return _place(path, *_fast_rows(path, header), calendar, universe)
-    except Declined:
-        return _place(path, *_exact_rows(path, header), calendar, universe)
+    return read_fields(path, header, (_LABEL_WIDTH,) * 2, float, 0,
+                       partial(_place, path, calendar, universe))

@@ -223,8 +223,14 @@ def baseline(
       over ``vol_window`` days, renormalised daily.
 
     Momentum and equal-vol need enough panel history before the configured
-    period to cover their lookbacks.
+    period to cover their lookbacks. A ``lookback`` below 1 or a
+    ``vol_window`` below 2 (a std with ddof=1 needs two returns) is a
+    ValidationError.
     """
+    if lookback < 1:
+        raise ValidationError(f"momentum lookback must be >= 1, got {lookback}")
+    if vol_window < 2:
+        raise ValidationError(f"equal-vol window must be >= 2, got {vol_window}")
     period = config.period or (panel.dates[0], panel.dates[-1])
 
     def first_in_period() -> int:

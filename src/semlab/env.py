@@ -37,10 +37,11 @@ class EnvConfig:
     def __post_init__(self) -> None:
         if self.h_max < 1:
             raise ValidationError(f"h_max must be >= 1, got {self.h_max}")
-        for name in ("cost_rate", "turbulence_threshold", "reward_scale",
-                     "drawdown_alpha", "initial_cash"):
+        for name in ("cost_rate", "turbulence_threshold", "reward_scale", "drawdown_alpha"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be non-negative")
+        if self.initial_cash <= 0:
+            raise ValidationError(f"initial_cash must be > 0, got {self.initial_cash}")
 
 
 def drawdown_penalty(wealth: float, peak: float, alpha: float) -> float:

@@ -90,6 +90,12 @@ _DATA_KEYS = ("synthetic", "price_panel", "signal_cache", "dense_blocks")
 # The value types a param accepts, by the type of its default (None: an optional string).
 _ACCEPTS = {bool: {bool}, int: {int}, float: {int, float}, str: {str}, tuple: {list, tuple},
             type(None): {str, type(None)}}
+# The least value of each numeric param that has one; k and cost_rate are
+# checked by BacktestConfig, the env_eval params by EnvConfig.
+_AT_LEAST = {"horizon": 1, "window": 0, "ridge_strength": 0, "k_per_stratum": 1,
+             "momentum_lookback": 1, "vol_window": 2, "n_seeds": 1}
+# The grid params that need an item, and what an item is.
+_NON_EMPTY = {"costs": "cost", "temperature_grid": "temperature", "masks": "mask"}
 
 
 def _conform(where: str, value, default):
@@ -176,6 +182,18 @@ class ExperimentConfig:
         check_names(self.params, declared, where)
         p = {name: _conform(where.format(name), self.params[name], default)
              if name in self.params else default for name, default in declared.items()}
+        for name, least in _AT_LEAST.items():
+            if name in p and p[name] < least:
+                raise ConfigError(f"param {name!r} must be >= {least}, got {p[name]}")
+        for name, item in _NON_EMPTY.items():
+            if name in p and not p[name]:
+                raise ConfigError(f"param {name!r} must hold at least one {item}")
+        try:
+            BacktestConfig(**{name: p[name] for name in ("k", "cost_rate") if name in p})
+            if "policy" in p:
+                EnvConfig(**{name: p[name] for name in _ENV})
+        except ValidationError as exc:
+            raise ConfigError(f"params for kind {self.kind!r}: {exc}") from None
         costs = p.get("costs", ())
         if any(c < 0 for c in costs) or list(costs) != sorted(costs):
             raise ConfigError(f"{where.format('costs')} must be non-negative and ascending, "
@@ -197,10 +215,6 @@ class ExperimentConfig:
                 _check_date("param 'start_date'", p["start_date"])
             check_names([p["policy"]], POLICIES, "policy {!r}")
             check_names([p["axis"]], AXES, "signal axis {!r}")
-            if p["n_seeds"] < 1:
-                raise ConfigError(f"param 'n_seeds' must be >= 1, got {p['n_seeds']}")
-            if not p["masks"]:
-                raise ConfigError("param 'masks' must hold at least one mask")
             seen: set[frozenset[str]] = set()
             for mask in p["masks"]:
                 if isinstance(mask, (list, tuple)):
@@ -274,8 +288,11 @@ class ExperimentConfig:
 # Workspace assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Workspace:
+    """One run's inputs, read-only, so that no runner changes what a later
+    study sees."""
+
     panel: MarketPanel
     signals: SignalPanel
     returns_fwd: np.ndarray
@@ -325,8 +342,9 @@ def load_workspace(cfg: ExperimentConfig) -> Workspace:
         signals = signals.restrict(cfg.universe)
     hashes["panel"] = panel.content_hash()
     hashes["signal_panel"] = signals.content_hash()
-    return Workspace(panel=panel, signals=signals, input_hashes=hashes,
-                     returns_fwd=forward_returns(panel, cfg.p["horizon"]))
+    returns_fwd = forward_returns(panel, cfg.p["horizon"])
+    returns_fwd.flags.writeable = False
+    return Workspace(panel=panel, signals=signals, input_hashes=hashes, returns_fwd=returns_fwd)
 
 
 # ---------------------------------------------------------------------------
@@ -522,18 +540,12 @@ def _feature_blocks(cfg: ExperimentConfig, ws: Workspace) -> dict[str, np.ndarra
         elif name == "semantic":
             blocks["semantic"] = ws.signals.deviations
         elif name in cfg.data.get("dense_blocks", {}):
-            blocks[name] = _load_dense_block(
-                cfg.data["dense_blocks"][name], ws.panel.dates, ws.panel.tickers
-            )
+            # on the workspace grid: a universe restriction skips other rows on purpose
+            path = cfg.data["dense_blocks"][name]
+            blocks[name] = read_grid(path, None, ws.panel.dates, ws.panel.tickers)[2]
         else:
             raise ConfigError(f"unknown feature block {name!r}")
     return blocks
-
-
-def _load_dense_block(path: str, dates, tickers) -> np.ndarray:
-    """Dense feature file ``date,ticker,<col...>`` on the workspace grid, by
-    ``_grid.read_grid``; a universe restriction skips other rows on purpose."""
-    return read_grid(path, None, dates, tickers)[2]
 
 
 def _run_forecaster(s: _Study) -> None:

@@ -22,7 +22,6 @@ range raises a leakage error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -570,20 +569,3 @@ def save_factor_model(model: FactorModel, path: str) -> None:
         "content_hash": model.content_hash(),
     }
     write_json(path, payload)
-
-
-def load_factor_model(path: str) -> FactorModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    model = FactorModel(
-        feature_names=tuple(payload["feature_names"]),
-        weights=np.array(payload["weights"]),
-        intercept=payload["intercept"],
-        standardizer_mean=np.array(payload["standardizer_mean"]),
-        standardizer_std=np.array(payload["standardizer_std"]),
-        ridge_strength=payload["ridge_strength"],
-        fit_range=tuple(payload["fit_range"]),
-    )
-    if model.content_hash() != payload["content_hash"]:
-        raise ValidationError(f"{path}: content hash mismatch (file corrupted or edited)")
-    return model

@@ -12,15 +12,14 @@ still covered.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
-from ._grid import (_LABEL_WIDTH, Declined, Grid, check_date, check_increasing, fast_fields,
-                    frozen, is_date, records, write_csv)
-from .errors import ParseError, RankError, ValidationError
+from ._grid import _LABEL_WIDTH, Declined, Grid, check_increasing, frozen, read_fields, write_csv
+from .errors import RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
 NEUTRAL = 3.0
@@ -382,59 +381,28 @@ _ID_WIDTH = 32
 def load_article_scores(path: str) -> ArticleTable:
     """Read the delimited cache ``source_id,ticker,date,<four integer scores>``
     into an ``ArticleTable``, with the header, blank-row and field-count rules
-    of ``_grid.records`` and its YYYY-MM-DD ``check_date``. A score that is
-    not an integer is a ParseError, one outside [1, 5] a ValidationError, each
+    of ``_grid.records``. A date not YYYY-MM-DD or a score that is not an
+    integer is a ParseError, a score outside [1, 5] a ValidationError, each
     naming its line.
 
-    The file is read in the two stages of ``_grid.read_grid``: the fast one
-    (``_fast_articles``) reads source ids of up to ``_ID_WIDTH`` - 1
-    characters with numpy's C parser; on any fault, and on any file it cannot
-    vouch for, the exact one (``_exact_articles``) re-reads it row by row and
-    raises every error that names a line, so the result or error is the same
-    whichever stage read the file."""
-    try:
-        return _fast_articles(path)
-    except Declined:
-        return _exact_articles(path)
+    The file is read by ``_grid.read_fields``: numpy's C parser reads source
+    ids of up to ``_ID_WIDTH`` - 1 characters, and the exact row loop re-reads
+    any file the C parser cannot vouch for and raises every error that names
+    a line."""
+    return read_fields(path, CACHE_HEADER, (_ID_WIDTH, _LABEL_WIDTH, _LABEL_WIDTH), int, 2,
+                       partial(_articles, path))
 
 
-def _fast_articles(path: str) -> ArticleTable:
-    """The table ``_exact_articles`` reads, from ``_grid.fast_fields``;
-    Declined on a date not YYYY-MM-DD and on a score outside [1, 5], whose
-    messages name a line."""
-    widths = (_ID_WIDTH, _LABEL_WIDTH, _LABEL_WIDTH)
-    label_at, indices, flat = fast_fields(path, CACHE_HEADER, widths, np.int64)
+def _articles(path, label_at, indices, flat, lines) -> ArticleTable:
+    """The table of the cache's fields from ``_grid.fast_fields`` or
+    ``_grid.exact_fields``; Declined on a score outside [1, 5] when the rows
+    came without line numbers, else a ValidationError naming its line."""
+    columns = [np.array(list(at), dtype=object)[np.frombuffer(i, dtype=np.int64)].tolist()
+               for at, i in zip(label_at, indices)]
     scores = flat.reshape(-1, 4)
-    if not all(map(is_date, label_at[2])) or ((scores < 1) | (scores > 5)).any():
-        raise Declined
-    columns = (np.array(list(at), dtype=object)[np.frombuffer(i, dtype=np.int64)].tolist()
-               for at, i in zip(label_at, indices))
-    return ArticleTable(*columns, scores)
-
-
-def _exact_articles(path: str) -> ArticleTable:
-    """The cache read row by row from ``_grid.records``: the source of every
-    message of ``load_article_scores`` that names a line."""
-    source_ids: list[str] = []
-    tickers: list[str] = []
-    dates: list[str] = []
-    lines, flat = array("q"), array("q")
-    checked: set[str] = set()
-    for lineno, row in records(path, CACHE_HEADER):
-        date = row[2].strip()
-        if date not in checked:
-            check_date(date, path, lineno)
-            checked.add(date)
-        try:
-            flat.extend(map(int, row[3:]))
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        source_ids.append(row[0].strip())
-        tickers.append(row[1].strip())
-        dates.append(date)
-        lines.append(lineno)
-    scores = np.frombuffer(flat, dtype=np.int64).reshape(-1, 4)
-    error = _score_error(scores, dates, tickers)
+    error = _score_error(scores, columns[2], columns[1])
     if error is not None:
+        if lines is None:
+            raise Declined
         raise ValidationError(f"{path}: line {lines[error[0]]}: {error[1]}")
-    return ArticleTable(source_ids, tickers, dates, scores)
+    return ArticleTable(*columns, scores)

@@ -292,6 +292,21 @@ class TestBaselines:
         with pytest.raises(RangeError, match="lookback"):
             baseline(panel, "momentum_topk", cfg, lookback=126)
 
+    @pytest.mark.parametrize("kind, window, match", [
+        ("momentum_topk", {"lookback": 0}, "momentum lookback must be >= 1, got 0"),
+        ("momentum_topk", {"lookback": -2}, "momentum lookback must be >= 1, got -2"),
+        ("equal_vol", {"vol_window": 1}, "equal-vol window must be >= 2, got 1"),
+        ("equal_vol", {"vol_window": 0}, "equal-vol window must be >= 2, got 0"),
+        ("equal_vol", {"vol_window": -2}, "equal-vol window must be >= 2, got -2"),
+    ])
+    def test_window_out_of_range(self, kind, window, match):
+        # 0 broadcast (n, t) against (0, t); a negative lookback divided the
+        # wrong rows; a vol window below 2 fell back to equal weights
+        panel = make_panel(np.full((50, 2), 10.0))
+        cfg = BacktestConfig(k=1, cost_rate=0.0, period=(panel.dates[10], panel.dates[-1]))
+        with pytest.raises(ValidationError, match=match):
+            baseline(panel, kind, cfg, **window)
+
     def test_unknown_kind(self):
         panel = make_panel(np.full((5, 2), 10.0))
         with pytest.raises(ValidationError, match="unknown baseline"):

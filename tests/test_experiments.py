@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -17,10 +18,11 @@ from semlab import (
     synth_panel,
     validate_inputs,
 )
+from semlab._grid import read_grid
 from semlab.cli import main as cli_main
 from semlab.errors import AlignmentError, ConfigError, ParseError, ValidationError
 from semlab.env import HoldPolicy, SignalThresholdPolicy, run_policy
-from semlab.experiments import _KINDS, KINDS, _load_dense_block
+from semlab.experiments import _KINDS, KINDS
 from semlab.signals import AXES, load_article_scores
 
 from conftest import business_days, read_rows, study_config
@@ -125,6 +127,30 @@ class TestDeclaredParams:
         assert self._cli(tmp_path, raw) == 1
         named = "seed must be an integer" if key == "seed" else f"param {key!r} for kind {kind!r}"
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, params, named", [
+        ("sfp", {"k": 0}, "basket size must be >= 1, got 0"),
+        ("sfp", {"cost_rate": -0.001}, "cost rate must be >= 0, got -0.001"),
+        ("env_eval", {"h_max": 0}, "h_max must be >= 1, got 0"),
+        ("env_eval", {"initial_cash": 0}, "initial_cash must be > 0, got 0.0"),
+        ("sfp", {"horizon": 0}, "param 'horizon' must be >= 1, got 0"),
+        ("validation_suite", {"window": -1}, "param 'window' must be >= 0, got -1"),
+        ("srf", {"ridge_strength": -1}, "param 'ridge_strength' must be >= 0, got -1.0"),
+        ("stratified", {"k_per_stratum": 0}, "param 'k_per_stratum' must be >= 1, got 0"),
+        ("baselines", {"momentum_lookback": 0}, "param 'momentum_lookback' must be >= 1, got 0"),
+        ("baselines", {"momentum_lookback": -5}, "param 'momentum_lookback' must be >= 1"),
+        ("baselines", {"vol_window": 1}, "param 'vol_window' must be >= 2, got 1"),
+        ("scw", {"temperature_grid": []}, "param 'temperature_grid' must hold at least one"),
+        ("cost_sweep", {"costs": []}, "param 'costs' must hold at least one cost"),
+    ])
+    def test_value_out_of_range_exits_1(self, tmp_path, capsys, kind, params, named):
+        # each used to pass here and fail once the data was read, or, for no
+        # costs, to write a sweep.csv of its header alone
+        raw = config_dict(kind, tmp_path / "out", params=params)
+        assert self._cli(tmp_path, raw) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("spec, named", [
@@ -468,6 +494,10 @@ class TestDenseBlock:
         path.write_text("date,ticker,f0,f1\n" + "".join(r + "\n" for r in rows))
         return str(path)
 
+    def _load(self, path):
+        """The block as ``forecaster`` reads it, on the workspace grid."""
+        return read_grid(path, None, self.DATES, self.TICKERS)[2]
+
     def test_full_grid_loads_and_outside_rows_are_skipped(self, tmp_path):
         path = self._write(tmp_path, [
             "2020-01-02,AA,1,2", "2020-01-02,BB,3,4",
@@ -475,7 +505,7 @@ class TestDenseBlock:
             "2020-01-03,ZZ,9,9",  # ticker outside the workspace universe
             "2019-12-31,AA,9,9",  # date outside the workspace calendar
         ])
-        arr = _load_dense_block(path, self.DATES, self.TICKERS)
+        arr = self._load(path)
         np.testing.assert_array_equal(arr, [[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
 
     def test_missing_cell_is_alignment_error(self, tmp_path):
@@ -483,12 +513,12 @@ class TestDenseBlock:
             "2020-01-02,AA,1,2", "2020-01-02,BB,3,4", "2020-01-03,AA,5,6",
         ])
         with pytest.raises(AlignmentError, match=r"calendar gaps: BB missing 2020-01-03$"):
-            _load_dense_block(path, self.DATES, self.TICKERS)
+            self._load(path)
 
     def test_non_numeric_field_is_parse_error(self, tmp_path):
         path = self._write(tmp_path, ["2020-01-02,AA,1,2", "2020-01-02,BB,3,x"])
         with pytest.raises(ParseError, match=r"dense\.csv: line 3: could not convert"):
-            _load_dense_block(path, self.DATES, self.TICKERS)
+            self._load(path)
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
     def test_non_finite_field_is_validation_error(self, tmp_path, field):
@@ -496,18 +526,18 @@ class TestDenseBlock:
         with pytest.raises(
             ValidationError, match=r"dense\.csv: non-finite value at \(2020-01-02, BB\), line 3$"
         ):
-            _load_dense_block(path, self.DATES, self.TICKERS)
+            self._load(path)
 
     def test_short_row_is_parse_error_not_broadcast(self, tmp_path):
         path = self._write(tmp_path, ["2020-01-02,AA,1.0"])
         with pytest.raises(ParseError, match=r"dense\.csv: line 2: expected 4 fields, got 3"):
-            _load_dense_block(path, self.DATES, self.TICKERS)
+            self._load(path)
 
     def test_empty_file_is_parse_error(self, tmp_path):
         path = tmp_path / "dense.csv"
         path.write_text("")
         with pytest.raises(ParseError, match=r"dense\.csv: line 1: empty file"):
-            _load_dense_block(str(path), self.DATES, self.TICKERS)
+            self._load(str(path))
 
 
 class TestDeterminism:
@@ -522,6 +552,14 @@ class TestDeterminism:
             assert files_a == sorted(os.listdir(out_b))
             for name in files_a:
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_workspace_is_read_only(self, tmp_path):
+        # no runner may change what a later study on the same inputs sees
+        ws = experiments.load_workspace(ExperimentConfig.from_dict(config_dict("sfp", tmp_path)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ws.returns_fwd = np.zeros_like(ws.returns_fwd)
+        with pytest.raises(ValueError, match="read-only"):
+            ws.returns_fwd[0, 0] = 0.0
 
 
 class TestEnvEvalRollouts:

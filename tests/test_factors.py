@@ -28,7 +28,6 @@ from semlab.errors import (
     RankError,
     ValidationError,
 )
-from semlab.factors import load_factor_model, save_factor_model
 from semlab.metrics import sharpe_ratio
 from semlab.panels import forward_returns
 from semlab.stats import spearman_ic
@@ -588,28 +587,3 @@ class TestForecaster:
         s1 = tilted.score_panel(test_blocks, test_dates, panel.tickers, sig_test)
         changed = ~np.isclose(s0.values, s1.values, atol=1e-15)
         assert not changed[~sig_test.non_neutral].any()
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        panel = _panel_with_returns(seed=21)
-        y = panel.deviations @ np.array([0.01, 0, 0, 0])
-        model = fit_sfp(panel, y, (panel.dates[0], panel.dates[-1]), min_stock_days=50)
-        path = tmp_path / "model.json"
-        save_factor_model(model, str(path))
-        loaded = load_factor_model(str(path))
-        assert loaded.content_hash() == model.content_hash()
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-
-    def test_tampering_detected(self, tmp_path):
-        panel = _panel_with_returns(seed=22)
-        y = panel.deviations @ np.array([0.01, 0, 0, 0])
-        model = fit_sfp(panel, y, (panel.dates[0], panel.dates[-1]), min_stock_days=50)
-        path = tmp_path / "model.json"
-        save_factor_model(model, str(path))
-        import json
-        payload = json.loads(path.read_text())
-        payload["intercept"] = payload["intercept"] + 1.0
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match="hash"):
-            load_factor_model(str(path))

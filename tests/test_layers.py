@@ -49,14 +49,25 @@ def test_every_import_is_at_module_level():
     assert local == []
 
 
-def test_only_the_grid_module_imports_orjson():
-    # the text of a written number is one module's decision
+def _importers(package: str) -> set[str]:
+    """The modules of ``src/semlab`` that import ``package`` or one of its
+    submodules."""
     importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
                      else [])
-            if any(name.split(".")[0] == "orjson" for name in names):
+            if any(name.split(".")[0] == package for name in names):
                 importers.add(path.stem)
-    assert importers == {"_grid"}
+    return importers
+
+
+def test_only_the_grid_module_imports_orjson():
+    # the text of a written number is one module's decision
+    assert _importers("orjson") == {"_grid"}
+
+
+def test_only_the_grid_module_imports_csv():
+    # so is how a delimited file is read and written
+    assert _importers("csv") == {"_grid"}

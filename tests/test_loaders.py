@@ -15,7 +15,6 @@ from semlab import MarketPanel, _grid, signals
 from semlab._grid import read_grid, write_grid
 from semlab.cli import main as cli_main
 from semlab.errors import AlignmentError, ParseError, ValidationError
-from semlab.experiments import _load_dense_block
 from semlab.panels import load_price_panel, write_price_panel
 from semlab.signals import CACHE_HEADER, ArticleTable, load_article_scores, write_article_scores
 
@@ -29,7 +28,7 @@ TICKERS = ("AA", "BB")
 LOADERS = {
     "prices": ("date,ticker,open,high,low,close,volume", "{d},{t},5,5,5,5,10", load_price_panel),
     "dense": ("date,ticker,f0,f1", "{d},{t},1,2",
-              lambda path: _load_dense_block(path, DATES, TICKERS)),
+              lambda path: read_grid(path, None, DATES, TICKERS)[2]),
     "articles": (",".join(CACHE_HEADER), "s-{d}-{t},{t},{d},1,2,3,4", load_article_scores),
 }
 GRIDS = ("prices", "dense")
@@ -103,6 +102,20 @@ class TestSharedRules:
         with pytest.raises(ParseError if fault != "range" else ValidationError,
                            match=rf"{kind}\.csv: .*line 4\b"):
             LOADERS[kind][2](path)
+
+    @pytest.mark.parametrize("kind", ["prices", "articles"])
+    @pytest.mark.parametrize("date_line, number_line", [(2, 3), (3, 2), (2, 2)])
+    def test_the_first_fault_in_row_order_is_named(self, tmp_path, kind, date_line,
+                                                   number_line):
+        # rows are checked one at a time, and within a row the date before
+        # the numbers, so a later line's fault never masks an earlier one's
+        fmt = LOADERS[kind][1]
+        rows = [fmt.format(d=d, t=t) for d in DATES for t in TICKERS]
+        rows[date_line - 2] = rows[date_line - 2].replace(DATES[0], "2020/01/02")
+        rows[number_line - 2] = rows[number_line - 2].rsplit(",", 1)[0] + ",x"
+        fault = "bad date" if date_line <= number_line else "(could not convert|invalid literal)"
+        with pytest.raises(ParseError, match=rf"{kind}\.csv: line 2: {fault}"):
+            LOADERS[kind][2](_write(tmp_path, kind, rows))
 
     @pytest.mark.parametrize("kind", GRIDS)
     def test_duplicate_cell_names_the_second_line(self, tmp_path, kind):
@@ -343,7 +356,8 @@ def test_grid_writer_rejects_a_column_off_the_grid(tmp_path):
 
 def _exact(path, header=None, calendar=None, universe=None):
     """``read_grid`` through the exact loop alone."""
-    return _grid._place(path, *_grid._exact_rows(path, header), calendar, universe)
+    fields = _grid.exact_fields(path, header, (_grid._LABEL_WIDTH,) * 2, float, 0)
+    return _grid._place(path, calendar, universe, *fields)
 
 
 def _outcome(read, *args):
@@ -358,7 +372,7 @@ def _outcome(read, *args):
 def _fast_only(block_lines=_grid._BLOCK_LINES):
     """A context in which the fast read reads ``block_lines`` lines per block
     and falling back to the exact loop fails the test."""
-    return mock.patch.multiple(_grid, _BLOCK_LINES=block_lines, _exact_rows=mock.Mock(
+    return mock.patch.multiple(_grid, _BLOCK_LINES=block_lines, exact_fields=mock.Mock(
         side_effect=AssertionError("the fast read declined")))
 
 
@@ -506,6 +520,12 @@ class TestFastRead:
 # integer scores, equal to its exact loop in result, error type and message
 # ---------------------------------------------------------------------------
 
+def _exact_cache(path):
+    """``load_article_scores`` through the exact loop alone."""
+    widths = (signals._ID_WIDTH, _grid._LABEL_WIDTH, _grid._LABEL_WIDTH)
+    return signals._articles(path, *_grid.exact_fields(path, CACHE_HEADER, widths, int, 2))
+
+
 def _cache_outcome(read, path):
     """What a cache read returns, or the type and message of what it raises."""
     try:
@@ -571,7 +591,7 @@ def test_load_article_scores_equals_the_exact_loop(tmp_path_factory, text, block
     path.write_bytes(text.encode())
     with mock.patch.object(_grid, "_BLOCK_LINES", block_lines):
         got = _cache_outcome(load_article_scores, str(path))
-    assert got == _cache_outcome(signals._exact_articles, str(path))
+    assert got == _cache_outcome(_exact_cache, str(path))
 
 
 @given(st.lists(st.tuples(st.text("AB -.", min_size=1, max_size=6).map(str.strip),
@@ -584,7 +604,7 @@ def test_clean_cache_takes_the_fast_read(tmp_path_factory, rows, block_lines):
     path = str(tmp_path_factory.mktemp("cache") / "cache.csv")
     write_article_scores(articles, path)
     with mock.patch.object(_grid, "_BLOCK_LINES", block_lines), mock.patch.object(
-            signals, "_exact_articles", side_effect=AssertionError("the fast read declined")):
+            _grid, "exact_fields", side_effect=AssertionError("the fast read declined")):
         assert load_article_scores(path) == articles
 
 
