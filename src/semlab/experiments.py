@@ -18,7 +18,6 @@ from functools import cached_property
 from itertools import groupby
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._grid import check_unique, date_span, is_date, json_digest, read_grid, write_csv, write_json
@@ -93,9 +92,12 @@ _ACCEPTS = {bool: {bool}, int: {int}, float: {int, float}, str: {str}, tuple: {l
 # The least value of each numeric param that has one; k and cost_rate are
 # checked by BacktestConfig, the env_eval params by EnvConfig.
 _AT_LEAST = {"horizon": 1, "window": 0, "ridge_strength": 0, "k_per_stratum": 1,
-             "momentum_lookback": 1, "vol_window": 2, "n_seeds": 1}
+             "momentum_lookback": 1, "vol_window": 2, "n_seeds": 1, "turbulence_window": 2}
 # The grid params that need an item, and what an item is.
-_NON_EMPTY = {"costs": "cost", "temperature_grid": "temperature", "masks": "mask"}
+_NON_EMPTY = {"costs": "cost", "temperature_grid": "temperature", "masks": "mask",
+              "lambda_grid": "ridge strength", "blocks": "block"}
+# The grid params whose items have a bound: the least item, and whether it may be equal.
+_ITEM_BOUNDS = {"temperature_grid": (0, False), "lambda_grid": (0, True)}
 
 
 def _conform(where: str, value, default):
@@ -183,11 +185,15 @@ class ExperimentConfig:
         p = {name: _conform(where.format(name), self.params[name], default)
              if name in self.params else default for name, default in declared.items()}
         for name, least in _AT_LEAST.items():
-            if name in p and p[name] < least:
+            if name in p and not p[name] >= least:  # NaN, which JSON allows, fails too
                 raise ConfigError(f"param {name!r} must be >= {least}, got {p[name]}")
         for name, item in _NON_EMPTY.items():
             if name in p and not p[name]:
                 raise ConfigError(f"param {name!r} must hold at least one {item}")
+        for name, (least, equal) in _ITEM_BOUNDS.items():
+            if name in p and not all(v >= least if equal else v > least for v in p[name]):
+                raise ConfigError(f"param {name!r} items must be {'>=' if equal else '>'} "
+                                  f"{least}, got {self.params[name]!r}")
         try:
             BacktestConfig(**{name: p[name] for name in ("k", "cost_rate") if name in p})
             if "policy" in p:
@@ -829,7 +835,6 @@ def run(cfg: ExperimentConfig) -> list[str]:
             "versions": {
                 "semlab": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "artifacts": sorted(os.path.basename(p) for p in out.created),
         }

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from ._grid import Grid, date_span, frozen, json_digest, write_json
 from .errors import (
@@ -59,7 +58,8 @@ def fit_ridge(
     """Closed-form ridge: minimise ||y - Xw - b||^2 + lam ||w||^2.
 
     The intercept is unpenalised (handled by centering). At lam = 0 a rank
-    check runs first and a rank error names the dependent columns.
+    check runs first and a rank error names each column that depends on the
+    columns before it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -79,10 +79,12 @@ def fit_ridge(
     yc = y - ym
 
     if lam == 0.0:
-        rank = np.linalg.matrix_rank(Xc)
-        if rank < p:
-            _, _, piv = scipy.linalg.qr(Xc, pivoting=True, mode="economic")
-            dep = sorted(int(i) for i in piv[rank:])
+        if np.linalg.matrix_rank(Xc) < p:
+            # a column is dependent when it adds no rank to the columns kept before it
+            kept, dep = [], []
+            for i in range(p):
+                grows = np.linalg.matrix_rank(Xc[:, kept + [i]]) > len(kept)
+                (kept if grows else dep).append(i)
             names = [f"column {i}" if feature_names is None else feature_names[i] for i in dep]
             raise RankError(f"collinear columns at lam=0: {names}")
 

@@ -1,11 +1,16 @@
 """Statistical diagnostics: rank correlations, paired tests, block bootstrap,
 signal persistence, and seed-level summaries.
 
-The rank tests use the two-sided normal approximation with tie correction
-and no continuity correction; Wilcoxon drops zero differences by default
-(Pratt handling behind a flag). The bootstrap resamples circular moving
-blocks of the daily series and reports a percentile interval for the mean.
-All of it is deterministic for a fixed seed.
+Ranks are mid-ranks: tied values share the mean of their ranks. The rank
+tests use the two-sided normal approximation with tie correction and no
+continuity correction, its tail taken as ``erfc(|z| / sqrt(2))``; Wilcoxon
+drops zero differences by default (Pratt handling behind a flag). The
+Spearman p-value is the two-sided Student-t tail, the regularized incomplete
+beta I_x(df/2, 1/2) at x = df / (df + t^2), evaluated by Lentz's continued
+fraction (Press et al., Numerical Recipes, section 6.4). The bootstrap
+resamples circular moving blocks of the daily series and reports a
+percentile interval for the mean. All of it is deterministic for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -14,10 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from ._grid import write_csv
-from .errors import DegenerateTestError, UndefinedMetricError, ValidationError
+from .errors import (
+    DegenerateTestError,
+    NumericalError,
+    UndefinedMetricError,
+    ValidationError,
+)
 from .metrics import sharpe_ratio
 from .signals import AXES, SignalPanel
 
@@ -36,6 +45,74 @@ class TestResult:
             raise ValidationError(f"p-value {self.p_value} outside [0, 1]")
         if self.ci_low is not None and self.ci_high is not None and self.ci_low > self.ci_high:
             raise ValidationError("ci_low exceeds ci_high")
+
+
+# ---------------------------------------------------------------------------
+# Ranks and tail probabilities
+# ---------------------------------------------------------------------------
+
+def _rankdata(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a one-dimensional array; each group of tied values
+    gets the mean of the ranks it spans."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    ends = np.append(starts[1:], s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _normal_sf(z: float) -> float:
+    """P(Z > z) for a standard normal Z."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2). From a = 30 on, lgamma(a + 1/2) - lgamma(a) comes from
+    its asymptotic series: the difference of two lgamma values near a * log a
+    loses about 1e-10 at a = 5e4."""
+    if a < 30.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    a2 = a * a
+    gap = 0.5 * math.log(a) - (1 / 8 - (1 / 192 - (1 / 640 - 17 / (14336 * a2)) / a2) / a2) / a
+    return math.lgamma(0.5) - gap
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction of the incomplete beta function, by Lentz's
+    method; it converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 2.2e-16:
+            return h
+    raise NumericalError(f"incomplete beta B({a}, {b}) at {x} did not converge")
+
+
+def _t_two_sided(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom:
+    I_x(df/2, 1/2) at x = df / (df + t^2) = 1 / (1 + q), q = t^2 / df."""
+    if t == 0.0:
+        return 1.0
+    a = df / 2.0
+    q = t * t / df
+    log_x = -math.log1p(q)
+    front = math.exp(a * log_x + 0.5 * (math.log(q) + log_x) - _log_beta_half(a))
+    x = 1.0 / (1.0 + q)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_cf(a, 0.5, x) / a
+    return 1.0 - front * _beta_cf(0.5, a, q / (1.0 + q)) / 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +136,14 @@ def spearman_ic(signal_values, forward_returns) -> TestResult:
         raise ValidationError(f"need >= 10 finite pairs, got {n}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise UndefinedMetricError("correlation undefined for constant input")
-    rx = sps.rankdata(x)
-    ry = sps.rankdata(y)
+    rx = _rankdata(x)
+    ry = _rankdata(y)
     rho = float(np.corrcoef(rx, ry)[0, 1])
     if abs(rho) >= 1.0:
         p = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = float(2.0 * sps.t.sf(abs(t), df=n - 2))
+        p = _t_two_sided(t, n - 2)
     return TestResult(statistic=rho, p_value=p, method="spearman-t", n=n)
 
 
@@ -151,7 +228,7 @@ def wilcoxon_signed_rank(paired_diffs, zero_method: str = "drop") -> TestResult:
         n = d.size
         if n < 10:
             raise ValidationError(f"need >= 10 nonzero differences, got {n}")
-        ranks = sps.rankdata(np.abs(d))
+        ranks = _rankdata(np.abs(d))
         w_plus = float(np.sum(ranks[d > 0]))
         mu = n * (n + 1) / 4.0
         sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(np.abs(d)) / 48.0
@@ -159,7 +236,7 @@ def wilcoxon_signed_rank(paired_diffs, zero_method: str = "drop") -> TestResult:
         n_all = d.size
         if n_all - n_zero < 10:
             raise ValidationError(f"need >= 10 nonzero differences, got {n_all - n_zero}")
-        ranks = sps.rankdata(np.abs(d))
+        ranks = _rankdata(np.abs(d))
         w_plus = float(np.sum(ranks[d > 0]))
         m = n_zero
         mu = (n_all * (n_all + 1) - m * (m + 1)) / 4.0
@@ -170,7 +247,7 @@ def wilcoxon_signed_rank(paired_diffs, zero_method: str = "drop") -> TestResult:
     if sigma2 <= 0:
         raise DegenerateTestError("tie-corrected variance is zero")
     z = (w_plus - mu) / math.sqrt(sigma2)
-    p = float(2.0 * sps.norm.sf(abs(z)))
+    p = 2.0 * _normal_sf(abs(z))
     return TestResult(statistic=w_plus, p_value=min(p, 1.0), method=f"wilcoxon-{zero_method}", n=n)
 
 
@@ -186,7 +263,7 @@ def mann_whitney_u(a, b) -> TestResult:
     combined = np.concatenate([x, y])
     if np.all(combined == combined[0]):
         raise DegenerateTestError("all values identical across both groups")
-    ranks = sps.rankdata(combined)
+    ranks = _rankdata(combined)
     u = float(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0)
     n = n1 + n2
     mu = n1 * n2 / 2.0
@@ -195,7 +272,7 @@ def mann_whitney_u(a, b) -> TestResult:
     if sigma2 <= 0:
         raise DegenerateTestError("tie-corrected variance is zero")
     z = (u - mu) / math.sqrt(sigma2)
-    p = float(2.0 * sps.norm.sf(abs(z)))
+    p = 2.0 * _normal_sf(abs(z))
     return TestResult(statistic=u, p_value=min(p, 1.0), method="mann-whitney-u", n=n)
 
 

@@ -8,8 +8,8 @@ cache that holds a few unplaced articles (an unknown ticker and dates outside
 the calendar), a dense feature block, and a universe that leaves one ticker
 out. Every path is relative to the working directory, so the manifests, which
 record them, do not depend on where the run happens. The manifests also keep
-the numpy and scipy versions: a library upgrade changes their digests and
-fails the test loudly, on purpose.
+the numpy version: a numpy upgrade changes their digests and fails the test
+loudly, on purpose.
 
     python tests/golden.py --write    # regenerate tests/golden_artifacts.json
 

@@ -143,6 +143,18 @@ class TestDeclaredParams:
         ("baselines", {"vol_window": 1}, "param 'vol_window' must be >= 2, got 1"),
         ("scw", {"temperature_grid": []}, "param 'temperature_grid' must hold at least one"),
         ("cost_sweep", {"costs": []}, "param 'costs' must hold at least one cost"),
+        ("scw", {"temperature_grid": [0]}, "param 'temperature_grid' items must be > 0, got [0]"),
+        ("scw", {"temperature_grid": [1.0, -1.0]},
+         "param 'temperature_grid' items must be > 0, got [1.0, -1.0]"),
+        ("scw", {"temperature_grid": [float("nan")]},
+         "param 'temperature_grid' items must be > 0, got [nan]"),
+        ("forecaster", {"lambda_grid": [0.1, -1.0]},
+         "param 'lambda_grid' items must be >= 0, got [0.1, -1.0]"),
+        ("forecaster", {"lambda_grid": []}, "param 'lambda_grid' must hold at least one ridge"),
+        ("forecaster", {"blocks": []}, "param 'blocks' must hold at least one block"),
+        ("env_eval", {"turbulence_window": 1}, "param 'turbulence_window' must be >= 2, got 1"),
+        ("env_eval", {"turbulence_window": -3}, "param 'turbulence_window' must be >= 2, got -3"),
+        ("sfp", {"ridge_strength": float("nan")}, "param 'ridge_strength' must be >= 0, got nan"),
     ])
     def test_value_out_of_range_exits_1(self, tmp_path, capsys, kind, params, named):
         # each used to pass here and fail once the data was read, or, for no

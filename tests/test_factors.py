@@ -82,6 +82,16 @@ class TestFitRidge:
             fit_ridge(X, np.arange(30.0), lam=0.0,
                       feature_names=("alpha", "beta", "gamma"))
 
+    def test_rank_error_names_the_dependent_column(self):
+        # a + b depends on the two columns before it; c does not
+        rng = np.random.default_rng(2)
+        a, b, c = rng.normal(size=(3, 30))
+        X = np.column_stack([a, b, a + b, c])
+        with pytest.raises(RankError, match=r"collinear columns at lam=0: \['sum'\]$"):
+            fit_ridge(X, np.arange(30.0), lam=0.0, feature_names=("a", "b", "sum", "c"))
+        with pytest.raises(RankError, match=r"collinear columns at lam=0: \['column 2'\]$"):
+            fit_ridge(X, np.arange(30.0), lam=0.0)
+
     def test_shrinkage_monotone(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 4))

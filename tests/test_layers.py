@@ -3,6 +3,9 @@ the modules of ``src/semlab``, function-local ones included, forms no cycle,
 and every such import sits at module level."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semlab"
@@ -71,3 +74,16 @@ def test_only_the_grid_module_imports_orjson():
 def test_only_the_grid_module_imports_csv():
     # so is how a delimited file is read and written
     assert _importers("csv") == {"_grid"}
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test-only oracle: importing it costs more than most studies
+    assert _importers("scipy") == set()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import semlab.cli, sys; "
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
