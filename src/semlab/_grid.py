@@ -10,18 +10,23 @@ of ``signals.load_article_scores``, are read by ``read_fields`` in two
 stages, each returning the same fields: every leading label field as a dict
 of its labels in first-seen order with each row's index into it, the numbers
 as one flat array, and each row's physical line, which only the exact stage
-gives. The fast stage, ``fast_fields``, hands blocks of ``_BLOCK_LINES``
-lines to numpy's C parser (``np.loadtxt`` with a structured dtype: label
-fields of a fixed width each, then one field of ``float`` or ``int``
-numbers), maps each block's distinct labels through a dict and strips them.
-It declines a file on any fault and on anything it cannot vouch for, such as
-a label that fills its field (loadtxt would cut it), a date not YYYY-MM-DD
-or a number only Python's ``float`` or ``int`` reads (``1_0``). The exact
-stage, ``exact_fields``, then re-reads the file row by row through
-``records``. Each reader passes a ``build`` that turns the fields into its
-result and declines where its message must name a line but has no line
-numbers, so every error that names a line comes from the exact stage, and a
-result or an error does not depend on the stage that read the file.
+gives. The fast stage, ``fast_fields``, reads the file in binary,
+``_BLOCK_LINES`` lines at a time. ``_json_block`` vouches for a block with
+byte checks (printable ASCII but for ``"``, ``\\``, brackets and braces;
+CRLF or LF line ends; no ``true``, ``false`` or ``null``; ``width - 1``
+commas on each non-blank line), quotes its label fields and turns its line
+ends into commas, and ``orjson.loads`` reads the block as one JSON array,
+with correctly rounded numbers (Lemire's method). The stage maps each
+block's distinct labels through a dict and strips them. It declines a file
+on any fault and on anything it cannot vouch for, such as a byte outside
+that set, a date not YYYY-MM-DD, a number only Python's ``float`` or ``int``
+reads (``1_0``, ``+5``, ``1e400``) or a zero read from an integer literal
+(orjson reads ``-0`` as 0). The exact stage, ``exact_fields``, then re-reads
+the file row by row through ``records``. Each reader passes a ``build`` that
+turns the fields into its result and declines where its message must name a
+line but has no line numbers, so every error that names a line comes from
+the exact stage, and a result or an error does not depend on the stage that
+read the file.
 
 ``write_grid`` writes the bytes ``write_csv`` would, but quotes each label
 once and formats a block's numbers with ``orjson``'s shortest round-trip
@@ -45,7 +50,6 @@ import csv
 import hashlib
 import io
 import json
-import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -194,6 +198,18 @@ class Grid:
         return self._hasher().hexdigest()
 
 
+def _names(row: list[str]) -> tuple[str, ...]:
+    """A header row's column names: its fields stripped."""
+    return tuple(h.strip() for h in row)
+
+
+def header_names(path: str) -> tuple[str, ...]:
+    """The column names of a delimited file's header row as ``read_header``
+    reads them, () for an empty file."""
+    with open(path, newline="") as fh:
+        return _names(next(csv.reader(fh), []))
+
+
 def read_header(reader, path: str, names: tuple[str, ...] | None) -> tuple[str, ...]:
     """The header row of a csv reader: exactly ``names``, or for None
     ``date,ticker`` and at least one more column; else a ParseError at line 1."""
@@ -201,7 +217,7 @@ def read_header(reader, path: str, names: tuple[str, ...] | None) -> tuple[str, 
     row = next(reader, None)
     if row is None:
         raise ParseError(f"{path}: line 1: empty file, expected header {want}")
-    header = tuple(h.strip() for h in row)
+    header = _names(row)
     if not (header == names if names else (header[:2] == ("date", "ticker") and len(header) > 2)):
         raise ParseError(f"{path}: line 1: expected header {want}")
     return header
@@ -327,110 +343,153 @@ def _axis(seen: dict[str, int], given) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, np.array([at.get(s, -1) for s in seen], dtype=np.int64)
 
 
-# lines per np.loadtxt call in the fast read of read_fields: reading the whole
-# file as one block raised the peak RSS of writing and re-reading a 100 x 2500
-# panel from about 170 to 276-289 MiB; blocks of 2048 or 8192 lines left it
-# at about 170 MiB and read equally fast
-_BLOCK_LINES = 8192
-# characters in each label field of the fast read; loadtxt cuts a longer label
-# silently, so a label that fills the field sends the file to the exact loop
-_LABEL_WIDTH = 16
-# characters that send a file to the exact loop: a NUL, which the label field
-# would drop, and the separators U+001C-U+001F, which loadtxt strips from a
-# number and Python's float does not
-_UNVOUCHED = "\0\x1c\x1d\x1e\x1f"
+# lines per block of the fast read of read_fields: 2048 and 8192 read a
+# 100 x 2500 price file equally fast, and ten `semlab validate` calls on it
+# and its article cache in one process peaked at 89 MiB with 2048-line blocks,
+# against 94 MiB with 8192 (the whole file as one block once took 276-289)
+_BLOCK_LINES = 2048
+# the bytes the fast read vouches for: printable ASCII but for the quote, the
+# backslash, the brackets and the braces, which would change the JSON text it
+# builds, and the line ends; a tab, a NUL or a byte past ASCII sends the file
+# to the exact loop
+_VOUCHED = bytes(sorted(set(range(0x20, 0x7F)) - set(b'"\\[]{}'))) + b"\r\n"
+# JSON literals that orjson reads in a number field and float and int do not;
+# each holds a "u" or an "l", so a block holding neither is not searched
+_LITERALS = (b"true", b"false", b"null")
+# each line end as JSON: the CR of a CRLF a space, the LF a comma
+_LINE_ENDS = bytes.maketrans(b"\r\n", b" ,")
 
 
 class Declined(Exception):
     """The fast read cannot vouch for a file; the exact loop reads it."""
 
 
-def fast_fields(path: str, header: tuple[str, ...] | None, widths: tuple[int, ...], number,
+def _json_block(lines: list[bytes], width: int, labels: int) -> bytes | None:
+    """The block's rows of ``width`` fields as one flat JSON array, the first
+    ``labels`` fields of each row quoted as strings and the others left as
+    they are; None for a block of blank rows. Blank rows (spaces alone) are
+    dropped. Declined on a byte outside ``_VOUCHED``, a CR not before an LF,
+    any of ``_LITERALS`` and a row without ``width - 1`` commas, so each
+    field of a row is one JSON value and a number field holds no string."""
+    data = b"".join(lines)
+    if data.translate(None, _VOUCHED) or (
+            (b"u" in data or b"l" in data) and any(word in data for word in _LITERALS)):
+        raise Declined
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if b"\r" in data and not np.array_equal(np.flatnonzero(raw == ord("\r")), ends - 1):
+        raise Declined  # not a CRLF at every line end
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    commas = np.flatnonzero(raw == ord(","))
+    if (np.diff(np.searchsorted(commas, ends), prepend=0) != width - 1).any():
+        kept = [line for line in lines if line.strip()]
+        if len(kept) == len(lines):
+            raise Declined
+        return _json_block(kept, width, labels) if kept else None
+    cuts = commas.reshape(-1, width - 1)[:, :labels]
+    quotes = np.concatenate([[0], ends[:-1] + 1, cuts.ravel(), cuts[:, :-1].ravel() + 1])
+    text = np.insert(raw, quotes, ord('"')).tobytes().translate(_LINE_ENDS)
+    return b"[" + text.removesuffix(b",") + b"]"
+
+
+def fast_fields(path: str, header: tuple[str, ...] | None, labels: int, number,
                 date_field: int):
     """The data rows of a delimited file whose header ``read_header``
-    accepts, read ``_BLOCK_LINES`` lines at a time by ``np.loadtxt``: for
-    each leading label field (``widths`` gives each one's width in
-    characters), a dict of its stripped labels in first-seen order and each
-    row's index into it; then the other fields of every row, read as
-    ``number`` (``float`` or ``int``), as one flat array; then None, in place
-    of ``exact_fields``' line numbers. Declined on any fault, on a label of
-    field ``date_field`` that is not YYYY-MM-DD, and on anything it cannot
-    vouch for.
+    accepts, read ``_BLOCK_LINES`` lines at a time by ``orjson``: for each of
+    the ``labels`` leading label fields, a dict of its stripped labels in
+    first-seen order and each row's index into it; then the other fields of
+    every row, read as ``number`` (``float`` or ``int``), as one flat array;
+    then None, in place of ``exact_fields``' line numbers. Declined on any
+    fault, on a label of field ``date_field`` that is not YYYY-MM-DD, and on
+    anything it cannot vouch for.
 
-    The structured dtype checks each row's field count. Each block's labels
-    are mapped through a dict of its distinct raw labels, then stripped. A
-    raw label that fills its field (loadtxt may have cut it), a character in
-    ``_UNVOUCHED`` and a quote in a block that may end inside a quoted field
-    decline; so does any label or number loadtxt rejects, such as ``1_0``,
-    which Python's ``float`` and ``int`` read as 10."""
-    label_at: list[dict[str, int]] = [{} for _ in widths]
-    indices = [array("q") for _ in widths]
-    flat = bytearray()
+    ``_json_block`` vouches for a block's bytes and makes it one JSON array,
+    which ``orjson.loads`` reads; its numbers are correctly rounded, as
+    Python's ``float`` and ``int`` read them. orjson rejects what JSON does
+    not spell (``1_0``, ``+5``, ``.5``, ``inf``, ``1e400``), and the read
+    declines on it. A float file also declines on a zero read from an integer
+    literal, since orjson reads ``-0`` as the integer 0, and the integer
+    cache on any number that does not come out as ``int64``. Each block's
+    labels are mapped through a dict of its distinct raw labels, then
+    stripped."""
+    label_at: list[dict[str, int]] = [{} for _ in range(labels)]
+    indices = [array("q") for _ in range(labels)]
+    # each block's numbers, joined once at the end: a bytearray grown block by
+    # block left about 5.5 MiB more peak RSS after reading a 30 x 2500 price
+    # file in a process that had just written it
+    flat = [np.empty(0, dtype=number)]
     try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
-            width = len(read_header(csv.reader(fh), path, header))
-            dtype = np.dtype([*((f"label{k}", f"U{w}") for k, w in enumerate(widths)),
-                              ("numbers", number, (width - len(widths),))])
+        with open(path, "rb") as fh:
+            # a quote left open raises under strict, a CR inside the line anyway
+            row = csv.reader([fh.readline().decode("ascii")], strict=True)
+            width = len(read_header(row, path, header))
             while lines := list(islice(fh, _BLOCK_LINES)):
-                text = "".join(lines)
-                full = len(lines) == _BLOCK_LINES  # may end inside a quoted field
-                if any(c in text for c in _UNVOUCHED) or ('"' in text and full):
-                    raise Declined
-                block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=1)
-                for k, (w, at, out) in enumerate(zip(widths, label_at, indices)):
-                    column = block[f"label{k}"].tolist()
+                block = _json_block(lines, width, labels)
+                if block is None:
+                    continue
+                values = orjson.loads(block)
+                columns = [values[k::width] for k in range(labels)]
+                for k in range(labels):
+                    del values[::width - k]
+                if number is float:
+                    numbers = np.array(values, dtype=float)
+                    if any(type(values[i]) is int for i in np.flatnonzero(numbers == 0).tolist()):
+                        raise Declined  # perhaps -0
+                else:
+                    numbers = np.array(values)
+                    if numbers.dtype != np.int64:
+                        raise Declined
+                for column, at, out in zip(columns, label_at, indices):
                     local = dict.fromkeys(column)
                     for raw in local:
-                        if len(raw) >= w:  # perhaps cut short
-                            raise Declined
                         local[raw] = at.setdefault(raw.strip(), len(at))
                     out.extend(map(local.__getitem__, column))
-                flat += block["numbers"].tobytes()
+                flat.append(numbers)
     except Exception:  # whatever the fault, the exact loop reports it
         raise Declined from None
     if not all(map(is_date, label_at[date_field])):
         raise Declined
-    return label_at, indices, np.frombuffer(flat, dtype=number), None
+    return label_at, indices, np.concatenate(flat), None
 
 
-def exact_fields(path: str, header: tuple[str, ...] | None, widths: tuple[int, ...], number,
+def exact_fields(path: str, header: tuple[str, ...] | None, labels: int, number,
                  date_field: int):
     """What ``fast_fields`` returns, with the physical line of each row in
     place of None, read row by row from ``records``: the source of every
     ParseError message. Within a row, the date in field ``date_field`` is
     checked the first time it is seen, then the numbers are read by
     ``number``; each fault is a ParseError naming the line."""
-    label_at: list[dict[str, int]] = [{} for _ in widths]
-    indices = [array("q") for _ in widths]
+    label_at: list[dict[str, int]] = [{} for _ in range(labels)]
+    indices = [array("q") for _ in range(labels)]
     lines, flat = array("q"), array("d" if number is float else "q")
     seen = label_at[date_field]
     for lineno, row in records(path, header):
-        labels = [field.strip() for field in row[:len(widths)]]
-        date = labels[date_field]
+        fields = [field.strip() for field in row[:labels]]
+        date = fields[date_field]
         if date not in seen and not is_date(date):
             raise ParseError(f"{path}: line {lineno}: bad date {date!r} (want YYYY-MM-DD)")
-        for label, at, out in zip(labels, label_at, indices):
+        for label, at, out in zip(fields, label_at, indices):
             out.append(at.setdefault(label, len(at)))
         try:
-            flat.extend(map(number, row[len(widths):]))
+            flat.extend(map(number, row[labels:]))
         except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond int64
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
         lines.append(lineno)
     return label_at, indices, np.frombuffer(flat, dtype=number), lines
 
 
-def read_fields(path: str, header: tuple[str, ...] | None, widths: tuple[int, ...], number,
+def read_fields(path: str, header: tuple[str, ...] | None, labels: int, number,
                 date_field: int, build):
-    """``build`` applied to the fields of ``fast_fields``, or, when either
-    declines, to those of ``exact_fields``. ``build`` declines where it must
+    """``build`` applied to the fields of ``fast_fields`` (orjson over the
+    blocks whose bytes it vouches for), or, when either declines, to those
+    of ``exact_fields`` (the row loop). ``build`` declines where it must
     name a line and was given None for the line numbers, so the result or
     error is the same whichever stage read the file."""
     try:
-        return build(*fast_fields(path, header, widths, number, date_field))
+        return build(*fast_fields(path, header, labels, number, date_field))
     except Declined:
-        return build(*exact_fields(path, header, widths, number, date_field))
+        return build(*exact_fields(path, header, labels, number, date_field))
 
 
 def _place(path, calendar, universe, label_at, indices, flat, lines):
@@ -485,10 +544,9 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
     or else the file's own sorted dates and tickers; cells with no row are an
     AlignmentError listing the gaps.
 
-    The file is read by ``read_fields``: numpy's C parser reads labels of up
-    to ``_LABEL_WIDTH`` - 1 characters, and the exact row loop re-reads any
-    file the C parser cannot vouch for and raises every error that names a
-    line.
+    The file is read by ``read_fields``: orjson reads it as JSON where
+    ``fast_fields`` vouches for its bytes, and the exact row loop re-reads
+    any other file and raises every error that names a line.
     """
-    return read_fields(path, header, (_LABEL_WIDTH,) * 2, float, 0,
+    return read_fields(path, header, 2, float, 0,
                        partial(_place, path, calendar, universe))

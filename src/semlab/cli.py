@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from ._grid import write_json
+from ._grid import header_names, write_json
 from .errors import ConfigError, LabError
 from .experiments import ExperimentConfig, run, validate_inputs
 from .panels import PANEL_HEADER, write_price_panel
@@ -32,13 +32,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sniff(path: str) -> str:
-    """The ``validate_inputs`` argument a file is for, by its header."""
-    with open(path) as fh:
-        header = fh.readline().strip()
+    """The ``validate_inputs`` argument a file is for, by the first three
+    column names of its header, read as the loaders read them."""
+    header = header_names(path)
     for kind, names in (("price_panel", PANEL_HEADER), ("signal_cache", CACHE_HEADER)):
-        if header.startswith(",".join(names[:3])):
+        if header[:3] == names[:3]:
             return kind
-    raise LabError(f"{path}: unrecognised header {header!r}")
+    raise LabError(f"{path}: unrecognised header {','.join(header)!r}")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

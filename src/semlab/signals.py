@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._grid import _LABEL_WIDTH, Declined, Grid, check_increasing, frozen, read_fields, write_csv
+from ._grid import Declined, Grid, check_increasing, frozen, read_fields, write_csv
 from .errors import RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -373,11 +373,6 @@ def write_article_scores(articles: ArticleTable, path: str) -> None:
         articles.source_ids, articles.tickers, articles.dates, *articles.scores.T.tolist()))
 
 
-# characters in the source-id field of the fast read, wider than the ticker
-# and date fields; an id that fills it sends the file to the exact loop
-_ID_WIDTH = 32
-
-
 def load_article_scores(path: str) -> ArticleTable:
     """Read the delimited cache ``source_id,ticker,date,<four integer scores>``
     into an ``ArticleTable``, with the header, blank-row and field-count rules
@@ -385,11 +380,12 @@ def load_article_scores(path: str) -> ArticleTable:
     integer is a ParseError, a score outside [1, 5] a ValidationError, each
     naming its line.
 
-    The file is read by ``_grid.read_fields``: numpy's C parser reads source
-    ids of up to ``_ID_WIDTH`` - 1 characters, and the exact row loop re-reads
-    any file the C parser cannot vouch for and raises every error that names
-    a line."""
-    return read_fields(path, CACHE_HEADER, (_ID_WIDTH, _LABEL_WIDTH, _LABEL_WIDTH), int, 2,
+    The file is read by ``_grid.read_fields``: orjson reads it as JSON where
+    ``_grid.fast_fields`` vouches for its bytes (printable ASCII but for
+    ``"``, ``\\``, brackets and braces, and scores that come out as int64),
+    and the exact row loop re-reads any other file and raises every error
+    that names a line."""
+    return read_fields(path, CACHE_HEADER, 3, int, 2,
                        partial(_articles, path))
 
 

@@ -76,6 +76,15 @@ def test_only_the_grid_module_imports_csv():
     assert _importers("csv") == {"_grid"}
 
 
+def test_no_module_calls_loadtxt():
+    # the delimited inputs have one fast parser, orjson in _grid.fast_fields
+    calls = [f"{path.stem}.py:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "loadtxt"
+             or isinstance(node, ast.Name) and node.id == "loadtxt"]
+    assert calls == []
+
+
 def test_no_module_imports_scipy():
     # scipy is a test-only oracle: importing it costs more than most studies
     assert _importers("scipy") == set()

@@ -2,12 +2,16 @@
 loaders share, where the grid reader places rows, and its fast read against
 the exact loop it falls back to."""
 
+import contextlib
 import csv
 import io
+import math
 import warnings
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,6 +195,25 @@ class TestSharedRules:
         assert cli_main(["validate", prices, cache]) == 2
         assert failed in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind, given", [("prices", "price_panel"),
+                                             ("articles", "signal_cache")])
+    @pytest.mark.parametrize("spelling", ["spaced", "quoted"])
+    def test_validate_sniffs_a_header_the_loaders_accept(self, tmp_path, capsys, kind, given,
+                                                         spelling):
+        names = LOADERS[kind][0].split(",")
+        header = (", ".join(names) if spelling == "spaced"
+                  else ",".join(f'"{name}"' for name in names))
+        path = _write(tmp_path, kind, header=header)
+        LOADERS[kind][2](path)
+        assert cli_main(["validate", path]) == 0
+        assert f"[PASS] {given}: " in capsys.readouterr().out
+
+    def test_validate_rejects_an_unknown_header(self, tmp_path, capsys):
+        path = _write(tmp_path, "prices", header=" date ,ticker,price")
+        assert cli_main(["validate", path]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: unrecognised header 'date,ticker,price'\n")
+
 
 # ---------------------------------------------------------------------------
 # Placement: a complete grid reads back the same whatever the row order
@@ -350,13 +373,66 @@ def test_grid_writer_rejects_a_column_off_the_grid(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The fast read: whatever numpy's C parser reads, read_grid returns or raises
-# exactly what the row-by-row loop does, and clean files never reach that loop
+# The fast read: whatever orjson reads, read_grid returns or raises exactly
+# what the row-by-row loop does, and clean files never reach that loop
 # ---------------------------------------------------------------------------
+
+@given(st.lists(float_bits, max_size=40))
+def test_orjson_reads_float_reprs_bit_for_bit(bits):
+    values = np.array(bits, dtype=np.uint64).view(float)
+    values = values[np.isfinite(values)]
+    texts = [repr(x) for x in values.tolist()]
+    got = orjson.loads("[" + ",".join(texts) + "]")
+    assert np.array(got, dtype=float).tobytes() == values.tobytes()
+
+
+@st.composite
+def decimal_texts(draw):
+    """Decimal numbers of 17 to 25 significant digits: random digits at any
+    exponent, or an exact halfway point between two adjacent doubles, as it
+    is or one unit in its last digit away."""
+    sign = draw(st.sampled_from(["", "-"]))
+    if draw(st.booleans()):
+        digits = str(draw(st.integers(10 ** 16, 10 ** 25 - 1)))
+        return f"{sign}{digits[0]}.{digits[1:]}e{draw(st.integers(-360, 300))}"
+    low = float(draw(st.integers(2 ** 50, 2 ** 83)))
+    mid = (Decimal(low) + Decimal(np.nextafter(low, np.inf))) / 2  # exact in 28 digits
+    _, digits, exponent = mid.as_tuple()
+    mantissa = int("".join(map(str, digits))) + draw(st.sampled_from([-1, 0, 1]))
+    return f"{sign}{mantissa}e{exponent}"
+
+
+@settings(max_examples=500)
+@given(decimal_texts())
+def test_orjson_reads_long_decimals_as_float_does(text):
+    want = float(text)
+    if math.isinf(want):  # where float overflows, orjson raises
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+    else:
+        assert np.float64(orjson.loads(text)).tobytes() == np.float64(want).tobytes()
+
+
+def test_orjson_reads_minus_zero_as_the_integer_zero():
+    # the one spelling where orjson's number and float's differ in sign, so
+    # the fast read declines a zero read from an integer literal
+    assert orjson.loads("-0") == 0 and type(orjson.loads("-0")) is int
+    assert math.copysign(1, orjson.loads("-0.0")) == -1
+
+
+@pytest.mark.parametrize("zero, fast", [("-0.0", True), ("-0", False)])
+def test_a_negative_zero_volume_keeps_its_sign(tmp_path, zero, fast):
+    rows = [LOADERS["prices"][1].format(d=d, t=t) for d in DATES for t in TICKERS]
+    rows[1] = rows[1].rsplit(",", 1)[0] + "," + zero
+    with _fast_only() if fast else contextlib.nullcontext():
+        volume = load_price_panel(_write(tmp_path, "prices", rows)).volume
+    assert math.copysign(1, volume[0, 1]) == -1
+    assert (volume == [[10, 0], [10, 10]]).all()
+
 
 def _exact(path, header=None, calendar=None, universe=None):
     """``read_grid`` through the exact loop alone."""
-    fields = _grid.exact_fields(path, header, (_grid._LABEL_WIDTH,) * 2, float, 0)
+    fields = _grid.exact_fields(path, header, 2, float, 0)
     return _grid._place(path, calendar, universe, *fields)
 
 
@@ -376,19 +452,37 @@ def _fast_only(block_lines=_grid._BLOCK_LINES):
         side_effect=AssertionError("the fast read declined")))
 
 
-# spellings Python's float reads and loadtxt may not, numbers that are no
-# numbers, and padding and quoting the csv module strips
+# number spellings where JSON and Python's float part ways: -0 is JSON's
+# integer 0, 1e400 no JSON number, true a JSON literal, [1] a JSON array
+JSON_NUMBERS = ["-0", "0", "1E5", "1e400", "-1e-400", "true", "false", "null",
+                "123456789012345678901234567890", "[1]", "{}"]
+# labels the fast read's JSON text would misread, or whose bytes it does not
+# vouch for: longer than the old fixed-width fields, a NUL, a JSON escape
+# (backslash t), a backslash, brackets, a brace and a byte past ASCII
+ODD_LABELS = ["T" * 20, "A\0", "A\\tB", "A\\", "[A", "A]", "{", "A\xe9"]
+# those spellings, spellings Python's float reads and JSON does not, numbers
+# that are no numbers, and padding and quoting the csv module strips
 odd_numbers = st.sampled_from(["1_0", "\u0661", "inf", "-nan", "", "x", "0x10", " 2.5 ", "+.5",
                                "1e3", "-0.0", "\t7\t", '"3"', '" 4 "', "\xa05", "\u30005",
-                               "\x1c6", "6\x1f"])
-MUTATIONS = ("extra field", "duplicate", "gap", "bad date", "odd label", "odd number")
+                               "\x1c6", "6\x1f", *JSON_NUMBERS])
+MUTATIONS = ("extra field", "duplicate", "gap", "bad date", "odd label", "odd number",
+             "line end")
+
+
+def _mutate_line_end(draw, text):
+    """``text`` with one line end replaced by a lone CR, a CRLF, an LF or a
+    CR CR LF, so its line ends may be mixed."""
+    at = draw(st.sampled_from([i for i, c in enumerate(text) if c == "\n"]))
+    start = at - 1 if text[at - 1:at] == "\r" else at
+    return text[:start] + draw(st.sampled_from(["\r", "\r\n", "\n", "\r\r\n"])) + text[at + 1:]
 
 
 @st.composite
 def grid_files(draw):
     """(file text, header argument, calendar, universe) for a grid file with
     awkward labels and spellings, written through csv or joined raw, with up
-    to two mutations that may make it fail, and up to two blank rows."""
+    to two mutations that may make it fail (each perhaps to a line end), and
+    up to two blank rows."""
     k = draw(st.integers(1, 3))
     dates = business_days("2020-01-02", draw(st.integers(1, 3)))
     label = st.text("AB", min_size=1, max_size=4) | st.text('AB ,"\n\r\t', min_size=1, max_size=4)
@@ -397,7 +491,8 @@ def grid_files(draw):
     rows = [[d, t, *map(repr, draw(st.lists(finite, min_size=k, max_size=k)))]
             for d in dates for t in tickers]
     rows = draw(st.permutations(rows))
-    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=2))
+    for mutation in mutations:
         r = draw(st.integers(0, len(rows) - 1))
         if mutation == "extra field":
             rows[r] = [*rows[r], ""]
@@ -407,8 +502,8 @@ def grid_files(draw):
             del rows[r]
         elif mutation == "bad date":
             rows[r] = ["2020/01/02", *rows[r][1:]]
-        elif mutation == "odd label":  # longer than the fast read's field, or with a NUL
-            old, new = rows[r][1], draw(st.sampled_from(["T" * 20, "A\0"]))
+        elif mutation == "odd label":
+            old, new = rows[r][1], draw(st.sampled_from(ODD_LABELS))
             rows = [[row[0], new if row[1] == old else row[1], *row[2:]] for row in rows]
         elif mutation == "odd number" and len(rows[r]) > 2:
             rows[r] = [*rows[r][:2], draw(odd_numbers), *rows[r][3:]]
@@ -424,6 +519,8 @@ def grid_files(draw):
                    quoting=csv.QUOTE_ALL if quoting == "all" else csv.QUOTE_MINIMAL
                    ).writerows([header, *rows])
         text = buf.getvalue()
+    for _ in range(mutations.count("line end")):
+        text = _mutate_line_end(draw, text)
     labels = sorted({t.strip() for t in tickers} | {"QQ"})
     calendar = draw(st.none() | st.lists(st.sampled_from([*dates, "2021-01-04"]), min_size=1,
                                          unique=True).map(sorted).map(tuple))
@@ -471,7 +568,7 @@ class TestFastRead:
         assert panel.tickers == ("AA", long)
 
     def test_a_padded_long_label_is_not_cut_onto_another(self, tmp_path):
-        # cut to the fast read's field, the second label would strip to AB
+        # cut to the old 16-character label field, the second label would strip to AB
         path = tmp_path / "grid.csv"
         path.write_text(f"date,ticker,x\n2020-01-02,AB,1\n2020-01-03,{' ' * 14}ABCD,2\n")
         with pytest.raises(AlignmentError, match=r"calendar gaps: AB missing 2020-01-03; "):
@@ -479,7 +576,7 @@ class TestFastRead:
 
     @pytest.mark.parametrize("number", ["\x1c5", "5\x1f"])
     def test_a_number_only_loadtxt_reads_names_its_line(self, tmp_path, number):
-        # loadtxt strips the separators U+001C-U+001F; Python's float does not
+        # Python's float does not strip the separators U+001C-U+001F
         rows = [LOADERS["prices"][1].format(d=d, t=t) for d in DATES for t in TICKERS]
         rows[2] = rows[2].rsplit(",", 1)[0] + "," + number
         with pytest.raises(ParseError, match=r"prices\.csv: line 4: could not convert"):
@@ -491,7 +588,7 @@ class TestFastRead:
         assert load_price_panel(_write(tmp_path, "prices", rows)).volume[0, 0] == 10.0
 
     def test_a_nul_in_a_label_is_kept(self, tmp_path):
-        # numpy's label field would drop a trailing NUL
+        # the fast read declines a NUL, and the exact loop keeps it
         path = tmp_path / "grid.csv"
         path.write_text("date,ticker,x\n2020-01-02,A\0,1\n2020-01-02,B,2\n")
         assert read_grid(str(path))[1] == ("A\0", "B")
@@ -503,6 +600,21 @@ class TestFastRead:
         with mock.patch.object(_grid, "_BLOCK_LINES", 1), pytest.raises(
                 ParseError, match=r"grid\.csv: line 2: expected 3 fields, got 5$"):
             read_grid(str(path))
+
+    @pytest.mark.parametrize("text", [
+        *(f"date,ticker,x\n2020-01-02,AA,1\n2020-01-02,BB,{n}\n" for n in JSON_NUMBERS),
+        *(f"date,ticker,x\n2020-01-02,AA,1\n2020-01-02,{t},2\n" for t in ODD_LABELS),
+        "date,ticker,x\r\n2020-01-02,AA,1\r2020-01-02,BB,2\r\n",  # a lone CR
+        "date,ticker,x\r\n2020-01-02,AA,1\n2020-01-02,BB,2\r\n",  # CRLF and LF
+        "date,ticker,x\r\n2020-01-02\r,AA,1\n2020-01-02,BB,2\r\n",  # as many CRs as LFs
+        "date,ticker,x\n2020-01-02,AA,\t1\n2020-01-02,BB,2\n",
+        "date,ticker,x\n2020-01-02,AA,[1]\n2020-01-02,BB,[2]\n",  # every number a JSON array
+        'date,ticker,"x\n2020-01-02,AA,1\n',  # the header's quote left open
+    ])
+    def test_where_json_and_python_part_ways_reads_as_the_exact_loop(self, tmp_path, text):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(read_grid, str(path)) == _outcome(_exact, str(path))
 
     @pytest.mark.parametrize("kind", GRIDS)
     def test_blank_rows_read_without_a_warning(self, tmp_path, kind):
@@ -522,8 +634,7 @@ class TestFastRead:
 
 def _exact_cache(path):
     """``load_article_scores`` through the exact loop alone."""
-    widths = (signals._ID_WIDTH, _grid._LABEL_WIDTH, _grid._LABEL_WIDTH)
-    return signals._articles(path, *_grid.exact_fields(path, CACHE_HEADER, widths, int, 2))
+    return signals._articles(path, *_grid.exact_fields(path, CACHE_HEADER, 3, int, 2))
 
 
 def _cache_outcome(read, path):
@@ -535,34 +646,38 @@ def _cache_outcome(read, path):
     return table.source_ids, table.tickers, table.dates, table.scores.shape, table.scores.tobytes()
 
 
-# spellings Python's int reads and loadtxt may not, or the other way round,
-# numbers out of int64 or out of [1, 5], and padding the csv module strips
+# score spellings where JSON and Python's int part ways: 3.0 and 3e0 are JSON
+# numbers, but not ints, 2**63 and 2**64 do not fit int64
+JSON_SCORES = ["3.0", "3e0", "1E5", "1e400", "-1e-400", "true", "false", "null", "[1]", "{}",
+               "9223372036854775808", "18446744073709551616"]
+# those spellings, spellings Python's int reads and JSON does not, numbers out
+# of int64 or out of [1, 5], and padding the csv module strips
 odd_scores = st.sampled_from(["1_0", "٣", "\x1c3", "3\x1f", " +3 ", "\t2\t", "\xa02",
-                              "　4", "３", "03", "-0", "0", "6", "-1", "3.0", "1e0",
-                              "", "x", '"3"', "99999999999999999999", "9223372036854775808",
-                              "5\x0b", "\x853"])
+                              "　4", "３", "03", "-0", "0", "6", "-1", "1e0", "", "x", '"3"',
+                              "99999999999999999999", "5\x0b", "\x853", *JSON_SCORES])
 CACHE_MUTATIONS = ("extra field", "bad date", "long id", "nul", "odd score", "out of range",
-                   "quoted newline")
+                   "quoted newline", "odd label", "line end")
 
 
 @st.composite
 def cache_files(draw):
     """The text of an article cache with plain or awkward ids and tickers,
     written through csv or joined raw, with up to two mutations that may make
-    it fail, and up to two blank rows."""
+    it fail (each perhaps to a line end), and up to two blank rows."""
     dates = business_days("2020-01-02", 3)
     label = st.text('AB ,"\n\r\t' if draw(st.booleans()) else "AB", min_size=1, max_size=4)
     rows = [[draw(label), draw(label), draw(st.sampled_from(dates)),
              *map(str, draw(st.lists(st.integers(1, 5), min_size=4, max_size=4)))]
             for _ in range(draw(st.integers(1, 6)))]
-    for mutation in draw(st.lists(st.sampled_from(CACHE_MUTATIONS), max_size=2)):
+    mutations = draw(st.lists(st.sampled_from(CACHE_MUTATIONS), max_size=2))
+    for mutation in mutations:
         r = draw(st.integers(0, len(rows) - 1))
         if mutation == "extra field":
             rows[r] = [*rows[r], ""]
         elif mutation == "bad date":
             rows[r][2] = draw(st.sampled_from(["2020/01/02", " 2020-01-02", "20200102"]))
-        elif mutation == "long id":  # as long as the fast read's id field, or longer
-            rows[r][0] = "I" * draw(st.sampled_from([signals._ID_WIDTH, signals._ID_WIDTH + 8]))
+        elif mutation == "long id":  # as long as the old fixed-width id field, or longer
+            rows[r][0] = "I" * draw(st.sampled_from([32, 40]))
         elif mutation == "nul":
             rows[r][draw(st.integers(0, 1))] += "\0"
         elif mutation == "odd score":
@@ -571,17 +686,23 @@ def cache_files(draw):
             rows[r][draw(st.integers(3, 6))] = draw(st.sampled_from(["0", "6", "-1", " 9"]))
         elif mutation == "quoted newline":  # int reads "3\n"; the record spans lines
             rows[r][6] += "\n"
+        elif mutation == "odd label":
+            rows[r][draw(st.integers(0, 1))] += draw(st.sampled_from(ODD_LABELS))
     for _ in range(draw(st.integers(0, 2))):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [""], ["  "]])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     quoting = draw(st.sampled_from(["minimal", "all", "raw"]))
     table = [list(CACHE_HEADER), *rows]
     if quoting == "raw":
-        return "".join(",".join(row) + newline for row in table)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator=newline,
-               quoting=csv.QUOTE_ALL if quoting == "all" else csv.QUOTE_MINIMAL).writerows(table)
-    return buf.getvalue()
+        text = "".join(",".join(row) + newline for row in table)
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=newline, quoting=csv.QUOTE_ALL if quoting == "all"
+                   else csv.QUOTE_MINIMAL).writerows(table)
+        text = buf.getvalue()
+    for _ in range(mutations.count("line end")):
+        text = _mutate_line_end(draw, text)
+    return text
 
 
 @settings(max_examples=500)
@@ -617,9 +738,14 @@ class TestCacheFastRead:
 
     @pytest.mark.parametrize("score", ["\x1c3", "3\x1f"])
     def test_a_score_only_loadtxt_reads_names_its_line(self, tmp_path, score):
-        # loadtxt strips the separators U+001C-U+001F; Python's int does not
+        # Python's int does not strip the separators U+001C-U+001F
         with pytest.raises(ParseError, match=r"articles\.csv: line 3: invalid literal"):
             load_article_scores(self._cache(tmp_path, score))
+
+    @pytest.mark.parametrize("score", JSON_SCORES)
+    def test_a_json_score_reads_as_the_exact_loop(self, tmp_path, score):
+        path = self._cache(tmp_path, score)
+        assert _cache_outcome(load_article_scores, path) == _cache_outcome(_exact_cache, path)
 
     @pytest.mark.parametrize("score", ["0_3", "٣", "３"])
     def test_a_score_only_int_reads_reads_as_int_does(self, tmp_path, score):
@@ -631,18 +757,18 @@ class TestCacheFastRead:
 
     @pytest.mark.parametrize("extra", [0, 8])
     def test_an_id_as_long_as_the_fast_field_reads_whole(self, tmp_path, extra):
-        source_id = "I" * (signals._ID_WIDTH + extra)
+        source_id = "I" * (32 + extra)  # the old fixed-width id field held 31
         table = load_article_scores(self._cache(tmp_path, source_id=source_id))
         assert table.source_ids == (source_id, "s-2")
 
     def test_a_padded_long_id_is_not_cut_onto_another(self, tmp_path):
-        # cut to the fast read's field, the padded id would strip to s-2
-        source_id = " " * (signals._ID_WIDTH - 3) + "s-2X"
+        # cut to the old 32-character id field, the padded id would strip to s-2
+        source_id = " " * 29 + "s-2X"
         table = load_article_scores(self._cache(tmp_path, source_id=source_id))
         assert table.source_ids == ("s-2X", "s-2")
 
     def test_a_nul_in_an_id_is_kept(self, tmp_path):
-        # numpy's label field would drop a trailing NUL
+        # the fast read declines a NUL, and the exact loop keeps it
         assert load_article_scores(self._cache(tmp_path, source_id="s\0")).source_ids[0] == "s\0"
 
     def test_a_quoted_field_across_blocks_names_its_line(self, tmp_path):
