@@ -63,6 +63,7 @@ from .stats import (
     mann_whitney_u,
     seed_summary,
     spearman_ic,
+    spearman_ics,
     wilcoxon_signed_rank,
 )
 from .experiments import ExperimentConfig, run, validate_inputs

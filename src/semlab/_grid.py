@@ -2,8 +2,9 @@
 of the price, signal, feature and score panels and of the equity curve, with
 its one alignment check; calendar lookups; the long-form
 ``date,ticker,<numbers>`` files that fill it, read by ``read_grid`` and
-written by its mirror ``write_grid``; and the two formats every other
-artifact is written through, ``write_csv`` and ``write_json``.
+written by its mirror ``write_grid``; the two formats every other
+artifact is written through, ``write_csv`` and ``write_json``; and
+``read_json`` for the JSON inputs. Files are read and written as UTF-8.
 
 Both delimited inputs, the grid files of ``read_grid`` and the article cache
 of ``signals.load_article_scores``, are read by ``read_fields`` in two
@@ -60,7 +61,14 @@ from typing import ClassVar
 import numpy as np
 import orjson
 
-from .errors import AlignmentError, LabError, ParseError, RangeError, ValidationError
+from .errors import (
+    AlignmentError,
+    ConfigError,
+    LabError,
+    ParseError,
+    RangeError,
+    ValidationError,
+)
 
 
 def frozen(arr, dtype=float) -> np.ndarray:
@@ -205,8 +213,10 @@ def _names(row: list[str]) -> tuple[str, ...]:
 
 def header_names(path: str) -> tuple[str, ...]:
     """The column names of a delimited file's header row as ``read_header``
-    reads them, () for an empty file."""
-    with open(path, newline="") as fh:
+    reads them, () for an empty file. A byte that is not UTF-8 comes back as
+    a lone surrogate, so such a header matches no known names, and a bad
+    byte further on is left for ``records`` to report."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         return _names(next(csv.reader(fh), []))
 
 
@@ -227,24 +237,45 @@ def records(path: str, header: tuple[str, ...] | None):
     """The data rows of a delimited file whose header ``read_header``
     accepts, each as (the physical line it starts on, its fields). Blank rows
     are skipped; any other row without one field per header column is a
-    ParseError naming its line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        width = len(read_header(reader, path, header))
-        start = reader.line_num + 1  # a quoted field may span lines
-        for row in reader:
-            if len(row) == width:
-                yield start, row
-            elif len(row) > 1 or (row and row[0].strip()):
-                raise ParseError(f"{path}: line {start}: expected {width} fields, got {len(row)}")
-            start = reader.line_num + 1
+    ParseError naming its line. The file is read as UTF-8, and a byte that
+    does not decode is a ParseError naming its line too."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            width = len(read_header(reader, path, header))
+            start = reader.line_num + 1  # a quoted field may span lines
+            for row in reader:
+                if len(row) == width:
+                    yield start, row
+                elif len(row) > 1 or (row and row[0].strip()):
+                    raise ParseError(
+                        f"{path}: line {start}: expected {width} fields, got {len(row)}")
+                start = reader.line_num + 1
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str) -> ParseError:
+    """The ParseError for a file that is not UTF-8 text, naming the line of
+    its first byte that does not decode. The text decoder reads ahead in
+    chunks, so the byte is found again in the whole file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end where csv.reader ends them: at LF, CR or CRLF
+        head = io.StringIO(data[:exc.start].decode("utf-8") + "x", newline="")
+        return ParseError(f"{path}: line {len(head.readlines())}: "
+                          f"byte 0x{data[exc.start]:02x} is not UTF-8 text")
+    return ParseError(f"{path}: not UTF-8 text")
 
 
 def write_csv(path: str, header, rows) -> None:
     """The delimited artifact format: ``csv.writer`` defaults, the header row
     first, then each row of the iterable ``rows`` as it comes (a generator is
     written without being held in memory)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -305,7 +336,7 @@ def write_grid(path: str, header, dates, tickers, columns) -> None:
         if not isinstance(col, str) and col.shape != (len(dates), n_t):
             raise ValidationError(f"column has shape {col.shape}, expected {(len(dates), n_t)}")
     date_fields, ticker_fields = _csv_fields(dates), _csv_fields(tickers)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, len(dates), _BLOCK_DATES):
             block = date_fields[lo:lo + _BLOCK_DATES]
@@ -315,6 +346,16 @@ def write_grid(path: str, header, dates, tickers, columns) -> None:
             rows = map(",".join, zip([d for d in block for _ in range(n_t)],
                                      ticker_fields * len(block), *fields))
             fh.write("\r\n".join([*rows, ""]))
+
+
+def read_json(path: str):
+    """A JSON input file's value: a config or a synthetic spec. A file that is
+    not UTF-8 JSON is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
 
 def write_json(path: str, payload) -> None:

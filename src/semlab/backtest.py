@@ -17,7 +17,7 @@ import numpy as np
 
 from ._grid import Grid, date_span, write_csv
 from .errors import LabError, RangeError, ValidationError
-from .factors import CompositeScore, scw_weights
+from .factors import CompositeScore, check_temperature, scw_weights
 from .metrics import sharpe_ratio
 from .panels import MarketPanel, simple_returns
 
@@ -154,9 +154,14 @@ def backtest_topk(
 
     ``scores`` carries (dates, tickers, values) aligned with the panel over
     the configured period. ``weighting`` is "equal" or ("scw", temperature)
-    for softmax conviction weights within the basket. Days with fewer scored
-    tickers than k shrink the basket (with a logged warning); days with no
-    scored tickers hold the previous positions.
+    for softmax conviction weights within the basket; a temperature that is
+    not finite and > 0 is a ValidationError before any day is ranked. Days
+    with fewer scored tickers than k shrink the basket (with a logged
+    warning); days with no scored tickers hold the previous positions.
+
+    All days are ranked in one sort. SCW weights come from one
+    ``scw_weights`` call per distinct basket size, over the scores of every
+    day with a basket of that size.
     """
     sub_panel, sub_scores = panel, scores
     if config.period is not None:
@@ -169,7 +174,9 @@ def backtest_topk(
     mode = weighting if isinstance(weighting, str) else weighting[0]
     if mode not in ("equal", "scw"):
         raise ValidationError(f"unknown weighting {weighting!r}")
-    temperature = None if mode == "equal" else float(weighting[1])
+    if mode == "scw":
+        temperature = float(weighting[1])
+        check_temperature(temperature)
 
     # rank every day at once: finite scores first, then score descending, then
     # ticker name (``restrict`` may leave the columns in any order)
@@ -186,11 +193,11 @@ def backtest_topk(
         in_basket = np.arange(n_t) < sizes[:, None]
         np.put_along_axis(targets, order, in_basket / np.maximum(sizes, 1)[:, None], axis=1)
     else:
-        for d in np.flatnonzero(sizes):
-            basket = order[d, : sizes[d]]
-            names = [tickers[j] for j in basket]
-            w = scw_weights(dict(zip(names, values[d, basket].tolist())), names, temperature)
-            targets[d, basket] = [w[t] for t in names]
+        # every day whose basket holds ``size`` names, weighted in one array
+        for size in np.unique(sizes[sizes > 0]).tolist():
+            days = np.flatnonzero(sizes == size)[:, None]
+            basket = order[days, np.arange(size)]
+            targets[days, basket] = scw_weights(values[days, basket], temperature)
     # a day with no scored ticker holds the previous day's targets
     held = np.maximum.accumulate(np.where(sizes > 0, np.arange(n_d), 0))
     targets = targets[held]

@@ -11,7 +11,6 @@ removed.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -20,7 +19,16 @@ from itertools import groupby
 import numpy as np
 
 from . import __version__
-from ._grid import check_unique, date_span, is_date, json_digest, read_grid, write_csv, write_json
+from ._grid import (
+    check_unique,
+    date_span,
+    is_date,
+    json_digest,
+    read_grid,
+    read_json,
+    write_csv,
+    write_json,
+)
 from .backtest import (
     BacktestConfig,
     EquityCurve,
@@ -48,6 +56,7 @@ from .factors import (
     CompositeScore,
     FactorModel,
     ResidualModel,
+    check_temperature,
     composite,
     fit_equal_weight_composite,
     fit_forecaster,
@@ -79,7 +88,7 @@ from .stats import (
     mann_whitney_u,
     paired_comparison,
     seed_summary,
-    spearman_ic,
+    spearman_ics,
     write_test_results,
 )
 from .synth import SyntheticSpec, synth_panel
@@ -198,6 +207,8 @@ class ExperimentConfig:
             BacktestConfig(**{name: p[name] for name in ("k", "cost_rate") if name in p})
             if "policy" in p:
                 EnvConfig(**{name: p[name] for name in _ENV})
+            for temperature in p.get("temperature_grid", ()):
+                check_temperature(temperature)  # JSON's Infinity passes the item bound
         except ValidationError as exc:
             raise ConfigError(f"params for kind {self.kind!r}: {exc}") from None
         costs = p.get("costs", ())
@@ -262,12 +273,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-        return ExperimentConfig.from_dict(raw)
+        return ExperimentConfig.from_dict(read_json(path))
 
     def canonical(self) -> dict:
         return {
@@ -757,18 +763,16 @@ def _run_validation_suite(s: _Study) -> None:
         cov_rows,
     )
 
-    y = ws.returns_fwd[date_span(ws.panel.dates, *cfg.test)].ravel()
-    y_abs = np.abs(y)
+    y = ws.returns_fwd[date_span(ws.panel.dates, *cfg.test)]
+    ics = spearman_ics([sig.values[:, :, a] for a in range(len(AXES))], [y, np.abs(y)])
     ic_rows = []
-    for a, axis in enumerate(AXES):
-        x = sig.values[:, :, a].ravel()
-        try:
-            r1 = spearman_ic(x, y)
-            r2 = spearman_ic(x, y_abs)
+    for axis, (r1, r2) in zip(AXES, ics):
+        fault = next((r for r in (r1, r2) if isinstance(r, LabError)), None)
+        if fault is None:
             ic_rows.append([axis, _fmt(r1.statistic), _fmt(r1.p_value),
                             _fmt(r2.statistic), _fmt(r2.p_value)])
-        except LabError as exc:
-            ic_rows.append([axis, "nan", "nan", "nan", str(exc)])
+        else:
+            ic_rows.append([axis, "nan", "nan", "nan", str(fault)])
     out.write_rows(
         "ic.csv", ["axis", "return_ic", "p", "abs_return_ic", "abs_p"], ic_rows
     )

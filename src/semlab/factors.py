@@ -355,25 +355,31 @@ def composite(
 # Conviction weighting
 # ---------------------------------------------------------------------------
 
-def scw_weights(
-    scores: dict[str, float],
-    basket: list[str] | tuple[str, ...],
-    temperature: float,
-) -> dict[str, float]:
-    """Softmax allocation over the basket: weights ~ exp(score / temperature).
+def check_temperature(temperature: float) -> None:
+    """A ValidationError unless the softmax temperature is finite and > 0."""
+    if not 0.0 < temperature < np.inf:
+        raise ValidationError(f"temperature must be positive and finite, got {temperature}")
 
-    Overflow-safe via max subtraction; weights are positive and sum to one.
+
+def scw_weights(scores, temperature: float) -> np.ndarray:
+    """Softmax conviction weights along the last axis: each row of ``scores``
+    is one basket, and its weights ~ exp(score / temperature) are positive
+    and sum to one.
+
+    Overflow-safe via subtracting the row max. Each row is summed as a
+    one-dimensional array of its length would be, so a day's weights are the
+    same bits whether it is weighted alone or among other days with baskets
+    of its size. An empty basket or a temperature that ``check_temperature``
+    refuses is a ValidationError.
     """
-    if not basket:
+    check_temperature(temperature)
+    z = np.asarray(scores, dtype=float)
+    if z.ndim == 0 or z.shape[-1] == 0:
         raise ValidationError("basket is empty")
-    if not temperature > 0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
-    vals = np.array([scores[t] for t in basket], dtype=float)
-    vals = vals / temperature
-    vals -= vals.max()
-    ex = np.exp(vals)
-    w = ex / ex.sum()
-    return {t: float(x) for t, x in zip(basket, w)}
+    z = z / temperature
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def select_temperature(

@@ -23,6 +23,7 @@ import numpy as np
 from ._grid import write_csv
 from .errors import (
     DegenerateTestError,
+    LabError,
     NumericalError,
     UndefinedMetricError,
     ValidationError,
@@ -123,28 +124,62 @@ def spearman_ic(signal_values, forward_returns) -> TestResult:
     """Pooled Spearman rank correlation with mid-rank ties.
 
     Non-finite pairs are dropped; the p-value uses the large-sample t
-    approximation. Constant inputs have no defined correlation.
+    approximation. Constant inputs have no defined correlation. This is the
+    one-pair case of ``spearman_ics``.
     """
-    x = np.asarray(signal_values, dtype=float).ravel()
-    y = np.asarray(forward_returns, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValidationError(f"paired samples differ in length: {x.shape} vs {y.shape}")
-    keep = np.isfinite(x) & np.isfinite(y)
-    x, y = x[keep], y[keep]
-    n = x.size
-    if n < 10:
-        raise ValidationError(f"need >= 10 finite pairs, got {n}")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise UndefinedMetricError("correlation undefined for constant input")
-    rx = _rankdata(x)
-    ry = _rankdata(y)
-    rho = float(np.corrcoef(rx, ry)[0, 1])
-    if abs(rho) >= 1.0:
-        p = 0.0
-    else:
-        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = _t_two_sided(t, n - 2)
-    return TestResult(statistic=rho, p_value=p, method="spearman-t", n=n)
+    ((result,),) = spearman_ics([signal_values], [forward_returns])
+    if isinstance(result, LabError):
+        raise result
+    return result
+
+
+def spearman_ics(xs, ys) -> list[list[TestResult | LabError]]:
+    """``spearman_ic`` of every pair of a series in ``xs`` and one in ``ys``:
+    row i, column j holds the TestResult of (xs[i], ys[j]), or the LabError
+    that pair raises.
+
+    A pair's ranks depend only on the series and on which of its cells are
+    finite in both, so each series is ranked once per such finite-pair mask:
+    once in all when every pair drops the same cells.
+    """
+    xs = [np.asarray(v, dtype=float).ravel() for v in xs]
+    ys = [np.asarray(v, dtype=float).ravel() for v in ys]
+    series = xs + ys
+    finite = [np.isfinite(v) for v in series]
+    ranked: dict[tuple[int, bytes], np.ndarray] = {}
+
+    def ranks(i: int, keep: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        key = (i, keep.tobytes())
+        if key not in ranked:
+            ranked[key] = _rankdata(kept)
+        return ranked[key]
+
+    def pair(i: int, j: int) -> TestResult:
+        x, y = series[i], series[j]
+        if x.shape != y.shape:
+            raise ValidationError(f"paired samples differ in length: {x.shape} vs {y.shape}")
+        keep = finite[i] & finite[j]
+        n = int(np.count_nonzero(keep))
+        if n < 10:
+            raise ValidationError(f"need >= 10 finite pairs, got {n}")
+        x, y = x[keep], y[keep]
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            raise UndefinedMetricError("correlation undefined for constant input")
+        rho = float(np.corrcoef(ranks(i, keep, x), ranks(j, keep, y))[0, 1])
+        if abs(rho) >= 1.0:
+            p = 0.0
+        else:
+            t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+            p = _t_two_sided(t, n - 2)
+        return TestResult(statistic=rho, p_value=p, method="spearman-t", n=n)
+
+    def outcome(i: int, j: int) -> TestResult | LabError:
+        try:
+            return pair(i, j)
+        except LabError as exc:
+            return exc
+
+    return [[outcome(i, len(xs) + j) for j in range(len(ys))] for i in range(len(xs))]
 
 
 # ---------------------------------------------------------------------------

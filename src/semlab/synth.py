@@ -9,13 +9,12 @@ bit-identical for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import check_unique, is_date
+from ._grid import check_unique, is_date, read_json
 from .errors import ConfigError, ValidationError, check_names
 from .panels import MarketPanel
 from .signals import (
@@ -123,12 +122,7 @@ class SyntheticSpec:
 
     @staticmethod
     def from_file(path: str) -> "SyntheticSpec":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-        return SyntheticSpec.from_dict(raw)
+        return SyntheticSpec.from_dict(read_json(path))
 
 
 def _positive_finite(value: float) -> bool:

@@ -1,14 +1,31 @@
-"""Scalar reference for the daily top-k basket rule.
+"""Scalar reference for the daily top-k basket rule and its SCW weights.
 
 One day at a time: the per-day ranking and target fill that
 ``semlab.backtest.backtest_topk`` replaced with one sort over the whole
-(dates, tickers) score grid. Kept here only as the oracle the vectorised code
-is checked against; nothing in ``src/`` calls it.
+(dates, tickers) score grid, and the per-basket softmax over a dict of
+scores that it replaced with one ``semlab.factors.scw_weights`` call per
+basket size. Kept here only as the oracle the vectorised code is checked
+against; nothing in ``src/`` calls it, and it calls nothing in ``src/``.
 """
 
 import numpy as np
 
-from semlab.factors import scw_weights
+
+def scw_weights(scores: dict[str, float], basket: list[str],
+                temperature: float) -> dict[str, float]:
+    """Softmax allocation over one basket: weights ~ exp(score / temperature),
+    overflow-safe via max subtraction, summed as one array of the basket's
+    length."""
+    if not basket:
+        raise ValueError("basket is empty")
+    if not 0.0 < temperature < np.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    vals = np.array([scores[t] for t in basket], dtype=float)
+    vals = vals / temperature
+    vals -= vals.max()
+    ex = np.exp(vals)
+    w = ex / ex.sum()
+    return {t: float(x) for t, x in zip(basket, w)}
 
 
 def rank_basket(scores_row: np.ndarray, tickers: tuple[str, ...], k: int) -> list[int]:

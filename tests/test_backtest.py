@@ -126,6 +126,16 @@ class TestLedger:
         np.testing.assert_array_equal(curve.holdings[:, 0], np.ones(5))
         assert np.all(curve.cost_paid == 0.0)
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("scored", [True, False])
+    def test_scw_temperature_is_checked_before_any_day(self, temperature, scored):
+        # an all-empty score grid ranks no day, and is refused all the same
+        panel = make_panel(np.full((4, 2), 10.0))
+        scores = make_scores(panel, np.ones((4, 2)) if scored else np.full((4, 2), np.nan))
+        with pytest.raises(ValidationError,
+                           match=f"temperature must be positive and finite, got {temperature}"):
+            backtest_topk(scores, panel, BacktestConfig(k=1), ("scw", temperature))
+
     def test_weight_schedule_validates(self):
         panel = make_panel(np.full((4, 2), 5.0))
         bad = np.full((4, 2), 0.8)  # sums to 1.6

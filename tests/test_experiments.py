@@ -15,15 +15,16 @@ from semlab import (
     mann_whitney_u,
     metrics,
     run,
+    spearman_ic,
     synth_panel,
     validate_inputs,
 )
-from semlab._grid import read_grid
+from semlab._grid import date_span, read_grid
 from semlab.cli import main as cli_main
-from semlab.errors import AlignmentError, ConfigError, ParseError, ValidationError
+from semlab.errors import AlignmentError, ConfigError, LabError, ParseError, ValidationError
 from semlab.env import HoldPolicy, SignalThresholdPolicy, run_policy
 from semlab.experiments import _KINDS, KINDS
-from semlab.signals import AXES, load_article_scores
+from semlab.signals import AXES, load_article_scores, mask_axes
 
 from conftest import business_days, read_rows, study_config
 
@@ -148,6 +149,8 @@ class TestDeclaredParams:
          "param 'temperature_grid' items must be > 0, got [1.0, -1.0]"),
         ("scw", {"temperature_grid": [float("nan")]},
          "param 'temperature_grid' items must be > 0, got [nan]"),
+        ("scw", {"temperature_grid": [1.0, float("inf")]},
+         "params for kind 'scw': temperature must be positive and finite, got inf"),
         ("forecaster", {"lambda_grid": [0.1, -1.0]},
          "param 'lambda_grid' items must be >= 0, got [0.1, -1.0]"),
         ("forecaster", {"lambda_grid": []}, "param 'lambda_grid' must hold at least one ridge"),
@@ -550,6 +553,33 @@ class TestDenseBlock:
         path.write_text("")
         with pytest.raises(ParseError, match=r"dense\.csv: line 1: empty file"):
             self._load(str(path))
+
+
+class TestValidationSuite:
+    @pytest.mark.parametrize("masked", [frozenset(), frozenset({"risk"})])
+    def test_ic_csv_matches_each_pair_alone(self, tmp_path, monkeypatch, masked):
+        # a masked axis is constant: its row carries the error text instead
+        cfg = ExperimentConfig.from_dict(config_dict("validation_suite", tmp_path / "out"))
+        ws = experiments.load_workspace(cfg)
+        ws = dataclasses.replace(ws, signals=mask_axes(ws.signals, masked))
+        monkeypatch.setattr(experiments, "load_workspace", lambda cfg: ws)
+        run(cfg)
+        sig = ws.signals.slice_dates(*cfg.test)
+        y = ws.returns_fwd[date_span(ws.panel.dates, *cfg.test)]
+        assert not np.isfinite(y).all()  # the pairs drop cells
+        want = []
+        for a, axis in enumerate(AXES):
+            try:
+                r1 = spearman_ic(sig.values[:, :, a], y)
+                r2 = spearman_ic(sig.values[:, :, a], np.abs(y))
+                cells = [r1.statistic, r1.p_value, r2.statistic, r2.p_value]
+                want.append([axis, *[f"{v:.6f}" for v in cells]])
+            except LabError as exc:
+                want.append([axis, "nan", "nan", "nan", str(exc)])
+        got = [list(row.values()) for row in read_rows(tmp_path / "out" / "ic.csv")]
+        assert got == want
+        assert [row[-1] for row in got if row[1] == "nan"] == (
+            ["correlation undefined for constant input"] if masked else [])
 
 
 class TestDeterminism:

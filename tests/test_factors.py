@@ -327,42 +327,53 @@ class TestComposite:
 
 class TestScw:
     def test_equal_scores_equal_weights(self):
-        w = scw_weights({"A": 1.0, "B": 1.0, "C": 1.0}, ["A", "B", "C"], 0.5)
-        assert all(v == pytest.approx(1 / 3, abs=1e-12) for v in w.values())
+        w = scw_weights([[1.0, 1.0, 1.0], [-2.0, -2.0, -2.0]], 0.5)
+        np.testing.assert_allclose(w, 1 / 3, rtol=0, atol=1e-12)
 
     def test_high_temperature_approaches_uniform(self):
-        w = scw_weights({"A": 3.0, "B": -1.0}, ["A", "B"], 1e9)
-        assert w["A"] == pytest.approx(0.5, abs=1e-6)
+        w = scw_weights([3.0, -1.0], 1e9)
+        assert w[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_two_name_example(self):
-        w = scw_weights({"A": 1.0, "B": 0.0}, ["A", "B"], 1.0)
+        w = scw_weights([1.0, 0.0], 1.0)
         e = np.e
-        assert w["A"] == pytest.approx(e / (e + 1), abs=1e-12)
-        assert w["B"] == pytest.approx(1 / (e + 1), abs=1e-12)
+        assert w[0] == pytest.approx(e / (e + 1), abs=1e-12)
+        assert w[1] == pytest.approx(1 / (e + 1), abs=1e-12)
 
     def test_weights_sum_to_one_and_monotone(self):
         rng = np.random.default_rng(18)
         for _ in range(30):
-            names = [f"N{i}" for i in range(int(rng.integers(2, 8)))]
-            scores = {n: float(rng.normal()) for n in names}
+            scores = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(2, 8))))
             t = float(rng.uniform(0.1, 5.0))
-            w = scw_weights(scores, names, t)
-            assert sum(w.values()) == pytest.approx(1.0, abs=1e-12)
-            ordered = sorted(names, key=lambda n: scores[n])
-            assert all(
-                w[a] <= w[b] + 1e-15 for a, b in zip(ordered, ordered[1:])
-            )
+            w = scw_weights(scores, t)
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            ordered = np.take_along_axis(w, np.argsort(scores, axis=1), axis=1)
+            assert np.all(np.diff(ordered, axis=1) >= -1e-15)
 
     def test_shift_invariance(self):
-        w1 = scw_weights({"A": 1.0, "B": 0.0}, ["A", "B"], 1.0)
-        w2 = scw_weights({"A": 101.0, "B": 100.0}, ["A", "B"], 1.0)
-        assert w1 == w2
+        w1 = scw_weights([1.0, 0.0], 1.0)
+        w2 = scw_weights([101.0, 100.0], 1.0)
+        np.testing.assert_array_equal(w1, w2)
+
+    def test_large_scores_do_not_overflow(self):
+        w = scw_weights([[1e6, 1e6 - 1.0], [-1e6, -1e6 - 1.0]], 1e-3)
+        np.testing.assert_array_equal(w, [[1.0, 0.0], [1.0, 0.0]])
+
+    def test_each_row_is_weighted_as_it_would_be_alone(self):
+        rng = np.random.default_rng(7)
+        scores = rng.normal(size=(9, 13))
+        w = scw_weights(scores, 0.7)
+        for row, want in zip(scores, w):
+            np.testing.assert_array_equal(scw_weights(row, 0.7), want)
 
     def test_preconditions(self):
-        with pytest.raises(ValidationError):
-            scw_weights({"A": 1.0}, [], 1.0)
-        with pytest.raises(ValidationError):
-            scw_weights({"A": 1.0}, ["A"], 0.0)
+        with pytest.raises(ValidationError, match="basket is empty"):
+            scw_weights([], 1.0)
+        with pytest.raises(ValidationError, match="basket is empty"):
+            scw_weights(np.zeros((3, 0)), 1.0)
+        for t in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="temperature must be positive and finite"):
+                scw_weights([1.0], t)
 
 
 class TestSelectTemperature:

@@ -5,6 +5,7 @@ the exact loop it falls back to."""
 import contextlib
 import csv
 import io
+import json
 import math
 import warnings
 from decimal import Decimal
@@ -213,6 +214,73 @@ class TestSharedRules:
         assert cli_main(["validate", path]) == 2
         assert capsys.readouterr().err == (
             f"data error: {path}: unrecognised header 'date,ticker,price'\n")
+
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a ParseError naming its line, in the
+    loaders and through both commands, never a UnicodeDecodeError."""
+
+    def _bad_ticker(self, tmp_path, kind, line_end=b"\n", pad_rows=0):
+        """The kind's file with ticker ``B\xffB`` on its last line; returns
+        the path and that line's number."""
+        head, fmt, _ = LOADERS[kind]
+        rows = [fmt.format(d=d, t=t) for d in DATES for t in TICKERS]
+        rows = [rows[0]] * pad_rows + rows  # a duplicate is read as far as the bad byte
+        lines = [line.encode() for line in (head, *rows)]
+        lines.append(fmt.format(d=DATES[1], t="B\udcffB").encode("utf-8", "surrogateescape"))
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(line_end.join([*lines, b""]))
+        return str(path), len(lines)
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"])
+    def test_the_loaders_name_the_line(self, tmp_path, kind, line_end):
+        path, line = self._bad_ticker(tmp_path, kind, line_end)
+        with pytest.raises(ParseError, match=rf"{kind}\.csv: line {line}: "
+                                             r"byte 0xff is not UTF-8 text$"):
+            LOADERS[kind][2](path)
+
+    def test_a_byte_past_the_first_read_chunk_names_its_line(self, tmp_path):
+        path, line = self._bad_ticker(tmp_path, "prices", pad_rows=2000)
+        with pytest.raises(ParseError, match=rf"line {line}: byte 0xff is not UTF-8 text$"):
+            load_price_panel(path)
+
+    @pytest.mark.parametrize("kind, given", [("prices", "price_panel"),
+                                             ("articles", "signal_cache")])
+    def test_validate_prints_a_fail_line(self, tmp_path, capsys, kind, given):
+        path, line = self._bad_ticker(tmp_path, kind)
+        assert cli_main(["validate", path]) == 2
+        assert (f"[FAIL] {given}: {path}: line {line}: byte 0xff is not UTF-8 text"
+                in capsys.readouterr().out)
+
+    def test_validate_refuses_a_header_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,ticker,\xffopen,high,low,close,volume\n")
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: unrecognised header 'date,ticker,\\udcffopen,high,"
+            "low,close,volume'\n")
+
+    def test_run_is_a_data_error_naming_the_line(self, tmp_path, capsys):
+        path, line = self._bad_ticker(tmp_path, "prices")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "sfp", "seed": 1, "output_dir": str(tmp_path / "out"),
+            "data": {"price_panel": path},
+            "ranges": {"train": [DATES[0]] * 2, "test": [DATES[1]] * 2}}))
+        assert cli_main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: line {line}: byte 0xff is not UTF-8 text\n")
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_a_json_input_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "in.json"
+        path.write_bytes(b'{"universe": ["B\xffB"]}')
+        argv = [command, str(path)] + (["1"] if command == "synth" else [])
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}: not valid JSON: 'utf-8' codec can't decode byte 0xff")
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ from semlab import (
     mann_whitney_u,
     seed_summary,
     spearman_ic,
+    spearman_ics,
     wilcoxon_signed_rank,
 )
-from semlab.errors import DegenerateTestError, UndefinedMetricError, ValidationError
+from semlab import stats as semlab_stats
+from semlab.errors import DegenerateTestError, LabError, UndefinedMetricError, ValidationError
 from semlab.stats import _normal_sf, _rankdata, _t_two_sided
 
 from conftest import make_signal_panel
@@ -96,6 +98,64 @@ class TestSpearman:
     def test_small_sample_rejected(self):
         with pytest.raises(ValidationError):
             spearman_ic(np.arange(5.0), np.arange(5.0))
+
+
+class TestSharedRanks:
+    """``spearman_ics`` against one ``spearman_ic`` call per pair: the same
+    result bit for bit, or the same error, with each series ranked once per
+    finite-pair mask."""
+
+    def _series(self):
+        rng = np.random.default_rng(24)
+        y = np.round(rng.normal(size=300), 1)  # ties in both series
+        y[[7, 150]] = np.nan, np.inf
+        xs = [np.round(rng.normal(size=300), 1) for _ in range(2)]
+        holed = np.round(rng.normal(size=300), 1)
+        holed[[3, 150, 299]] = np.nan  # its own mask, one cell shared with y's
+        sparse = np.full(300, np.nan)
+        sparse[20:29] = np.arange(9.0)  # 9 finite pairs
+        xs += [holed, np.full(300, 3.0), sparse, np.arange(10.0)]
+        return xs, [y, np.abs(y)]
+
+    def test_table_matches_each_pair_alone(self):
+        xs, ys = self._series()
+        table = spearman_ics(xs, ys)
+        assert len(table) == len(xs) and all(len(row) == len(ys) for row in table)
+        for x, row in zip(xs, table):
+            for y, got in zip(ys, row):
+                try:
+                    want = spearman_ic(x, y)
+                except LabError as exc:
+                    assert type(got) is type(exc) and str(got) == str(exc)
+                else:
+                    assert got == want  # the dataclass compares every field exactly
+        errors = [str(r) for row in table for r in row if isinstance(r, LabError)]
+        assert errors == ["correlation undefined for constant input"] * 2 + [
+            "need >= 10 finite pairs, got 9"] * 2 + [
+            "paired samples differ in length: (10,) vs (300,)"] * 2
+
+    def test_pairs_match_scipy(self):
+        xs, ys = self._series()
+        for x, row in zip(xs[:3], spearman_ics(xs[:3], ys)):
+            for y, got in zip(ys, row):
+                keep = np.isfinite(x) & np.isfinite(y)
+                ref = sps.spearmanr(x[keep], y[keep])
+                assert got.statistic == pytest.approx(ref.statistic, abs=1e-12)
+                assert got.p_value == pytest.approx(ref.pvalue, rel=1e-8)
+
+    @pytest.mark.parametrize("holed, calls", [(False, 6), (True, 8)])
+    def test_each_series_is_ranked_once_per_mask(self, monkeypatch, holed, calls):
+        rng = np.random.default_rng(5)
+        xs = [rng.normal(size=200) for _ in range(4)]
+        y = rng.normal(size=200)
+        if holed:
+            xs[2][10] = np.nan  # x2 and both ys meet a second mask
+        ranked = []
+        monkeypatch.setattr(semlab_stats, "_rankdata",
+                            lambda v: ranked.append(v.size) or _rankdata(v))
+        table = spearman_ics(xs, [y, np.abs(y)])
+        assert len(ranked) == calls
+        assert table[2][0].n == (199 if holed else 200)
 
 
 class TestBlockBootstrap:

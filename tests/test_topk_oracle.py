@@ -72,6 +72,34 @@ def test_holdings_and_shrink_warning_match_oracle(grid, weighting):
         assert shrink == []
 
 
+WIDE = tuple(f"T{i:02d}" for i in range(20))
+
+
+@st.composite
+def wide_grids(draw):
+    """Baskets of 8-16 names, where numpy's pairwise summation starts, with
+    days of every basket size, short days and empty days in one grid."""
+    n_t = draw(st.integers(8, len(WIDE)))
+    n_d = draw(st.integers(1, 30))
+    tickers = draw(st.permutations(WIDE[:n_t]))
+    cells = st.one_of(st.floats(-50, 50), st.sampled_from(POOL))
+    values = draw(arrays(float, (n_d, n_t), elements=cells))
+    # a per-day count of unscored cells makes short baskets of mixed sizes
+    for d in range(n_d):
+        gone = draw(st.integers(0, n_t))
+        values[d, draw(st.permutations(range(n_t)))[:gone]] = np.nan
+    k = draw(st.integers(8, 16))
+    return values, tuple(tickers), k
+
+
+@given(wide_grids(), st.sampled_from([0.05, 0.3, 1.0, 2.5, 40.0]))
+def test_scw_weights_of_wide_baskets_match_oracle(grid, temperature):
+    values, tickers, k = grid
+    want, _ = topk_targets(values, tickers, k, ("scw", temperature))
+    curve, _ = run_with_warnings(values, tickers, k, ("scw", temperature))
+    np.testing.assert_array_equal(curve.holdings, want)
+
+
 def test_equal_scores_break_ties_by_name_not_column():
     values = np.ones((3, 3))
     curve, _ = run_with_warnings(values, ("B", "A", "C"), 1, "equal")
