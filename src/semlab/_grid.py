@@ -7,13 +7,12 @@ artifact is written through, ``write_csv`` and ``write_json``; and
 ``read_json`` for the JSON inputs. Files are read and written as UTF-8.
 
 Both delimited inputs, the grid files of ``read_grid`` and the article cache
-of ``signals.load_article_scores``, are read by ``read_fields`` in two
+of ``signals.load_article_scores``, are read by ``read_fields`` in one of two
 stages, each returning the same fields: every leading label field as a dict
-of its labels in first-seen order with each row's index into it, the numbers
-as one flat array, and each row's physical line, which only the exact stage
-gives. The fast stage, ``fast_fields``, reads the file in binary,
-``_BLOCK_LINES`` lines at a time. ``_json_block`` vouches for a block with
-byte checks (printable ASCII but for ``"``, ``\\``, brackets and braces;
+of its labels in first-seen order with each row's index into it, and the
+numbers as one flat array. The fast stage, ``fast_fields``, reads the file in
+binary, ``_BLOCK_LINES`` lines at a time. ``_json_block`` vouches for a block
+with byte checks (printable ASCII but for ``"``, ``\\``, brackets and braces;
 CRLF or LF line ends; no ``true``, ``false`` or ``null``; ``width - 1``
 commas on each non-blank line), quotes its label fields and turns its line
 ends into commas, and ``orjson.loads`` reads the block as one JSON array,
@@ -22,12 +21,11 @@ block's distinct labels through a dict and strips them. It declines a file
 on any fault and on anything it cannot vouch for, such as a byte outside
 that set, a date not YYYY-MM-DD, a number only Python's ``float`` or ``int``
 reads (``1_0``, ``+5``, ``1e400``) or a zero read from an integer literal
-(orjson reads ``-0`` as 0). The exact stage, ``exact_fields``, then re-reads
-the file row by row through ``records``. Each reader passes a ``build`` that
-turns the fields into its result and declines where its message must name a
-line but has no line numbers, so every error that names a line comes from
-the exact stage, and a result or an error does not depend on the stage that
-read the file.
+(orjson reads ``-0`` as 0). The exact stage, ``exact_fields``, then reads
+the file row by row through ``records`` and raises every error found while
+reading. Either way the rows are the ones ``records`` yields, in its order,
+so each reader's ``build`` runs once on the fields, and where its message
+names a row's line, ``line_of`` finds that line by reading the file again.
 
 ``write_grid`` writes the bytes ``write_csv`` would, but quotes each label
 once and formats a block's numbers with ``orjson``'s shortest round-trip
@@ -255,6 +253,13 @@ def records(path: str, header: tuple[str, ...] | None):
         raise _not_utf8(path) from None
 
 
+def line_of(path: str, header: tuple[str, ...] | None, row: int) -> int:
+    """The physical line of data row ``row`` (counted from 0) as ``records``
+    numbers it, found by reading the file again: the read keeps no line
+    numbers, since only an error message needs one."""
+    return next(islice(records(path, header), row, None))[0]
+
+
 def _not_utf8(path: str) -> ParseError:
     """The ParseError for a file that is not UTF-8 text, naming the line of
     its first byte that does not decode. The text decoder reads ahead in
@@ -274,7 +279,11 @@ def _not_utf8(path: str) -> ParseError:
 def write_csv(path: str, header, rows) -> None:
     """The delimited artifact format: ``csv.writer`` defaults, the header row
     first, then each row of the iterable ``rows`` as it comes (a generator is
-    written without being held in memory)."""
+    written without being held in memory). csv writes each field's ``str``,
+    which for a Python float is its ``repr``, so pass Python floats only
+    (``tolist()``): a numpy scalar or other float subclass writes its own
+    ``str``, and ``np.float32(0.1)`` comes out as ``0.1``, not as the float
+    it holds, ``0.10000000149011612``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -440,10 +449,9 @@ def fast_fields(path: str, header: tuple[str, ...] | None, labels: int, number,
     accepts, read ``_BLOCK_LINES`` lines at a time by ``orjson``: for each of
     the ``labels`` leading label fields, a dict of its stripped labels in
     first-seen order and each row's index into it; then the other fields of
-    every row, read as ``number`` (``float`` or ``int``), as one flat array;
-    then None, in place of ``exact_fields``' line numbers. Declined on any
-    fault, on a label of field ``date_field`` that is not YYYY-MM-DD, and on
-    anything it cannot vouch for.
+    every row, read as ``number`` (``float`` or ``int``), as one flat array.
+    Declined on any fault, on a label of field ``date_field`` that is not
+    YYYY-MM-DD, and on anything it cannot vouch for.
 
     ``_json_block`` vouches for a block's bytes and makes it one JSON array,
     which ``orjson.loads`` reads; its numbers are correctly rounded, as
@@ -491,19 +499,19 @@ def fast_fields(path: str, header: tuple[str, ...] | None, labels: int, number,
         raise Declined from None
     if not all(map(is_date, label_at[date_field])):
         raise Declined
-    return label_at, indices, np.concatenate(flat), None
+    return label_at, indices, np.concatenate(flat)
 
 
 def exact_fields(path: str, header: tuple[str, ...] | None, labels: int, number,
                  date_field: int):
-    """What ``fast_fields`` returns, with the physical line of each row in
-    place of None, read row by row from ``records``: the source of every
-    ParseError message. Within a row, the date in field ``date_field`` is
-    checked the first time it is seen, then the numbers are read by
-    ``number``; each fault is a ParseError naming the line."""
+    """What ``fast_fields`` returns, read row by row from ``records``, which
+    names the line of a row with the wrong field count. Within a row, the
+    date in field ``date_field`` is checked the first time it is seen, then
+    the numbers are read by ``number``; each fault is a ParseError naming the
+    line."""
     label_at: list[dict[str, int]] = [{} for _ in range(labels)]
     indices = [array("q") for _ in range(labels)]
-    lines, flat = array("q"), array("d" if number is float else "q")
+    flat = array("d" if number is float else "q")
     seen = label_at[date_field]
     for lineno, row in records(path, header):
         fields = [field.strip() for field in row[:labels]]
@@ -516,38 +524,35 @@ def exact_fields(path: str, header: tuple[str, ...] | None, labels: int, number,
             flat.extend(map(number, row[labels:]))
         except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond int64
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        lines.append(lineno)
-    return label_at, indices, np.frombuffer(flat, dtype=number), lines
+    return label_at, indices, np.frombuffer(flat, dtype=number)
 
 
 def read_fields(path: str, header: tuple[str, ...] | None, labels: int, number,
                 date_field: int, build):
-    """``build`` applied to the fields of ``fast_fields`` (orjson over the
-    blocks whose bytes it vouches for), or, when either declines, to those
-    of ``exact_fields`` (the row loop). ``build`` declines where it must
-    name a line and was given None for the line numbers, so the result or
-    error is the same whichever stage read the file."""
+    """``build`` applied once to the fields of ``fast_fields`` (orjson over
+    the blocks whose bytes it vouches for), or, when it declines, to those of
+    ``exact_fields`` (the row loop), and to ``line_of`` for the file. Both
+    stages yield the rows of ``records`` in its order, so the result or error
+    is the same whichever stage read the file."""
     try:
-        return build(*fast_fields(path, header, labels, number, date_field))
+        fields = fast_fields(path, header, labels, number, date_field)
     except Declined:
-        return build(*exact_fields(path, header, labels, number, date_field))
+        fields = exact_fields(path, header, labels, number, date_field)
+    return build(*fields, partial(line_of, path, header))
 
 
-def _place(path, calendar, universe, label_at, indices, flat, lines):
-    """The dense grid of ``read_grid`` from the fields of ``fast_fields`` or
-    ``exact_fields``; Declined where a message must name a line and the rows
-    came without line numbers."""
+def _place(path, calendar, universe, label_at, indices, flat, line_of):
+    """The dense grid of ``read_grid`` from the fields of ``read_fields``;
+    ``line_of`` names the line of a non-finite or duplicate row."""
     (date_at, ticker_at), (di, ti) = label_at, indices
     if not di:
         raise AlignmentError(f"{path}: no data rows")
     values = flat.reshape(len(di), -1)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        if lines is None:
-            raise Declined
         r = int(np.argmin(finite))
         date, ticker = list(date_at)[di[r]], list(ticker_at)[ti[r]]
-        raise ValidationError(f"{path}: non-finite value at ({date}, {ticker}), line {lines[r]}")
+        raise ValidationError(f"{path}: non-finite value at ({date}, {ticker}), line {line_of(r)}")
     dates, d = _axis(date_at, calendar)
     tickers, t = _axis(ticker_at, universe)
     d, t = d[np.frombuffer(di, dtype=np.int64)], t[np.frombuffer(ti, dtype=np.int64)]
@@ -555,12 +560,10 @@ def _place(path, calendar, universe, label_at, indices, flat, lines):
     cells = d[placed] * len(tickers) + t[placed]
     count = np.bincount(cells, minlength=len(dates) * len(tickers))
     if (count > 1).any():
-        if lines is None:
-            raise Declined
         order = np.argsort(cells, kind="stable")
         r = placed[order[1:][np.diff(cells[order]) == 0].min()]
         raise ParseError(
-            f"{path}: line {lines[r]}: duplicate row for ({dates[d[r]]}, {tickers[t[r]]})")
+            f"{path}: line {line_of(r)}: duplicate row for ({dates[d[r]]}, {tickers[t[r]]})")
     if not count.all():
         missing = np.argwhere(count.reshape(len(dates), len(tickers)).T == 0)
         gaps = "; ".join(f"{tickers[j]} missing {dates[i]}" for j, i in missing[:20])
@@ -586,8 +589,8 @@ def read_grid(path: str, header: tuple[str, ...] | None = None,
     AlignmentError listing the gaps.
 
     The file is read by ``read_fields``: orjson reads it as JSON where
-    ``fast_fields`` vouches for its bytes, and the exact row loop re-reads
-    any other file and raises every error that names a line.
+    ``fast_fields`` vouches for its bytes, and the exact row loop reads any
+    other file.
     """
     return read_fields(path, header, 2, float, 0,
                        partial(_place, path, calendar, universe))

@@ -69,9 +69,9 @@ class EquityCurve(Grid):
 
 def write_equity_curve(curve: EquityCurve, path: str, holdings_path: str | None = None) -> None:
     """Delimited export: date,wealth,daily_return,cost_paid (+ optional holdings file)."""
-    write_csv(path, ["date", "wealth", "daily_return", "cost_paid"], (
-        [d, repr(float(curve.wealth[i])), repr(float(curve.daily_returns[i])),
-         repr(float(curve.cost_paid[i]))] for i, d in enumerate(curve.dates)))
+    write_csv(path, ["date", "wealth", "daily_return", "cost_paid"], zip(
+        curve.dates, curve.wealth.tolist(), curve.daily_returns.tolist(),
+        curve.cost_paid.tolist()))
     if holdings_path is not None:
         ii, jj = np.nonzero(curve.holdings)
         write_csv(holdings_path, ["date", "ticker", "weight"], (

@@ -437,9 +437,7 @@ def run_policy(
 def write_episode_log(infos: list[dict], path: str) -> None:
     """Delimited log: step,date,wealth,peak,reward,penalty,turbulence,gated."""
     header = ["step", "date", "wealth", "peak", "reward", "penalty", "turbulence", "gated"]
+    floats = np.array([[info[name] for name in header[2:7]] for info in infos], dtype=float)
     write_csv(path, header, (
-        [info["step"], info["date"],
-         repr(float(info["wealth"])), repr(float(info["peak"])),
-         repr(float(info["reward"])), repr(float(info["penalty"])),
-         repr(float(info["turbulence"])), int(info["gated"])]
-        for info in infos))
+        [info["step"], info["date"], *values, int(info["gated"])]
+        for info, values in zip(infos, floats.tolist())))

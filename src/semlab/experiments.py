@@ -176,7 +176,15 @@ class ExperimentConfig:
         for name in needs:
             if getattr(self, name) is None:
                 raise ConfigError(f"kind {self.kind!r} needs a {name} range")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
         check_names(self.data, _DATA_KEYS, "data key {!r}")
+        for key in ("price_panel", "signal_cache"):
+            if not isinstance(self.data.get(key, ""), str):  # an int would open a descriptor
+                raise ConfigError(f"data key {key!r} must be a path, got {self.data[key]!r}")
+        blocks = self.data.get("dense_blocks", {})
+        if not (isinstance(blocks, dict) and all(isinstance(b, str) for b in blocks.values())):
+            raise ConfigError(f"data key 'dense_blocks' must map names to paths, got {blocks!r}")
         if ("synthetic" in self.data) == ("price_panel" in self.data):
             raise ConfigError("data must give exactly one of 'synthetic' and 'price_panel'")
         if "signal_cache" in self.data and "price_panel" not in self.data:
@@ -184,7 +192,7 @@ class ExperimentConfig:
         if not isinstance(self.data.get("synthetic", ""), str):  # an inline spec
             SyntheticSpec.from_dict(self.data["synthetic"])
         if self.universe is not None:
-            if not (isinstance(self.universe, (list, tuple))
+            if not (isinstance(self.universe, (list, tuple)) and self.universe
                     and all(isinstance(t, str) for t in self.universe)):
                 raise ConfigError(f"universe must be a list of tickers, got {self.universe!r}")
             object.__setattr__(self, "universe", tuple(self.universe))
@@ -255,6 +263,9 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"config missing keys: {sorted(missing)}")
         check_names(raw, _TOP_KEYS, "config key {!r}")
+        for key in ("ranges", "data", "params"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(f"config key {key!r} must be a JSON object, got {raw[key]!r}")
         ranges = raw["ranges"]
         check_names(ranges, ("train", "validation", "test"), "range {!r}")
         if not ranges.get("test"):

@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._grid import Declined, Grid, check_increasing, frozen, read_fields, write_csv
+from ._grid import Grid, check_increasing, frozen, read_fields, write_csv
 from .errors import RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -383,22 +383,18 @@ def load_article_scores(path: str) -> ArticleTable:
     The file is read by ``_grid.read_fields``: orjson reads it as JSON where
     ``_grid.fast_fields`` vouches for its bytes (printable ASCII but for
     ``"``, ``\\``, brackets and braces, and scores that come out as int64),
-    and the exact row loop re-reads any other file and raises every error
-    that names a line."""
+    and the exact row loop reads any other file."""
     return read_fields(path, CACHE_HEADER, 3, int, 2,
                        partial(_articles, path))
 
 
-def _articles(path, label_at, indices, flat, lines) -> ArticleTable:
-    """The table of the cache's fields from ``_grid.fast_fields`` or
-    ``_grid.exact_fields``; Declined on a score outside [1, 5] when the rows
-    came without line numbers, else a ValidationError naming its line."""
+def _articles(path, label_at, indices, flat, line_of) -> ArticleTable:
+    """The table of the cache's fields from ``_grid.read_fields``; a score
+    outside [1, 5] is a ValidationError naming its line by ``line_of``."""
     columns = [np.array(list(at), dtype=object)[np.frombuffer(i, dtype=np.int64)].tolist()
                for at, i in zip(label_at, indices)]
     scores = flat.reshape(-1, 4)
     error = _score_error(scores, columns[2], columns[1])
     if error is not None:
-        if lines is None:
-            raise Declined
-        raise ValidationError(f"{path}: line {lines[error[0]]}: {error[1]}")
+        raise ValidationError(f"{path}: line {line_of(error[0])}: {error[1]}")
     return ArticleTable(*columns, scores)

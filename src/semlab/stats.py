@@ -4,13 +4,12 @@ signal persistence, and seed-level summaries.
 Ranks are mid-ranks: tied values share the mean of their ranks. The rank
 tests use the two-sided normal approximation with tie correction and no
 continuity correction, its tail taken as ``erfc(|z| / sqrt(2))``; Wilcoxon
-drops zero differences by default (Pratt handling behind a flag). The
-Spearman p-value is the two-sided Student-t tail, the regularized incomplete
-beta I_x(df/2, 1/2) at x = df / (df + t^2), evaluated by Lentz's continued
-fraction (Press et al., Numerical Recipes, section 6.4). The bootstrap
-resamples circular moving blocks of the daily series and reports a
-percentile interval for the mean. All of it is deterministic for a fixed
-seed.
+drops zero differences. The Spearman p-value is the two-sided Student-t
+tail, the regularized incomplete beta I_x(df/2, 1/2) at x = df / (df + t^2),
+evaluated by Lentz's continued fraction (Press et al., Numerical Recipes,
+section 6.4). The bootstrap resamples circular moving blocks of the daily
+series and reports a percentile interval for the mean. All of it is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -245,45 +244,27 @@ def _tie_term(values: np.ndarray) -> float:
     return float(np.sum(counts.astype(float) ** 3 - counts))
 
 
-def wilcoxon_signed_rank(paired_diffs, zero_method: str = "drop") -> TestResult:
-    """Two-sided Wilcoxon signed-rank test via the normal approximation.
-
-    ``zero_method`` is "drop" (discard zero differences) or "pratt" (rank them,
-    then discard). Tie correction is applied; no continuity correction.
+def wilcoxon_signed_rank(paired_diffs) -> TestResult:
+    """Two-sided Wilcoxon signed-rank test via the normal approximation, zero
+    differences dropped. Tie correction is applied; no continuity correction.
     """
     d = np.asarray(paired_diffs, dtype=float)
     d = d[np.isfinite(d)]
-    if zero_method not in ("drop", "pratt"):
-        raise ValidationError(f"unknown zero_method {zero_method!r}")
-    n_zero = int(np.sum(d == 0.0))
     if np.all(d == 0.0):
         raise DegenerateTestError("all paired differences are zero")
-    if zero_method == "drop":
-        d = d[d != 0.0]
-        n = d.size
-        if n < 10:
-            raise ValidationError(f"need >= 10 nonzero differences, got {n}")
-        ranks = _rankdata(np.abs(d))
-        w_plus = float(np.sum(ranks[d > 0]))
-        mu = n * (n + 1) / 4.0
-        sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(np.abs(d)) / 48.0
-    else:
-        n_all = d.size
-        if n_all - n_zero < 10:
-            raise ValidationError(f"need >= 10 nonzero differences, got {n_all - n_zero}")
-        ranks = _rankdata(np.abs(d))
-        w_plus = float(np.sum(ranks[d > 0]))
-        m = n_zero
-        mu = (n_all * (n_all + 1) - m * (m + 1)) / 4.0
-        sigma2 = (
-            n_all * (n_all + 1) * (2 * n_all + 1) - m * (m + 1) * (2 * m + 1)
-        ) / 24.0 - _tie_term(np.abs(d[d != 0.0])) / 48.0
-        n = n_all - m
+    d = d[d != 0.0]
+    n = d.size
+    if n < 10:
+        raise ValidationError(f"need >= 10 nonzero differences, got {n}")
+    ranks = _rankdata(np.abs(d))
+    w_plus = float(np.sum(ranks[d > 0]))
+    mu = n * (n + 1) / 4.0
+    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(np.abs(d)) / 48.0
     if sigma2 <= 0:
         raise DegenerateTestError("tie-corrected variance is zero")
     z = (w_plus - mu) / math.sqrt(sigma2)
     p = 2.0 * _normal_sf(abs(z))
-    return TestResult(statistic=w_plus, p_value=min(p, 1.0), method=f"wilcoxon-{zero_method}", n=n)
+    return TestResult(statistic=w_plus, p_value=min(p, 1.0), method="wilcoxon-drop", n=n)
 
 
 def mann_whitney_u(a, b) -> TestResult:

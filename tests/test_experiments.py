@@ -235,13 +235,36 @@ class TestDeclaredParams:
             ExperimentConfig.from_dict(raw)
         assert self._cli(tmp_path, raw) == 1
 
-    @pytest.mark.parametrize("universe", ["SYN01", ["SYN01", 2], {"SYN01": 1}])
+    @pytest.mark.parametrize("universe", ["SYN01", ["SYN01", 2], {"SYN01": 1}, []])
     def test_universe_not_a_ticker_list_fails_before_data_is_read(self, tmp_path, universe):
         # a string would otherwise become the tuple of its characters
         raw = config_dict("baselines", tmp_path / "out")
         raw["data"] = {"price_panel": str(tmp_path / "missing.csv")}
         raw["universe"] = universe
         with pytest.raises(ConfigError, match=r"universe must be a list of tickers, got "):
+            ExperimentConfig.from_dict(raw)
+        assert self._cli(tmp_path, raw) == 1
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("ranges", [], r"config key 'ranges' must be a JSON object, got \[\]$"),
+        ("data", "x", r"config key 'data' must be a JSON object, got 'x'$"),
+        ("params", "x", r"config key 'params' must be a JSON object, got 'x'$"),
+        ("params", [], r"config key 'params' must be a JSON object, got \[\]$"),
+        ("output_dir", 5, r"output_dir must be a path, got 5$"),
+        ("data.price_panel", 5, r"data key 'price_panel' must be a path, got 5$"),
+        ("data.price_panel", 0, r"data key 'price_panel' must be a path, got 0$"),
+        ("data.signal_cache", ["c.csv"], r"data key 'signal_cache' must be a path"),
+        ("data.dense_blocks", [], r"data key 'dense_blocks' must map names to paths"),
+        ("data.dense_blocks", {"f": 5}, r"must map names to paths, got \{'f': 5\}$"),
+    ])
+    def test_wrong_json_type_fails_before_data_is_read(self, tmp_path, key, value, match):
+        # unchecked, these reach the loaders as tracebacks, an open descriptor's read
+        # or a value taken silently
+        raw = config_dict("baselines", tmp_path / "out")
+        raw["data"] = {"price_panel": str(tmp_path / "missing.csv")}
+        outer, _, name = key.rpartition(".")
+        (raw[outer] if outer else raw)[name] = value
+        with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict(raw)
         assert self._cli(tmp_path, raw) == 1
 

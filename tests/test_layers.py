@@ -85,6 +85,16 @@ def test_no_module_calls_loadtxt():
     assert calls == []
 
 
+def test_only_the_grid_module_names_declined():
+    # whether the fast read vouched for a file is the read's own decision: a
+    # build gets the same fields and line lookup from either stage
+    namers = {path.stem for path in PACKAGE.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if "Declined" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                getattr(node, "name", None))}
+    assert namers == {"_grid"}
+
+
 def test_no_module_imports_scipy():
     # scipy is a test-only oracle: importing it costs more than most studies
     assert _importers("scipy") == set()

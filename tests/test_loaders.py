@@ -9,6 +9,7 @@ import json
 import math
 import warnings
 from decimal import Decimal
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -501,7 +502,7 @@ def test_a_negative_zero_volume_keeps_its_sign(tmp_path, zero, fast):
 def _exact(path, header=None, calendar=None, universe=None):
     """``read_grid`` through the exact loop alone."""
     fields = _grid.exact_fields(path, header, 2, float, 0)
-    return _grid._place(path, calendar, universe, *fields)
+    return _grid._place(path, calendar, universe, *fields, partial(_grid.line_of, path, header))
 
 
 def _outcome(read, *args):
@@ -684,6 +685,15 @@ class TestFastRead:
         path.write_bytes(text.encode())
         assert _outcome(read_grid, str(path)) == _outcome(_exact, str(path))
 
+    @pytest.mark.parametrize("block_lines", [1, _grid._BLOCK_LINES])
+    def test_a_duplicate_row_read_fast_names_its_line(self, tmp_path, block_lines):
+        # the fast read keeps no line numbers: the line is found past the blank rows
+        rows = [LOADERS["prices"][1].format(d=d, t=t) for d in DATES for t in TICKERS]
+        path = _write(tmp_path, "prices", ["", *rows, "  ", rows[1]])
+        with _fast_only(block_lines), pytest.raises(
+                ParseError, match=r"prices\.csv: line 8: duplicate row for \(2020-01-02, BB\)$"):
+            load_price_panel(path)
+
     @pytest.mark.parametrize("kind", GRIDS)
     def test_blank_rows_read_without_a_warning(self, tmp_path, kind):
         rows = [LOADERS[kind][1].format(d=d, t=t) for d in DATES for t in TICKERS]
@@ -702,7 +712,8 @@ class TestFastRead:
 
 def _exact_cache(path):
     """``load_article_scores`` through the exact loop alone."""
-    return signals._articles(path, *_grid.exact_fields(path, CACHE_HEADER, 3, int, 2))
+    fields = _grid.exact_fields(path, CACHE_HEADER, 3, int, 2)
+    return signals._articles(path, *fields, partial(_grid.line_of, path, CACHE_HEADER))
 
 
 def _cache_outcome(read, path):
@@ -834,6 +845,14 @@ class TestCacheFastRead:
         source_id = " " * 29 + "s-2X"
         table = load_article_scores(self._cache(tmp_path, source_id=source_id))
         assert table.source_ids == ("s-2X", "s-2")
+
+    @pytest.mark.parametrize("block_lines", [1, _grid._BLOCK_LINES])
+    def test_a_score_out_of_range_read_fast_names_its_line(self, tmp_path, block_lines):
+        rows = ["", f"s-1,AA,{DATES[0]},1,2,3,4", "", f"s-2,BB,{DATES[1]},1,2,3,6"]
+        with _fast_only(block_lines), pytest.raises(ValidationError, match=(
+                r"articles\.csv: line 5: volatility_forecast score 6 outside \[1, 5\] "
+                r"for \(2020-01-03, BB\)$")):
+            load_article_scores(_write(tmp_path, "articles", rows))
 
     def test_a_nul_in_an_id_is_kept(self, tmp_path):
         # the fast read declines a NUL, and the exact loop keeps it
