@@ -14,6 +14,7 @@ The environment object itself is read-only; episode state travels through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,10 @@ def drawdown_penalty(wealth: float, peak: float, alpha: float) -> float:
     return alpha * d * d
 
 
-def step_reward(
-    delta_wealth: float, wealth: float, peak: float, config: EnvConfig
-) -> float:
-    """Scaled wealth change minus the drawdown penalty (the per-step reward)."""
-    gain = delta_wealth / config.initial_cash * config.reward_scale
-    return gain - drawdown_penalty(wealth, peak, config.drawdown_alpha)
+def step_reward(delta_wealth: float, penalty: float, config: EnvConfig) -> float:
+    """Scaled wealth change minus the step's drawdown penalty (the per-step
+    reward); ``penalty`` is ``drawdown_penalty`` at the new wealth and peak."""
+    return delta_wealth / config.initial_cash * config.reward_scale - penalty
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def write_observation_layout(layout: ObservationLayout, path: str) -> None:
     write_json(path, layout.to_manifest())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnvState:
     """Snapshot of one episode step; wealth always equals cash + holdings value."""
 
@@ -133,10 +132,10 @@ class EnvState:
 
     def __post_init__(self) -> None:
         holdings = frozen(self.holdings, np.int64)
-        if np.any(holdings < 0):
+        if (holdings < 0).any():
             raise ValidationError("holdings must be non-negative")
         object.__setattr__(self, "holdings", holdings)
-        recomputed = self.cash + float(self.holdings @ self.prices)
+        recomputed = self.cash + float(holdings @ self.prices)
         if abs(recomputed - self.wealth) > 1e-6:
             raise ValidationError(
                 f"wealth {self.wealth} inconsistent with cash+positions {recomputed}"
@@ -165,22 +164,19 @@ class TradingEnv:
         self.signals = signals
         self.turbulence = turbulence
         self.config = config
-        # per-date no-buy flags; all clear without a turbulence series
-        self.gated = (
-            np.zeros(panel.n_dates, dtype=bool) if turbulence is None
-            else turbulence.gate(config.turbulence_threshold)
-        )
+        self.n_tickers = panel.n_tickers
+        self.last_index = panel.n_dates - 1
+        # per-date no-buy flags and turbulence values as Python lists, which
+        # a step reads faster than numpy scalars; all clear (nan) without a series
+        if turbulence is None:
+            self.gated = [False] * panel.n_dates
+            self.turbulence_at = [math.nan] * panel.n_dates
+        else:
+            self.gated = turbulence.gate(config.turbulence_threshold).tolist()
+            self.turbulence_at = turbulence.values.tolist()
         self.layout = ObservationLayout(
             tickers=panel.tickers, feature_names=features.names
         )
-
-    @property
-    def n_tickers(self) -> int:
-        return self.panel.n_tickers
-
-    @property
-    def last_index(self) -> int:
-        return self.panel.n_dates - 1
 
     def _state_at(self, idx: int, cash: float, holdings: np.ndarray, peak: float) -> EnvState:
         prices = self.panel.close[idx]
@@ -210,14 +206,12 @@ class TradingEnv:
         return self._state_at(idx, cash, np.zeros(self.n_tickers, dtype=np.int64), cash)
 
     def observation(self, state: EnvState) -> np.ndarray:
-        parts = [
-            np.array([state.cash]),
-            state.prices,
-            state.holdings.astype(float),
-            state.features.T.reshape(-1),
-            state.signals.T.reshape(-1),
-        ]
-        return np.concatenate(parts)
+        # axis=None flattens each part in C order, so a transposed block
+        # lays out one ticker vector per indicator or axis
+        return np.concatenate(
+            ((state.cash,), state.prices, state.holdings, state.features.T, state.signals.T),
+            axis=None, dtype=float,
+        )
 
     def step(self, state: EnvState, action: np.ndarray) -> tuple[EnvState, float, dict]:
         """Trade at the current close, advance one day, revalue, and reward.
@@ -226,65 +220,59 @@ class TradingEnv:
         info dict rather than raising.
         """
         cfg = self.config
-        if state.date_index >= self.last_index:
+        idx = state.date_index
+        if idx >= self.last_index:
             return state, 0.0, {"done": True, "note": "episode already finished"}
         action = np.asarray(action, dtype=float)
         if action.shape != (self.n_tickers,):
             raise ValidationError(f"action shape {action.shape}, expected ({self.n_tickers},)")
-        if not np.all(np.isfinite(action)):
+        if not np.isfinite(action).all():
             raise ValidationError("action contains non-finite values")
 
-        idx = state.date_index
         prices = state.prices
-        deltas = np.rint(np.clip(action, -1.0, 1.0) * cfg.h_max).astype(np.int64)
+        # the values np.clip gives on the finite actions that reach here, without its wrapper
+        deltas = np.rint(np.minimum(np.maximum(action, -1.0), 1.0) * cfg.h_max).astype(np.int64)
 
-        gated = bool(self.gated[idx])
+        gated = self.gated[idx]
         if gated:
             deltas = np.minimum(deltas, 0)
-        turb_value = (
-            float("nan") if self.turbulence is None else float(self.turbulence.values[idx])
-        )
-
-        holdings = np.array(state.holdings, dtype=np.int64)
+        turb_value = self.turbulence_at[idx]
         cash = state.cash
 
         # sells first, bounded by current holdings
-        sell_qty = np.minimum(-np.minimum(deltas, 0), holdings)
+        sell_qty = np.minimum(-np.minimum(deltas, 0), state.holdings)
         sell_notional = float(sell_qty @ prices)
         sell_cost = cfg.cost_rate * sell_notional
         cash += sell_notional - sell_cost
-        holdings -= sell_qty
 
         # buys, bounded by remaining cash after per-leg costs
         buy_qty = np.maximum(deltas, 0)
-        buy_total = float(buy_qty @ prices) * (1.0 + cfg.cost_rate)
-        buys_scaled = False
-        if buy_total > cash and buy_total > 0:
-            buys_scaled = True
+        buy_notional = float(buy_qty @ prices)
+        buy_total = buy_notional * (1.0 + cfg.cost_rate)
+        buys_scaled = buy_total > cash and buy_total > 0
+        if buys_scaled:
             scale = max(cash, 0.0) / buy_total
             buy_qty = np.floor(buy_qty * scale).astype(np.int64)
-            buy_total = float(buy_qty @ prices) * (1.0 + cfg.cost_rate)
-            while buy_total > cash and buy_qty.sum() > 0:
+            buy_notional = float(buy_qty @ prices)
+            while buy_notional * (1.0 + cfg.cost_rate) > cash and buy_qty.any():
                 j = int(np.argmax(buy_qty * prices))
                 buy_qty[j] -= 1
-                buy_total = float(buy_qty @ prices) * (1.0 + cfg.cost_rate)
-        buy_notional = float(buy_qty @ prices)
+                buy_notional = float(buy_qty @ prices)
         buy_cost = cfg.cost_rate * buy_notional
         cash -= buy_notional + buy_cost
-        holdings += buy_qty
 
-        new_state = self._state_at(idx + 1, cash, holdings, state.peak_wealth)
-        delta_wealth = new_state.wealth - state.wealth
+        new_state = self._state_at(idx + 1, cash, state.holdings - sell_qty + buy_qty,
+                                   state.peak_wealth)
         penalty = drawdown_penalty(new_state.wealth, new_state.peak_wealth, cfg.drawdown_alpha)
-        reward = step_reward(delta_wealth, new_state.wealth, new_state.peak_wealth, cfg)
+        reward = step_reward(new_state.wealth - state.wealth, penalty, cfg)
         info = {
-            "done": new_state.date_index >= self.last_index,
+            "done": idx + 1 >= self.last_index,
             "cost": sell_cost + buy_cost,
             "sell_notional": sell_notional,
             "buy_notional": buy_notional,
             "gated": gated,
             "turbulence": turb_value,
-            "turbulence_available": bool(np.isfinite(turb_value)),
+            "turbulence_available": math.isfinite(turb_value),
             "buys_scaled": buys_scaled,
             "penalty": penalty,
         }
@@ -391,10 +379,10 @@ def run_policy(
     """
     policy.reset(seed)
     state = env.reset(start_date)
+    first = state.date_index
     w0 = env.config.initial_cash
-    dates = [state.date]
     wealth = [state.wealth]
-    holdings_w = [np.zeros(env.n_tickers)]
+    shares: list[np.ndarray] = []
     costs = [0.0]
     rewards: list[float] = []
     infos: list[dict] = []
@@ -403,31 +391,35 @@ def run_policy(
     while True:
         obs = env.observation(state)
         action = np.asarray(policy(obs), dtype=float)
-        if action.shape != (env.n_tickers,) or not np.all(np.isfinite(action)):
+        if action.shape != (env.n_tickers,) or not np.isfinite(action).all():
             raise PolicyFaultError(f"policy emitted bad action at step {step_idx}")
         state, reward, info = env.step(state, action)
         rewards.append(reward)
-        info = dict(info)
+        # each step hands out a fresh dict, so it is extended in place
         info.update(step=step_idx, date=state.date, wealth=state.wealth,
                     peak=state.peak_wealth, reward=reward)
         infos.append(info)
-        dates.append(state.date)
         wealth.append(state.wealth)
-        holdings_w.append(state.holdings * state.prices / state.wealth)
+        shares.append(state.holdings)
         # the trade at the previous close is booked on the day its P&L lands
         costs.append(info["cost"] / w0)
         step_idx += 1
         if info["done"]:
             break
 
-    wealth_arr = np.asarray(wealth) / w0
+    days = slice(first, state.date_index + 1)
+    wealth_arr = np.asarray(wealth)
+    # a day's weights are its shares at its close over its wealth; none on the first day
+    holdings = np.zeros((len(wealth), env.n_tickers))
+    holdings[1:] = np.asarray(shares) * env.panel.close[days][1:] / wealth_arr[1:, None]
+    wealth_arr /= w0
     returns = np.zeros(len(wealth_arr))
     returns[1:] = wealth_arr[1:] / wealth_arr[:-1] - 1.0
     curve = EquityCurve(
-        dates=tuple(dates),
+        dates=env.panel.dates[days],
         wealth=wealth_arr,
         daily_returns=returns,
-        holdings=np.asarray(holdings_w),
+        holdings=holdings,
         cost_paid=np.asarray(costs),
         tickers=env.panel.tickers,
     )

@@ -11,6 +11,7 @@ removed.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -102,9 +103,11 @@ _ACCEPTS = {bool: {bool}, int: {int}, float: {int, float}, str: {str}, tuple: {l
 # checked by BacktestConfig, the env_eval params by EnvConfig.
 _AT_LEAST = {"horizon": 1, "window": 0, "ridge_strength": 0, "k_per_stratum": 1,
              "momentum_lookback": 1, "vol_window": 2, "n_seeds": 1, "turbulence_window": 2}
+# The numeric params that must be finite (JSON allows NaN and Infinity).
+_FINITE = ("ridge_strength", "level")
 # The grid params that need an item, and what an item is.
 _NON_EMPTY = {"costs": "cost", "temperature_grid": "temperature", "masks": "mask",
-              "lambda_grid": "ridge strength", "blocks": "block"}
+              "lambda_grid": "ridge strength", "blocks": "block", "indicators": "indicator"}
 # The grid params whose items have a bound: the least item, and whether it may be equal.
 _ITEM_BOUNDS = {"temperature_grid": (0, False), "lambda_grid": (0, True)}
 
@@ -204,6 +207,9 @@ class ExperimentConfig:
         for name, least in _AT_LEAST.items():
             if name in p and not p[name] >= least:  # NaN, which JSON allows, fails too
                 raise ConfigError(f"param {name!r} must be >= {least}, got {p[name]}")
+        for name in _FINITE:
+            if name in p and not math.isfinite(p[name]):
+                raise ConfigError(f"param {name!r} must be finite, got {p[name]}")
         for name, item in _NON_EMPTY.items():
             if name in p and not p[name]:
                 raise ConfigError(f"param {name!r} must hold at least one {item}")
@@ -235,6 +241,7 @@ class ExperimentConfig:
             _check_date(f"param 'periods' entry {entry[0]!r} end", entry[2])
             if entry[1] > entry[2]:
                 raise ConfigError(f"param 'periods' entry {entry[0]!r} has start after end")
+        check_names(p.get("indicators", ()), INDICATORS_ALL, "indicator {!r}")
         if "policy" in p:  # env_eval
             if p["start_date"] is not None:
                 _check_date("param 'start_date'", p["start_date"])

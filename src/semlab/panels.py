@@ -295,6 +295,8 @@ def compute_indicators(
     window, with both passes summed over the window offsets rather than
     over days. Bollinger's SMA20 and sigma are computed once for both bands.
     """
+    if not names:
+        raise ValidationError("need at least one indicator name")
     unknown = [n for n in names if n not in _INDICATOR_WARMUP]
     if unknown:
         raise ValidationError(f"unknown indicator names: {unknown}")

@@ -76,7 +76,7 @@ def test_criterion_2_reward_oracle():
         dw = float(rng.uniform(-5e4, 5e4))
         d = max(0.0, (peak - wealth) / peak)
         expected = dw / cfg.initial_cash * cfg.reward_scale - cfg.drawdown_alpha * d * d
-        got = step_reward(dw, wealth, peak, cfg)
+        got = step_reward(dw, drawdown_penalty(wealth, peak, cfg.drawdown_alpha), cfg)
         worst = max(worst, abs(got - expected))
     assert worst < 1e-12, "criterion 2 reward identity"
 

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import scalar_env
 from semlab import (
     AXES,
     NEUTRAL,
@@ -17,6 +20,7 @@ from semlab import (
     synth_panel,
 )
 from semlab.env import (
+    POLICIES,
     HoldPolicy,
     ObservationLayout,
     Policy,
@@ -26,7 +30,7 @@ from semlab.env import (
     write_observation_layout,
 )
 from semlab.errors import PolicyFaultError, RangeError, ValidationError
-from semlab.panels import compute_indicators, compute_turbulence
+from semlab.panels import INDICATORS_ALL, compute_indicators, compute_turbulence
 
 from conftest import make_panel, make_signal_panel
 
@@ -77,12 +81,13 @@ class TestRewardPieces:
 
     def test_reward_small_gain_at_new_peak(self):
         cfg = EnvConfig(initial_cash=1e6)
-        r = step_reward(10.0, 1_000_010.0, 1_000_010.0, cfg)
+        penalty = drawdown_penalty(1_000_010.0, 1_000_010.0, cfg.drawdown_alpha)
+        r = step_reward(10.0, penalty, cfg)
         assert r == pytest.approx(1e-9, abs=1e-18)
 
     def test_reward_pure_drawdown(self):
         cfg = EnvConfig(initial_cash=1e6)
-        r = step_reward(0.0, 900_000.0, 1_000_000.0, cfg)
+        r = step_reward(0.0, drawdown_penalty(900_000.0, 1_000_000.0, cfg.drawdown_alpha), cfg)
         assert r == pytest.approx(-1e-3, abs=1e-15)
 
     def test_reward_oracle_random_triples(self):
@@ -94,7 +99,8 @@ class TestRewardPieces:
             dw = float(rng.uniform(-1e4, 1e4))
             d = max(0.0, (peak - wealth) / peak)
             expected = dw / cfg.initial_cash * cfg.reward_scale - cfg.drawdown_alpha * d * d
-            assert abs(step_reward(dw, wealth, peak, cfg) - expected) < 1e-12
+            penalty = drawdown_penalty(wealth, peak, cfg.drawdown_alpha)
+            assert abs(step_reward(dw, penalty, cfg) - expected) < 1e-12
 
 
 class TestObservation:
@@ -236,6 +242,22 @@ class TestStep:
         assert info["buys_scaled"]
         assert state.cash >= 0.0
 
+    def test_scaled_buys_drop_shares_until_affordable(self):
+        # a fifth of the full order's cash floors to a fifth of each leg, which
+        # rounds to 5.7e-14 over the cash: one share of the larger leg goes
+        close = np.tile([9.15, 4.29], (40, 1))
+        panel = make_panel(close)
+        feats = compute_indicators(panel, names=("sma_30",))
+        sig = make_signal_panel(np.full((40, 2, 4), 3.0))
+        cash = float(np.array([100, 100]) @ close[0]) * 1.001 / 5
+        env = TradingEnv(panel, feats, sig, None, EnvConfig(initial_cash=cash))
+        state, _, info = env.step(env.reset(), np.ones(2))
+        assert info["buys_scaled"]
+        assert state.holdings.tolist() == [19, 20] and state.cash >= 0.0
+        ref_state, _, ref_info = scalar_env.step(env, env.reset(), np.ones(2))
+        assert ref_state.holdings.tolist() == [19, 20]
+        assert repr(info) == repr(ref_info) and state.cash == ref_state.cash
+
     def test_no_buy_gate(self, env_setup):
         panel, features, signals, turb = env_setup
         # force a tiny threshold so every available turbulence value gates
@@ -309,6 +331,24 @@ class TestStep:
         state = env.reset()
         with pytest.raises(ValidationError, match="finite"):
             env.step(state, np.array([np.nan] * env.n_tickers))
+
+    def test_state_with_negative_holdings_rejected(self, env_setup):
+        state = build_env(env_setup).reset()
+        holdings = np.zeros_like(state.holdings)
+        holdings[0] = -1
+        cash = state.wealth - float(holdings @ state.prices)
+        with pytest.raises(ValidationError, match="non-negative"):
+            replace(state, holdings=holdings, cash=cash)
+
+    def test_state_with_wealth_off_its_positions_rejected(self, env_setup):
+        state = build_env(env_setup).reset()
+        with pytest.raises(ValidationError, match="inconsistent with cash"):
+            replace(state, cash=state.cash - 1.0)
+
+    def test_state_with_peak_below_wealth_rejected(self, env_setup):
+        state = build_env(env_setup).reset()
+        with pytest.raises(ValidationError, match="peak wealth below"):
+            replace(state, peak_wealth=state.wealth - 1.0)
 
 
 class TestPolicies:
@@ -385,16 +425,19 @@ class TestPolicies:
 
 
 
-class ObservationRecorder(UniformRandomPolicy):
-    """``uniform_random`` that keeps a copy of every observation it is shown."""
+class Recorder(Policy):
+    """Wraps a policy and keeps a copy of every observation it is shown."""
+
+    def __init__(self, inner: Policy):
+        self.inner = inner
 
     def reset(self, seed=None):
-        super().reset(seed)
+        self.inner.reset(seed)
         self.seen = []
 
     def __call__(self, obs):
         self.seen.append(obs.copy())
-        return super().__call__(obs)
+        return self.inner(obs)
 
 
 class TestMaskedPanel:
@@ -404,7 +447,7 @@ class TestMaskedPanel:
         """Oracle: the rule of pinning each masked axis's observation slice to
         NEUTRAL, applied to the unmasked environment's observations."""
         full, masked = build_env(env_setup), build_env(env_setup, mask=mask)
-        seen_full, seen_masked = (ObservationRecorder(full.n_tickers) for _ in range(2))
+        seen_full, seen_masked = (Recorder(UniformRandomPolicy(full.n_tickers)) for _ in range(2))
         curve_full, rewards_full, _ = run_policy(full, seen_full, seed=21)
         curve_masked, rewards_masked, _ = run_policy(masked, seen_masked, seed=21)
         axes = () if mask is None else AXES if mask == "ALL" else sorted(mask)
@@ -439,3 +482,88 @@ class TestEpisodeLog:
         sums = curve.holdings.sum(axis=1)
         assert np.all(sums <= 1.0 + 1e-9)
         assert np.all(curve.holdings >= 0)
+
+
+class TestRolloutOracle:
+    @settings(max_examples=100)
+    @given(
+        tickers=st.integers(1, 5),
+        days=st.integers(70, 120),
+        panel_seed=st.integers(0, 2**16),
+        names=st.sampled_from([("macd",), ("rsi_30", "boll_ub", "sma_30"), INDICATORS_ALL]),
+        policy=st.sampled_from(POLICIES),
+        axis=st.sampled_from(AXES),
+        level=st.floats(2.0, 4.0),
+        mask=st.sampled_from([None, "ALL", {"sentiment"}, {"risk", "volatility_forecast"}]),
+        start=st.integers(0, 30),
+        window_extra=st.integers(0, 25),
+        gate_level=st.sampled_from([None, 0.2, 0.5, 0.8]),
+        initial_cash=st.floats(300.0, 3e5),
+        cost_rate=st.sampled_from([0.0, 0.001, 0.02]),
+        h_max=st.integers(1, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rollout_equals_the_scalar_oracle(
+        self, tmp_path_factory, tickers, days, panel_seed, names, policy, axis, level, mask,
+        start, window_extra, gate_level, initial_cash, cost_rate, h_max, seed,
+    ):
+        """Curves, rewards, infos, observations and the episode log are those of
+        the reference rollout in ``scalar_env``, bit for bit."""
+        spec = SyntheticSpec(tickers=tickers, days=days, coverage=0.5, beta=(0.01, 0, 0, 0),
+                             drift=0.0, volatility=0.02, seed=panel_seed)
+        panel, signals, _ = synth_panel(spec)
+        features = compute_indicators(panel, names)
+        if mask is not None:
+            signals = mask_axes(signals, mask)
+        turb, threshold = None, 380.0
+        if gate_level is not None:
+            # a threshold inside the turbulence range: some days gate, some do not
+            turb = compute_turbulence(panel, window=tickers + 2 + window_extra)
+            threshold = float(np.nanquantile(turb.values, gate_level))
+        env = TradingEnv(panel, features, signals, turb, EnvConfig(
+            h_max=h_max, cost_rate=cost_rate, turbulence_threshold=threshold,
+            initial_cash=initial_cash))
+        start_date = panel.dates[min(features.warmup + start, panel.n_dates - 2)]
+
+        def make():
+            if policy == "signal_threshold":
+                return Recorder(SignalThresholdPolicy(env.layout, axis=axis, level=level))
+            return Recorder(builtin_policies(env.layout, seed=seed)[policy])
+
+        got_policy, want_policy = make(), make()
+        got = run_policy(env, got_policy, start_date=start_date, seed=seed)
+        want = scalar_env.run_policy(env, want_policy, start_date=start_date, seed=seed)
+        (curve, rewards, infos), (ref_curve, ref_rewards, ref_infos) = got, want
+        assert curve.dates == ref_curve.dates
+        for name in ("wealth", "daily_returns", "holdings", "cost_paid"):
+            assert getattr(curve, name).tobytes() == getattr(ref_curve, name).tobytes(), name
+        assert rewards.tobytes() == ref_rewards.tobytes()
+        assert repr(infos) == repr(ref_infos)  # repr: types too, and nan equal to nan
+        assert np.array(got_policy.seen).tobytes() == np.array(want_policy.seen).tobytes()
+        logs = tmp_path_factory.mktemp("episode")
+        write_episode_log(infos, str(logs / "got.csv"))
+        write_episode_log(ref_infos, str(logs / "want.csv"))
+        assert (logs / "got.csv").read_bytes() == (logs / "want.csv").read_bytes()
+
+    def test_one_step_and_one_observation_per_day(self, env_setup, monkeypatch):
+        """The rollout calls ``TradingEnv.step`` and ``TradingEnv.observation``
+        once per step, and every info keeps the keys a step's gate and buy
+        scaling are counted from."""
+        calls = {"step": 0, "observation": 0}
+
+        def counting(name):
+            method = getattr(TradingEnv, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(TradingEnv, name, counting(name))
+        env = build_env(env_setup, initial_cash=5e3)
+        _, _, infos = run_policy(env, UniformRandomPolicy(env.n_tickers), seed=4)
+        assert calls == {"step": len(infos), "observation": len(infos)}
+        assert all(isinstance(i["gated"], bool) and isinstance(i["buys_scaled"], bool)
+                   for i in infos)
+        assert any(i["buys_scaled"] for i in infos)

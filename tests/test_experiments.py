@@ -158,6 +158,11 @@ class TestDeclaredParams:
         ("env_eval", {"turbulence_window": 1}, "param 'turbulence_window' must be >= 2, got 1"),
         ("env_eval", {"turbulence_window": -3}, "param 'turbulence_window' must be >= 2, got -3"),
         ("sfp", {"ridge_strength": float("nan")}, "param 'ridge_strength' must be >= 0, got nan"),
+        ("srf", {"ridge_strength": float("inf")}, "param 'ridge_strength' must be finite, got inf"),
+        ("env_eval", {"level": float("nan")}, "param 'level' must be finite, got nan"),
+        ("env_eval", {"indicators": []}, "param 'indicators' must hold at least one indicator"),
+        ("forecaster", {"indicators": []}, "param 'indicators' must hold at least one indicator"),
+        ("env_eval", {"indicators": ["macd", "sentiment"]}, "unknown indicator 'sentiment'"),
     ])
     def test_value_out_of_range_exits_1(self, tmp_path, capsys, kind, params, named):
         # each used to pass here and fail once the data was read, or, for no

@@ -200,6 +200,14 @@ class TestIndicators:
         with pytest.raises(WarmupError, match="sma_60|adx_30"):
             compute_indicators(panel)
 
+    @pytest.mark.parametrize("names, match", [
+        ((), "at least one indicator"),
+        (("macd", "sentiment"), r"unknown indicator names: \['sentiment'\]"),
+    ])
+    def test_names_must_be_given_and_known(self, names, match):
+        with pytest.raises(ValidationError, match=match):
+            compute_indicators(make_panel(np.full((80, 1), 10.0)), names)
+
     def test_deterministic(self, planted_workspace):
         panel, _, _ = planted_workspace
         a = compute_indicators(panel)
