@@ -90,12 +90,13 @@ def date_span(dates: tuple[str, ...], start: str, end: str) -> slice:
     return slice(lo, max(lo, bisect_right(dates, end)))
 
 
-def check_unique(tickers, what: str = "panel", error: type[LabError] = ValidationError) -> None:
-    """An ``error`` naming the first ticker that appears twice."""
+def check_unique(tickers, what: str = "panel", error: type[LabError] = ValidationError,
+                 item: str = "ticker") -> None:
+    """An ``error`` naming the first ticker (or other ``item``) that appears twice."""
     seen: set[str] = set()
     for t in tickers:
         if t in seen:
-            raise error(f"duplicate ticker {t!r} in {what}")
+            raise error(f"duplicate {item} {t!r} in {what}")
         seen.add(t)
 
 

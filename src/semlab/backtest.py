@@ -31,10 +31,13 @@ class BacktestConfig:
     period: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        # each comparison is written so that NaN fails it
+        if not self.k >= 1:
             raise ValidationError(f"basket size must be >= 1, got {self.k}")
-        if self.cost_rate < 0:
+        if not self.cost_rate >= 0:
             raise ValidationError(f"cost rate must be >= 0, got {self.cost_rate}")
+        if not self.cost_rate < 1:  # a rate of 1 charges the whole notional traded
+            raise ValidationError(f"cost rate must be < 1, got {self.cost_rate}")
 
 
 @dataclass(frozen=True)
@@ -56,9 +59,11 @@ class EquityCurve(Grid):
         super().__post_init__()
         if abs(self.wealth[0] - 1.0) > 1e-12:
             raise ValidationError("wealth must start at 1.0")
-        if np.any(self.cost_paid < 0):
+        # each comparison is written so that NaN fails it
+        if not np.all(self.cost_paid >= 0):
             raise ValidationError("cost_paid must be non-negative")
-        if np.any(self.holdings < -1e-12) or np.any(self.holdings.sum(axis=1) > 1.0 + 1e-9):
+        if not (np.all(self.holdings >= -1e-12)
+                and np.all(self.holdings.sum(axis=1) <= 1.0 + 1e-9)):
             raise ValidationError("holdings must be long-only weights summing to <= 1")
 
     def restrict(self, tickers):

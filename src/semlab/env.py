@@ -36,13 +36,19 @@ class EnvConfig:
     initial_cash: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.h_max < 1:
+        # each comparison is written so that NaN fails it
+        if not self.h_max >= 1:
             raise ValidationError(f"h_max must be >= 1, got {self.h_max}")
         for name in ("cost_rate", "turbulence_threshold", "reward_scale", "drawdown_alpha"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be non-negative")
-        if self.initial_cash <= 0:
+        if not self.cost_rate < 1:  # a rate of 1 charges the whole notional traded
+            raise ValidationError(f"cost_rate must be < 1, got {self.cost_rate}")
+        if not self.initial_cash > 0:
             raise ValidationError(f"initial_cash must be > 0, got {self.initial_cash}")
+        for name in ("turbulence_threshold", "reward_scale", "drawdown_alpha", "initial_cash"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def drawdown_penalty(wealth: float, peak: float, alpha: float) -> float:
@@ -136,11 +142,11 @@ class EnvState:
             raise ValidationError("holdings must be non-negative")
         object.__setattr__(self, "holdings", holdings)
         recomputed = self.cash + float(holdings @ self.prices)
-        if abs(recomputed - self.wealth) > 1e-6:
+        if not abs(recomputed - self.wealth) <= 1e-6:  # NaN fails
             raise ValidationError(
                 f"wealth {self.wealth} inconsistent with cash+positions {recomputed}"
             )
-        if self.peak_wealth < self.wealth - 1e-9:
+        if not self.peak_wealth >= self.wealth - 1e-9:
             raise ValidationError("peak wealth below current wealth")
 
 

@@ -99,17 +99,6 @@ _DATA_KEYS = ("synthetic", "price_panel", "signal_cache", "dense_blocks")
 # The value types a param accepts, by the type of its default (None: an optional string).
 _ACCEPTS = {bool: {bool}, int: {int}, float: {int, float}, str: {str}, tuple: {list, tuple},
             type(None): {str, type(None)}}
-# The least value of each numeric param that has one; k and cost_rate are
-# checked by BacktestConfig, the env_eval params by EnvConfig.
-_AT_LEAST = {"horizon": 1, "window": 0, "ridge_strength": 0, "k_per_stratum": 1,
-             "momentum_lookback": 1, "vol_window": 2, "n_seeds": 1, "turbulence_window": 2}
-# The numeric params that must be finite (JSON allows NaN and Infinity).
-_FINITE = ("ridge_strength", "level")
-# The grid params that need an item, and what an item is.
-_NON_EMPTY = {"costs": "cost", "temperature_grid": "temperature", "masks": "mask",
-              "lambda_grid": "ridge strength", "blocks": "block", "indicators": "indicator"}
-# The grid params whose items have a bound: the least item, and whether it may be equal.
-_ITEM_BOUNDS = {"temperature_grid": (0, False), "lambda_grid": (0, True)}
 
 
 def _conform(where: str, value, default):
@@ -126,29 +115,117 @@ def _conform(where: str, value, default):
     return tuple(value) if isinstance(value, list) else value
 
 
+# A param's rules are called as ``rule(name, value, cfg)``, with its conformed
+# value and the config it is part of. Each raises a ConfigError, or the
+# ValidationError of the library check it defers to.
+
+def _items(value) -> tuple:
+    """A list param's items, or any other value as its one item."""
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _rule(ok, says: str):
+    """The rule that ``ok(value)``; ``says`` formats its message from the
+    ``name``, the ``kind``, the ``value`` (a list as given), and ``items``,
+    which reads " items" for a list."""
+    def rule(name, value, cfg):
+        if not ok(value):
+            items = isinstance(value, tuple)
+            raise ConfigError(says.format(name=name, kind=cfg.kind, items=" items" * items,
+                                          value=list(value) if items else value))
+    return rule
+
+
+def _least(n, above=False):
+    """At least ``n``, or above it: a number, or each item of a list. NaN fails."""
+    sign = ">" if above else ">="
+    return _rule(lambda v: all(x > n if above else x >= n for x in _items(v)),
+                 "param {name!r}{items} must be %s %s, got {value!r}" % (sign, n))
+
+
+def _non_empty(item: str):
+    return _rule(bool, "param {name!r} must hold at least one " + item)
+
+
+def _unique(item: str):
+    return lambda name, value, cfg: check_unique(value, f"param {name!r}", ConfigError, item)
+
+
+def _one_of(known, what: str):
+    """Names in ``known``; ``what`` formats a name."""
+    return lambda name, value, cfg: check_names(_items(value), known, what)
+
+
+def _blocks(name, value, cfg):
+    """Feature blocks built in, or given as ``dense_blocks`` files."""
+    known = ("price", "sentiment", "semantic", *cfg.data.get("dense_blocks", {}))
+    check_names(value, known, "feature block {!r}")
+
+
+def _by(check, field: str | None = None):
+    """The check of the library code that takes the value, so that the rule
+    and its message are the library's: ``check`` gets the value as its
+    keyword ``name``, or with ``field``, each item as its keyword ``field``."""
+    def rule(name, value, cfg):
+        for v in _items(value) if field else (value,):
+            check(**{field or name: v})
+    return rule
+
+
+_any = _rule(lambda v: True, "")  # any value of its type: a choice, not a missing rule
+_numbers = _rule(lambda v: all(type(x) in _ACCEPTS[float] for x in v),
+                 "param {name!r} for kind {kind!r} items must be numbers, got {value!r}")
+_ascending = _rule(lambda v: all(x >= 0 for x in v) and list(v) == sorted(v),
+                   "param {name!r} for kind {kind!r} must be non-negative and ascending, "
+                   "got {value!r}")
+_date_or_null = _rule(lambda v: v is None or is_date(v),
+                      "param {name!r} must be a YYYY-MM-DD date, got {value!r}")
+# every param's last rule: JSON allows NaN and Infinity
+_finite = _rule(lambda v: all(math.isfinite(x) for x in _items(v) if isinstance(x, float)),
+                "param {name!r} must be finite, got {value!r}")
+
+
+def _periods(name, value, cfg):
+    """``[name, start, end]`` entries."""
+    for entry in value:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+            raise ConfigError(f"param {name!r} entries must be [name, start, end]: {value!r}")
+        _as_range(entry[1:], f"param {name!r} entry {entry[0]!r}")
+
+
+def _masks(name, value, cfg):
+    """Items null, "ALL" or a list of axes, each a set of axes of its own: one
+    rollout group per set, so a repeat would count its rollouts twice."""
+    seen: set[frozenset[str]] = set()
+    for mask in value:
+        if isinstance(mask, (list, tuple)):
+            check_names(mask, AXES, f"axis {{!r}} in param {name!r}")
+        elif mask not in (None, "ALL"):
+            raise ConfigError(
+                f"param {name!r} items must be null, \"ALL\" or a list of axes: {mask!r}")
+        if _mask_set(mask) in seen:
+            raise ConfigError(
+                f"param {name!r} item {mask!r} masks the same axes as an earlier item")
+        seen.add(_mask_set(mask))
+
+
 def _mask_set(mask) -> frozenset[str]:
     """The axes an env_eval ``masks`` item pins: null none, "ALL" all four."""
     return frozenset(AXES if mask == "ALL" else mask or ())
 
 
-def _check_date(where: str, date) -> None:
-    """A ConfigError unless ``date`` is a YYYY-MM-DD string: calendars are
-    searched by string order, which other shapes do not follow."""
-    if not (isinstance(date, str) and is_date(date)):
-        raise ConfigError(f"{where} must be a YYYY-MM-DD date, got {date!r}")
-
-
-def _as_range(raw, name: str) -> tuple[str, str] | None:
+def _as_range(raw, where: str) -> tuple[str, str] | None:
     if raw is None:
         return None
     if (not isinstance(raw, (list, tuple))) or len(raw) != 2:
-        raise ConfigError(f"range {name!r} must be [start, end]")
-    lo, hi = raw
-    _check_date(f"range {name!r} start", lo)
-    _check_date(f"range {name!r} end", hi)
-    if lo > hi:
-        raise ConfigError(f"range {name!r} has start after end")
-    return lo, hi
+        raise ConfigError(f"{where} must be [start, end]")
+    for end, date in zip(("start", "end"), raw):
+        # calendars are searched by string order, which other shapes do not follow
+        if not (isinstance(date, str) and is_date(date)):
+            raise ConfigError(f"{where} {end} must be a YYYY-MM-DD date, got {date!r}")
+    if raw[0] > raw[1]:
+        raise ConfigError(f"{where} has start after end")
+    return tuple(raw)
 
 
 @dataclass(frozen=True)
@@ -202,64 +279,14 @@ class ExperimentConfig:
             check_unique(self.universe, "universe", ConfigError)
         where = "param {!r} for kind " + repr(self.kind)
         check_names(self.params, declared, where)
-        p = {name: _conform(where.format(name), self.params[name], default)
-             if name in self.params else default for name, default in declared.items()}
-        for name, least in _AT_LEAST.items():
-            if name in p and not p[name] >= least:  # NaN, which JSON allows, fails too
-                raise ConfigError(f"param {name!r} must be >= {least}, got {p[name]}")
-        for name in _FINITE:
-            if name in p and not math.isfinite(p[name]):
-                raise ConfigError(f"param {name!r} must be finite, got {p[name]}")
-        for name, item in _NON_EMPTY.items():
-            if name in p and not p[name]:
-                raise ConfigError(f"param {name!r} must hold at least one {item}")
-        for name, (least, equal) in _ITEM_BOUNDS.items():
-            if name in p and not all(v >= least if equal else v > least for v in p[name]):
-                raise ConfigError(f"param {name!r} items must be {'>=' if equal else '>'} "
-                                  f"{least}, got {self.params[name]!r}")
+        p = dict(declared)  # the defaults keep every rule
         try:
-            BacktestConfig(**{name: p[name] for name in ("k", "cost_rate") if name in p})
-            if "policy" in p:
-                EnvConfig(**{name: p[name] for name in _ENV})
-            for temperature in p.get("temperature_grid", ()):
-                check_temperature(temperature)  # JSON's Infinity passes the item bound
+            for name, value in self.params.items():
+                p[name] = value = _conform(where.format(name), value, declared[name])
+                for rule in (*_PARAMS[name][1:], _finite):
+                    rule(name, value, self)
         except ValidationError as exc:
             raise ConfigError(f"params for kind {self.kind!r}: {exc}") from None
-        costs = p.get("costs", ())
-        if any(c < 0 for c in costs) or list(costs) != sorted(costs):
-            raise ConfigError(f"{where.format('costs')} must be non-negative and ascending, "
-                              f"got {self.params['costs']!r}")
-        # the default () leaves _conform no item type to check against
-        if any(type(a) not in _ACCEPTS[float] for a in p.get("tilt_grid", ())):
-            raise ConfigError(f"{where.format('tilt_grid')} items must be numbers, "
-                              f"got {self.params['tilt_grid']!r}")
-        for entry in p.get("periods", ()):
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-                raise ConfigError(
-                    f"param 'periods' entries must be [name, start, end]: {p['periods']!r}")
-            _check_date(f"param 'periods' entry {entry[0]!r} start", entry[1])
-            _check_date(f"param 'periods' entry {entry[0]!r} end", entry[2])
-            if entry[1] > entry[2]:
-                raise ConfigError(f"param 'periods' entry {entry[0]!r} has start after end")
-        check_names(p.get("indicators", ()), INDICATORS_ALL, "indicator {!r}")
-        if "policy" in p:  # env_eval
-            if p["start_date"] is not None:
-                _check_date("param 'start_date'", p["start_date"])
-            check_names([p["policy"]], POLICIES, "policy {!r}")
-            check_names([p["axis"]], AXES, "signal axis {!r}")
-            seen: set[frozenset[str]] = set()
-            for mask in p["masks"]:
-                if isinstance(mask, (list, tuple)):
-                    check_names(mask, AXES, "axis {!r} in param 'masks'")
-                elif mask not in (None, "ALL"):
-                    raise ConfigError(
-                        f"param 'masks' items must be null, \"ALL\" or a list of axes: {mask!r}")
-                # one rollout group per axis set: a repeat would count its rollouts twice
-                axes = _mask_set(mask)
-                if axes in seen:
-                    raise ConfigError(
-                        f"param 'masks' item {mask!r} masks the same axes as an earlier item")
-                seen.add(axes)
         object.__setattr__(self, "p", p)
 
     @staticmethod
@@ -282,9 +309,9 @@ class ExperimentConfig:
             seed=raw["seed"],
             output_dir=raw["output_dir"],
             data=dict(raw["data"]),
-            train=_as_range(ranges.get("train"), "train"),
-            validation=_as_range(ranges.get("validation"), "validation"),
-            test=_as_range(ranges["test"], "test"),
+            train=_as_range(ranges.get("train"), "range 'train'"),
+            validation=_as_range(ranges.get("validation"), "range 'validation'"),
+            test=_as_range(ranges["test"], "range 'test'"),
             universe=raw.get("universe"),
             params=dict(raw.get("params", {})),
         )
@@ -569,12 +596,11 @@ def _feature_blocks(cfg: ExperimentConfig, ws: Workspace) -> dict[str, np.ndarra
             blocks["sentiment"] = ws.signals.deviations[:, :, [AXES.index("sentiment")]]
         elif name == "semantic":
             blocks["semantic"] = ws.signals.deviations
-        elif name in cfg.data.get("dense_blocks", {}):
-            # on the workspace grid: a universe restriction skips other rows on purpose
+        else:
+            # a dense_blocks file, on the workspace grid: a universe
+            # restriction skips other rows on purpose
             path = cfg.data["dense_blocks"][name]
             blocks[name] = read_grid(path, None, ws.panel.dates, ws.panel.tickers)[2]
-        else:
-            raise ConfigError(f"unknown feature block {name!r}")
     return blocks
 
 
@@ -692,7 +718,7 @@ def _run_env_eval(s: _Study) -> None:
     # short panels simply leave the whole series in warm-up (gate inactive)
     turb = compute_turbulence(ws.panel, window=p["turbulence_window"])
     env = TradingEnv(ws.panel, features, ws.signals, turb,
-                     EnvConfig(**{name: p[name] for name in _ENV}))
+                     EnvConfig(**{f.name: p[f.name] for f in fields(EnvConfig)}))
     write_observation_layout(env.layout, out.path("observation_layout.json"))
 
     def make_policy(seed: int):
@@ -805,36 +831,65 @@ def _run_validation_suite(s: _Study) -> None:
     out.write_rows("autocorr.csv", ["axis", "ticker", "lag1_autocorr"], ac_rows)
 
 
-# Each kind: its runner, the ranges it needs, and its params with their defaults.
-_WORKSPACE = {"horizon": 5, "window": 3}
-_K, _COST = {"k": BacktestConfig.k}, {"cost_rate": BacktestConfig.cost_rate}
-_TOPK = {**_WORKSPACE, **_K, **_COST}
-_FACTOR = {**_TOPK, "ridge_strength": DEFAULT_RIDGE}
-_ENV = {f.name: f.default for f in fields(EnvConfig)}
-_INDICATORS = {"indicators": INDICATORS_ALL}
-_KINDS = {
-    "sfp": (_run_sfp, ("train",), _FACTOR),
-    "srf": (_run_srf, ("train",), _FACTOR),
-    "scw": (_run_scw, ("train", "validation"), {**_FACTOR, "temperature_grid": TEMPERATURE_GRID}),
-    "pc1": (_run_pc1, ("train",), _TOPK),
-    "softmax": (_run_softmax, ("train",), _TOPK),
-    "forecaster": (_run_forecaster, ("train", "validation"), {
-        **_TOPK, **_INDICATORS, "blocks": ("price",), "lambda_grid": LAMBDA_GRID,
-        "tilt": False, "tilt_grid": (), "min_stock_days": 100}),
-    "baselines": (_run_baselines, (), {**_TOPK, "momentum_lookback": 126, "vol_window": 63}),
-    # each cost_sweep row sets its own cost rate; stratified sizes its baskets per tercile
-    "cost_sweep": (_run_cost_sweep, ("train",), {
-        **_WORKSPACE, **_K, "ridge_strength": DEFAULT_RIDGE,
-        "costs": (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)}),
-    "stratified": (_run_stratified, ("train",), {
-        **_WORKSPACE, **_COST, "ridge_strength": DEFAULT_RIDGE, "k_per_stratum": 5}),
-    "subperiod": (_run_subperiod, ("train",), {**_FACTOR, "periods": ()}),
-    "env_eval": (_run_env_eval, (), {
-        **_WORKSPACE, **_ENV, **_INDICATORS, "turbulence_window": 252,
-        "policy": "signal_threshold", "n_seeds": 5, "masks": (None, "ALL"), "start_date": None,
-        "axis": "sentiment", "level": 3.0}),
-    "validation_suite": (_run_validation_suite, (), {**_WORKSPACE, "min_obs": 20}),
+# Each param: its default, then its rules. fit_forecaster needs one more
+# stock-day than feature columns, so fewer than 2 means nothing, and
+# lag1_autocorr two back-to-back pairs, so fewer than 3 observations do not.
+_PARAMS = {
+    "horizon": (5, _least(1)),
+    "window": (3, _least(0)),
+    # checked by the class that takes them, with its rules and messages
+    **{f.name: (f.default, _by(EnvConfig)) for f in fields(EnvConfig)},
+    "k": (BacktestConfig.k, _by(BacktestConfig)),
+    "cost_rate": (BacktestConfig.cost_rate, _by(BacktestConfig)),
+    "ridge_strength": (DEFAULT_RIDGE, _least(0)),
+    # two rules that refuse the same items, each for its message: 0 and below, Infinity
+    "temperature_grid": (TEMPERATURE_GRID, _non_empty("temperature"), _least(0, above=True),
+                         _by(check_temperature, "temperature")),
+    "blocks": (("price",), _non_empty("block"), _unique("block"), _blocks),
+    "indicators": (INDICATORS_ALL, _non_empty("indicator"),
+                   _one_of(INDICATORS_ALL, "indicator {!r}")),
+    "lambda_grid": (LAMBDA_GRID, _non_empty("ridge strength"), _least(0)),
+    "tilt": (False, _any),
+    "tilt_grid": ((), _numbers),  # signed tilt weights
+    "min_stock_days": (100, _least(2)),
+    "momentum_lookback": (126, _least(1)),
+    "vol_window": (63, _least(2)),
+    "costs": ((0.0005, 0.001, 0.002, 0.005, 0.01, 0.02), _non_empty("cost"), _ascending,
+              _by(BacktestConfig, "cost_rate")),
+    "k_per_stratum": (5, _least(1)),
+    "periods": ((), _periods),
+    "turbulence_window": (252, _least(2)),
+    "policy": ("signal_threshold", _one_of(POLICIES, "policy {!r}")),
+    "n_seeds": (5, _least(1)),
+    "masks": ((None, "ALL"), _non_empty("mask"), _masks),
+    "start_date": (None, _date_or_null),
+    "axis": ("sentiment", _one_of(AXES, "signal axis {!r}")),
+    "level": (3.0, _any),
+    "min_obs": (20, _least(3)),
 }
+# Each kind: its runner, the ranges it needs, and the params it reads, with
+# their defaults. Each cost_sweep row sets its own cost rate, and stratified
+# sizes its baskets per tercile.
+_KINDS = {kind: (run, ranges, {name: _PARAMS[name][0] for name in names.split()})
+          for kind, (run, ranges, names) in {
+    "sfp": (_run_sfp, ("train",), "horizon window k cost_rate ridge_strength"),
+    "srf": (_run_srf, ("train",), "horizon window k cost_rate ridge_strength"),
+    "scw": (_run_scw, ("train", "validation"),
+            "horizon window k cost_rate ridge_strength temperature_grid"),
+    "pc1": (_run_pc1, ("train",), "horizon window k cost_rate"),
+    "softmax": (_run_softmax, ("train",), "horizon window k cost_rate"),
+    "forecaster": (_run_forecaster, ("train", "validation"), "horizon window k cost_rate "
+                   "indicators blocks lambda_grid tilt tilt_grid min_stock_days"),
+    "baselines": (_run_baselines, (), "horizon window k cost_rate momentum_lookback vol_window"),
+    "cost_sweep": (_run_cost_sweep, ("train",), "horizon window k ridge_strength costs"),
+    "stratified": (_run_stratified, ("train",),
+                   "horizon window cost_rate ridge_strength k_per_stratum"),
+    "subperiod": (_run_subperiod, ("train",), "horizon window k cost_rate ridge_strength periods"),
+    "env_eval": (_run_env_eval, (), "horizon window h_max cost_rate turbulence_threshold "
+                 "reward_scale drawdown_alpha initial_cash indicators turbulence_window policy "
+                 "n_seeds masks start_date axis level"),
+    "validation_suite": (_run_validation_suite, (), "horizon window min_obs"),
+}.items()}
 KINDS = tuple(_KINDS)
 
 

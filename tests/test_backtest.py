@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -153,6 +154,16 @@ class TestLedger:
         with pytest.raises(ValidationError,
                            match=rf"non-finite target weight at \({panel.dates[2]}, B\)"):
             run_weight_schedule(panel, targets, 0.001)
+
+    @pytest.mark.parametrize("field", ["holdings", "cost_paid"])
+    def test_curve_with_a_nan_row_rejected(self, field):
+        # NaN fails a comparison that asks for the wanted value
+        panel = make_panel(np.full((4, 2), 5.0))
+        curve = run_weight_schedule(panel, np.full((4, 2), 0.5), 0.001)
+        bad = getattr(curve, field).copy()
+        bad[2] = np.nan
+        with pytest.raises(ValidationError, match="holdings must be long-only|cost_paid"):
+            dataclasses.replace(curve, **{field: bad})
 
     def test_panel_without_dates_rejected(self):
         panel = MarketPanel(dates=(), tickers=("A", "B"), close=np.empty((0, 2)))

@@ -350,6 +350,14 @@ class TestStep:
         with pytest.raises(ValidationError, match="peak wealth below"):
             replace(state, peak_wealth=state.wealth - 1.0)
 
+    @pytest.mark.parametrize("field, match", [("wealth", "inconsistent with cash"),
+                                              ("peak_wealth", "peak wealth below")])
+    def test_state_with_nan_wealth_rejected(self, env_setup, field, match):
+        # NaN fails a comparison that asks for the wanted value
+        state = build_env(env_setup).reset()
+        with pytest.raises(ValidationError, match=match):
+            replace(state, **{field: float("nan")})
+
 
 class TestPolicies:
     def test_hold_policy_keeps_wealth_constant(self, env_setup):

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semlab import (
     BacktestConfig,
@@ -23,7 +26,7 @@ from semlab._grid import date_span, read_grid
 from semlab.cli import main as cli_main
 from semlab.errors import AlignmentError, ConfigError, LabError, ParseError, ValidationError
 from semlab.env import HoldPolicy, SignalThresholdPolicy, run_policy
-from semlab.experiments import _KINDS, KINDS
+from semlab.experiments import _KINDS, _PARAMS, KINDS
 from semlab.signals import AXES, load_article_scores, mask_axes
 
 from conftest import business_days, read_rows, study_config
@@ -39,6 +42,13 @@ SYNTH = {
 
 # kinds that take no basket size k: no top-k basket, or one sized per tercile
 UNRANKED = ("env_eval", "validation_suite", "stratified")
+
+
+def table(header):
+    """The rows of the README table under ``header``, as lists of cells."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        rows = fh.read().split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    return [[c.strip() for c in row.strip("|").split("|")] for row in rows]
 
 
 def config_dict(kind, outdir, seed=7, params=None):
@@ -163,6 +173,42 @@ class TestDeclaredParams:
         ("env_eval", {"indicators": []}, "param 'indicators' must hold at least one indicator"),
         ("forecaster", {"indicators": []}, "param 'indicators' must hold at least one indicator"),
         ("env_eval", {"indicators": ["macd", "sentiment"]}, "unknown indicator 'sentiment'"),
+        # NaN fails every library comparison, and no number is infinite
+        ("sfp", {"cost_rate": float("nan")}, "cost rate must be >= 0, got nan"),
+        ("stratified", {"cost_rate": float("nan")}, "cost rate must be >= 0, got nan"),
+        ("env_eval", {"cost_rate": float("nan")}, "cost rate must be >= 0, got nan"),
+        ("sfp", {"cost_rate": float("inf")}, "cost rate must be < 1, got inf"),
+        ("env_eval", {"cost_rate": float("inf")}, "cost rate must be < 1, got inf"),
+        ("env_eval", {"turbulence_threshold": float("nan")},
+         "turbulence_threshold must be non-negative"),
+        ("env_eval", {"reward_scale": float("nan")}, "reward_scale must be non-negative"),
+        ("env_eval", {"drawdown_alpha": float("nan")}, "drawdown_alpha must be non-negative"),
+        ("env_eval", {"initial_cash": float("nan")}, "initial_cash must be > 0, got nan"),
+        ("env_eval", {"initial_cash": float("inf")}, "initial_cash must be finite, got inf"),
+        ("env_eval", {"reward_scale": float("inf")}, "reward_scale must be finite, got inf"),
+        ("env_eval", {"turbulence_threshold": float("inf")},
+         "turbulence_threshold must be finite, got inf"),
+        ("cost_sweep", {"costs": [0.001, float("nan")]},
+         "param 'costs' for kind 'cost_sweep' must be non-negative and ascending"),
+        ("cost_sweep", {"costs": [0.001, float("inf")]}, "cost rate must be < 1, got inf"),
+        ("forecaster", {"tilt_grid": [float("nan")]},
+         "param 'tilt_grid' must be finite, got [nan]"),
+        ("forecaster", {"lambda_grid": [float("inf")]},
+         "param 'lambda_grid' must be finite, got [inf]"),
+        # a rate of 1 charges the whole notional traded
+        ("sfp", {"cost_rate": 1}, "cost rate must be < 1, got 1.0"),
+        ("env_eval", {"cost_rate": 2}, "cost rate must be < 1, got 2.0"),
+        ("cost_sweep", {"costs": [0.5, 1]}, "cost rate must be < 1, got 1"),
+        # the least values that mean something to fit_forecaster and lag1_autocorr
+        ("forecaster", {"min_stock_days": -5}, "param 'min_stock_days' must be >= 2, got -5"),
+        ("forecaster", {"min_stock_days": 0}, "param 'min_stock_days' must be >= 2, got 0"),
+        ("validation_suite", {"min_obs": -1}, "param 'min_obs' must be >= 3, got -1"),
+        ("validation_suite", {"min_obs": 0}, "param 'min_obs' must be >= 3, got 0"),
+        # a second block of a name used to be dropped without a word
+        ("forecaster", {"blocks": ["price", "price"]},
+         "duplicate block 'price' in param 'blocks'"),
+        ("forecaster", {"blocks": ["price", "prices"]},
+         "unknown feature block 'prices' (did you mean 'price'?)"),
     ])
     def test_value_out_of_range_exits_1(self, tmp_path, capsys, kind, params, named):
         # each used to pass here and fail once the data was read, or, for no
@@ -327,16 +373,18 @@ class TestDeclaredParams:
         assert self._cli(tmp_path, raw) == 1
         assert "config error:" in capsys.readouterr().err
 
+    def test_every_param_has_a_rule(self):
+        # a param that takes any value of its type says so with ``_any``
+        assert all(len(entry) > 1 for entry in _PARAMS.values())
+
+    def test_defaults_keep_their_rules(self, tmp_path):
+        # the check runs on the params a config gives, so no default may break a rule
+        for kind, (_, _, params) in _KINDS.items():
+            raw = config_dict(kind, tmp_path, params=json.loads(json.dumps(params)))
+            assert ExperimentConfig.from_dict(raw).p == params
+
     def test_readme_table_matches_registry(self):
         """The README's param and kind tables name exactly what ``_KINDS`` declares."""
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme) as fh:
-            text = fh.read()
-
-        def table(header):
-            rows = text.split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
-            return [[c.strip() for c in row.strip("|").split("|")] for row in rows]
-
         documented = {}
         for name, default, kinds in table("| param | default | kinds |"):
             name, kinds = name.strip("`"), kinds.split("(")[0]  # drop the note
@@ -353,6 +401,132 @@ class TestDeclaredParams:
         ranges = {row[0].strip("`"): set(re.findall(r"\w+", row[1]))
                   for row in table("| kind | ranges | study |")}
         assert ranges == {kind: {"test", *needs} for kind, (_, needs, _) in _KINDS.items()}
+
+    def test_readme_ranges_match_the_checks(self, tmp_path):
+        """Each rule of the README's rule table is the config check's, every
+        number is finite, and a rule the table leaves out for a param does not
+        hold of it."""
+        declared = {name: (kind, default) for kind, (_, _, params) in reversed(_KINDS.items())
+                    for name, default in params.items()}
+
+        def refused(name, value):
+            kind = declared[name][0]
+            try:
+                ExperimentConfig.from_dict(config_dict(kind, tmp_path, params={name: value}))
+            except ConfigError:
+                return True
+            return False
+
+        stated = {}  # name -> (of each item, phrase)
+        for rule, names in table("| rule | params |"):
+            phrases = re.split(r", | and ", rule.removeprefix("items "))
+            for name in re.findall(r"`(\w+)`", names):
+                stated.setdefault(name, []).extend((rule.startswith("items "), p) for p in phrases)
+        bounds = {"at least": lambda n: (n, n - 1), "above": lambda n: (n + 1, n),
+                  "below": lambda n: (n - 0.5, n)}
+        for name, phrases in stated.items():
+            for items, phrase in phrases:
+                bound, _, n = phrase.rpartition(" ")
+                if bound in bounds:
+                    inside, outside = bounds[bound](json.loads(n))
+                    if items:
+                        inside, outside = [inside], [outside]
+                    assert not refused(name, inside) and refused(name, outside), (name, phrase)
+        for name, (_, default) in declared.items():
+            said = [phrase for _, phrase in stated.get(name, [])]
+            listed = isinstance(default, tuple)
+            numbers = type(default) in (int, float) or (
+                listed and default and type(default[0]) is float)
+            probes = [([], "at least one item")] if listed else []
+            if listed and default:
+                probes.append(([default[0]] * 2, "no repeated item"))
+            if numbers:
+                probes.append(([-1] if listed else -1, r"at least \d|above"))
+                probes.append(([1e6] if listed else type(default)(10**6), "below"))
+            if numbers and listed:
+                probes.append(([0.5, 0.25], "ascending"))
+            for probe, rule in probes:
+                assert refused(name, probe) == any(re.match(rule, p) for p in said), (name, probe)
+            assert refused(name, [math.nan] if listed else math.nan), name
+
+
+# The config fuzzer's pool: JSON values of every type, at and around the
+# bounds a param can have, and ones no param accepts.
+POOL = [0, -1, 1, 2, 3, 0.5, -0.5, 1.5, 400, 1e308, math.nan, math.inf, -math.inf, "x", "",
+        None, True, {}, [], [0], [-1], [0.5], [1.5], [math.nan], [math.inf], ["x"], [None]]
+# What the fuzzer knows of the rules, written apart from the table it checks:
+SIGNED = {"level", "tilt_grid"}          # may be negative
+MAY_BE_EMPTY = {"tilt_grid", "periods"}  # empty picks the built-in grid or periods
+DISTINCT = {"blocks", "masks"}           # a repeated item would be run or counted twice
+ASCENDING = {"costs"}
+RATES = {"cost_rate", "costs"}           # below 1: a rate of 1 costs the whole notional
+DECLARED = sorted({(kind, name, default) for kind, (_, _, params) in _KINDS.items()
+                   for name, default in params.items()}, key=str)
+
+
+def pool_for(default):
+    """The pool, plus the default's own items repeated and reversed."""
+    if isinstance(default, tuple) and default:
+        return POOL + [list(default) * 2, list(default)[::-1]]
+    return POOL
+
+
+def no_data_makes_valid(name, default, value) -> bool:
+    """Whether ``value`` for param ``name`` breaks a rule whatever the data:
+    a non-finite number, a negative one where counts, sizes and rates go, a
+    rate of 1 or more, a missing, repeated or unordered list item, a name
+    that names nothing, or a type that is not the default's."""
+    items = value if isinstance(value, list) else [value]
+    numbers = [v for v in items if type(v) in (int, float)]
+    return (any(not math.isfinite(v) for v in numbers)
+            or (name not in SIGNED and any(v < 0 for v in numbers))
+            or (name in RATES and any(v >= 1 for v in numbers))
+            or value == [] and name not in MAY_BE_EMPTY
+            or any(v in ("x", "") for v in items if isinstance(v, str))
+            or isinstance(value, dict) or (type(value) is bool) != (type(default) is bool)
+            or name in DISTINCT and any(v in items[:i] for i, v in enumerate(items))
+            or name in ASCENDING and numbers == items and numbers != sorted(numbers))
+
+
+class TestConfigFuzz:
+    """``semlab run`` over configs that set one declared param of a kind to a
+    pool value, on the 8 x 420 synthetic config: it exits 0, 1 or 2 and never
+    raises, a config error (exit 1) leaves no output directory, and a value
+    that no data could make valid is a config error."""
+
+    @staticmethod
+    def _run(kind, name, default, value, data=None):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            raw = config_dict(kind, out)
+            raw["params"][name] = value
+            raw["data"] = data or raw["data"]
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+            code = cli_main(["run", path])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert not os.path.exists(out)
+            if no_data_makes_valid(name, default, value):
+                assert code == 1, (kind, name, value)
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(DECLARED).flatmap(
+        lambda d: st.tuples(st.just(d), st.sampled_from(pool_for(d[2])))))
+    def test_run_exits_0_1_or_2_and_refuses_what_no_data_makes_valid(self, case):
+        (kind, name, default), value = case
+        self._run(kind, name, default, value)
+
+    def test_every_value_no_data_makes_valid_exits_1_before_data_is_read(self, tmp_path):
+        # every kind, param and pool value the rules refuse, so that a rule
+        # dropped from the table fails here whichever value it alone refused;
+        # the price file is missing, so reading it would exit 2
+        missing = {"price_panel": str(tmp_path / "missing.csv")}
+        for kind, name, default in DECLARED:
+            for value in pool_for(default):
+                if no_data_makes_valid(name, default, value):
+                    self._run(kind, name, default, value, missing)
 
 
 class TestRunKinds:
