@@ -360,11 +360,12 @@ def write_grid(path: str, header, dates, tickers, columns) -> None:
 
 def read_json(path: str):
     """A JSON input file's value: a config or a synthetic spec. A file that is
-    not UTF-8 JSON is a ConfigError."""
+    not UTF-8 JSON, or holds an integer longer than Python converts, is a
+    ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
 

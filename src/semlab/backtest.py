@@ -305,9 +305,16 @@ def subperiod_report(
     A period's compounded return covers the return observations whose dates
     fall inside it; the very first curve date carries no observation. Periods
     must lie inside the curve and must not overlap. The benchmark must share
-    the curve's calendar; it may hold other tickers.
+    the curve's calendar; it may hold other tickers. A wealth path that
+    reaches zero or below has no compounded return, as in ``metrics``.
     """
     curve.check_aligned(benchmark, "benchmark", _dates_only=True)
+    for what, c in (("curve", curve), ("benchmark", benchmark)):
+        broke = np.flatnonzero(~(c.wealth > 0))
+        if broke.size:
+            d = broke[0]
+            raise ValidationError(f"{what} cumulative return {c.wealth[d] - 1.0} at "
+                                  f"{c.dates[d]} implies non-positive wealth")
     seen: list[tuple[str, str]] = []
     rows = []
     for name, start, end in periods:

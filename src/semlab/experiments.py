@@ -105,11 +105,25 @@ def _conform(where: str, value, default):
     """``value`` checked against the type of ``default``; an int given for a
     float becomes a float. A list becomes a tuple whose items must match the
     default's items when those share one type, but keep their own type:
-    ``_fmt`` prints ``0`` and ``0.0`` differently."""
+    ``_fmt`` prints ``0`` and ``0.0`` differently. JSON integers have no size
+    limit, so an int must fit in 64 bits where ints are declared, and in a
+    float everywhere."""
     items = {type(d) for d in default} if isinstance(default, tuple) else set()
+    item = items.pop() if len(items) == 1 else None
     if type(value) not in _ACCEPTS[type(default)] or (
-            len(items) == 1 and not {type(v) for v in value} <= _ACCEPTS[items.pop()]):
+            item is not None and not {type(v) for v in value} <= _ACCEPTS[item]):
         raise ConfigError(f"{where} must match the type of its default {default!r}, got {value!r}")
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if type(v) is not int:
+            continue
+        if int in (type(default), item) and not -2**63 <= v < 2**63:
+            raise ConfigError(f"{where} must fit in a signed 64-bit integer, "
+                              f"got an integer of {v.bit_length()} bits")
+        try:
+            float(v)
+        except OverflowError:
+            raise ConfigError(f"{where} must fit in a float, "
+                              f"got an integer of {v.bit_length()} bits") from None
     if isinstance(default, float):
         return float(value)
     return tuple(value) if isinstance(value, list) else value

@@ -172,31 +172,40 @@ def write_price_panel(panel: MarketPanel, path: str) -> None:
 # Technical indicators
 # ---------------------------------------------------------------------------
 
-# Every helper runs down axis 0 (time) and works on a single series or on a
-# whole (dates, tickers) grid alike; recursions step once per date over the
-# ticker vector.
+# Every helper runs down axis 0 (time) over a whole (dates, tickers) grid.
+# The recursions step once per date over every series that shares the loop:
+# both MACD spans in one EMA pass, and RSI's and ADX's five move series side
+# by side in one Wilder pass. Each element's arithmetic is the one a lone
+# series gets, so stacking series never changes a bit.
 
-def _ema(x: np.ndarray, span: int) -> np.ndarray:
-    """Recursive exponential mean, seeded with the first observation."""
-    alpha = 2.0 / (span + 1.0)
-    out = np.empty_like(x)
+def _emas(x: np.ndarray, spans: tuple[int, ...]) -> np.ndarray:
+    """Recursive exponential means of the (dates, tickers) grid ``x``, one per
+    span, seeded with the first observation: (dates, spans, tickers), with
+    s[i] = alpha * x[i] + (1 - alpha) * s[i-1] stepped for all spans at once."""
+    alpha = [2.0 / (span + 1.0) for span in spans]
+    keep = np.array([1 - a for a in alpha])[:, None]
+    # alpha * x[i] reads no earlier step, so it is taken for every date up front
+    out = np.array(alpha)[:, None] * x[:, None, :]
     out[0] = x[0]
-    for i in range(1, len(x)):
-        out[i] = alpha * x[i] + (1 - alpha) * out[i - 1]
+    for prev, cur in zip(out[:-1], out[1:]):
+        cur += keep * prev
     return out
 
 
 def _wilder(x: np.ndarray, n: int) -> np.ndarray:
-    """Wilder smoothing: simple-average seed over the first n rows, then
+    """Wilder smoothing of each column of the (dates, series) grid ``x``:
+    simple-average seed over the first n rows, then
     s[i] = s[i-1] + (x[i] - s[i-1]) / n. Leading rows before the seed are NaN."""
     out = np.full(x.shape, np.nan)
     if len(x) < n:
         return out
     # each series' seed is summed along one contiguous row, in the order
-    # np.mean sums a lone series, so it does not depend on the ticker count
+    # np.mean sums a lone series, so it does not depend on the series count
     out[n - 1] = np.mean(np.ascontiguousarray(x[:n].T), axis=-1)
-    for i in range(n, len(x)):
-        out[i] = out[i - 1] + (x[i] - out[i - 1]) / n
+    for x_i, prev, cur in zip(x[n:], out[n - 1 : -1], out[n:]):
+        np.subtract(x_i, prev, out=cur)
+        cur /= n
+        cur += prev
     return out
 
 
@@ -228,15 +237,18 @@ def _rolling_std(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _rsi(close: np.ndarray, n: int) -> np.ndarray:
-    delta = np.diff(close, axis=0, prepend=close[:1])
-    gains = np.maximum(delta, 0.0)
-    losses = np.maximum(-delta, 0.0)
-    # skip the synthetic first delta when seeding; row i reads the averages
-    # through row i - 1
-    g = _wilder(gains[1:], n)[n - 1 :]
-    l = _wilder(losses[1:], n)[n - 1 :]
-    out = np.full(close.shape, np.nan)
+# RSI and ADX each come in two halves around the shared Wilder pass: the
+# inputs are the day-over-day move series (dates - 1 rows each), the finish
+# reads their smoothed averages from row n - 1 on, where row i of the result
+# sees the averages through row i - 1.
+
+def _rsi_inputs(close: np.ndarray) -> list[np.ndarray]:
+    delta = close[1:] - close[:-1]
+    return [np.maximum(delta, 0.0), np.maximum(-delta, 0.0)]
+
+
+def _rsi_finish(g: np.ndarray, l: np.ndarray, n: int) -> np.ndarray:
+    out = np.full((len(g) + n, g.shape[1]), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         rsi = 100.0 - 100.0 / (1.0 + g / l)
     # flat-series convention: 50 with no moves at all, 100 with no losses
@@ -255,7 +267,7 @@ def _cci(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.nda
     return out
 
 
-def _adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.ndarray:
+def _adx_inputs(high: np.ndarray, low: np.ndarray, close: np.ndarray) -> list[np.ndarray]:
     up_move = high[1:] - high[:-1]
     dn_move = low[:-1] - low[1:]
     up = np.where((up_move > dn_move) & (up_move > 0), up_move, 0.0)
@@ -264,16 +276,16 @@ def _adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.nda
         high[1:] - low[1:],
         np.maximum(np.abs(high[1:] - close[:-1]), np.abs(low[1:] - close[:-1])),
     )
-    # row i reads the smoothed moves through row i - 1
-    s_up = _wilder(up, n)[n - 1 :]
-    s_dn = _wilder(dn, n)[n - 1 :]
-    atr = _wilder(tr, n)[n - 1 :]
+    return [up, dn, tr]
+
+
+def _adx_finish(s_up: np.ndarray, s_dn: np.ndarray, atr: np.ndarray, n: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         di_p = 100.0 * s_up / atr
         di_m = 100.0 * s_dn / atr
         denom = di_p + di_m
         dx = np.where((atr == 0.0) | (denom == 0.0), 0.0, 100.0 * np.abs(di_p - di_m) / denom)
-    out = np.full(close.shape, np.nan)
+    out = np.full((len(dx) + n, dx.shape[1]), np.nan)
     out[2 * n - 1 :] = _wilder(dx, n)[n - 1 :]
     return out
 
@@ -290,7 +302,10 @@ def compute_indicators(
     input. CCI and ADX need high/low columns.
 
     Each indicator is computed once over the whole (dates, tickers) grid.
-    The recursions (EMA, Wilder) step once per date over the ticker vector.
+    The recursions step once per date for every series that shares them:
+    one EMA loop for both MACD spans, one Wilder loop for the move series of
+    whichever of RSI and ADX are named (gains, losses; up, down, true range),
+    and a second for ADX's DX. Only the named indicators' series are stacked.
     The rolling sigma and CCI's mean absolute deviation stay two-pass per
     window, with both passes summed over the window offsets rather than
     over days. Bollinger's SMA20 and sigma are computed once for both bands.
@@ -311,22 +326,30 @@ def compute_indicators(
         raise ValidationError("cci/adx indicators require high and low columns")
 
     close, high, low = panel.close, panel.high, panel.low
+    if "macd" in names:
+        ema = _emas(close, (12, 26))
     if {"boll_ub", "boll_lb"} & set(names):
         boll_mid, boll_width = _rolling_mean(close, 20), 2.0 * _rolling_std(close, 20)
+    moves = ((_rsi_inputs(close) if "rsi_30" in names else [])
+             + (_adx_inputs(high, low, close) if "adx_30" in names else []))
+    if moves:
+        smoothed = np.split(_wilder(np.concatenate(moves, axis=1), 30)[29:], len(moves), axis=1)
+        rsi_avgs = smoothed[:2] if "rsi_30" in names else []
+        adx_avgs = smoothed[len(rsi_avgs):]
     values = np.full((panel.n_dates, panel.n_tickers, len(names)), np.nan)
     for k, name in enumerate(names):
         if name == "macd":
-            col = _ema(close, 12) - _ema(close, 26)
+            col = ema[:, 0] - ema[:, 1]
         elif name == "boll_ub":
             col = boll_mid + boll_width
         elif name == "boll_lb":
             col = boll_mid - boll_width
         elif name == "rsi_30":
-            col = _rsi(close, 30)
+            col = _rsi_finish(*rsi_avgs, 30)
         elif name == "cci_30":
             col = _cci(high, low, close, 30)
         elif name == "adx_30":
-            col = _adx(high, low, close, 30)
+            col = _adx_finish(*adx_avgs, 30)
         elif name == "sma_30":
             col = _rolling_mean(close, 30)
         elif name == "sma_60":
@@ -349,39 +372,61 @@ def simple_returns(panel: MarketPanel) -> np.ndarray:
     return out
 
 
+# Trailing windows are stacked this many scored days at a time: about 1 MB
+# of windows at 30 tickers. Longer chunks were no faster at 30 tickers and
+# slower at 100.
+_TURBULENCE_CHUNK = 16
+
+
 def compute_turbulence(panel: MarketPanel, window: int = 252) -> TurbulenceSeries:
     """Squared Mahalanobis distance of each day's cross-sectional return vector
     against the mean and covariance of the trailing ``window`` days (the day
     itself excluded). The covariance gets a fixed diagonal ridge of
     1e-6 * trace/N so near-singular windows stay invertible.
+
+    The days are scored a chunk at a time: one stacked mean, covariance
+    (``np.cov``'s own operations, a syrk per day), ridge and solve for every
+    day of the chunk, each bit for bit what a day-by-day loop returns. A day
+    that sits exactly on its trailing mean scores 0.0 without a solve, so
+    its covariance may be singular; any other singular day raises, naming
+    the first such day.
     """
     n = panel.n_tickers
     if window < n + 2:
         raise ValidationError(f"window {window} must be >= tickers + 2 = {n + 2}")
     rets = simple_returns(panel)
     values = np.full(panel.n_dates, np.nan)
-    diagonal = np.diag_indices(n)
+    if panel.n_dates <= window + 1:
+        return TurbulenceSeries(dates=panel.dates, values=values)
+    # hists[d - window] is day d's trailing window rets[d - window : d]
+    hists = np.lib.stride_tricks.sliding_window_view(rets, window, axis=0).transpose(0, 2, 1)
+    diagonal = (slice(None),) + np.diag_indices(n)
     scale = np.true_divide(1, window - 1)
-    for d in range(window + 1, panel.n_dates):
-        hist = rets[d - window : d]
-        mu = hist.mean(axis=0)
-        # np.cov(hist, rowvar=False) without its per-call checks, in its own
-        # operations, so every value is bit for bit what it returns
-        x = (hist - mu).T
-        cov = np.dot(x, x.T.conj())
+    for start in range(window + 1, panel.n_dates, _TURBULENCE_CHUNK):
+        days = slice(start, min(start + _TURBULENCE_CHUNK, panel.n_dates))
+        hist = hists[days.start - window : days.stop - window]
+        mu = hist.mean(axis=1)
+        x = (hist - mu[:, None, :]).transpose(0, 2, 1)
+        cov = np.matmul(x, x.transpose(0, 2, 1))
         cov *= scale
-        cov[diagonal] += 1e-6 * np.trace(cov) / n
-        diff = rets[d] - mu
-        if not diff.any():
-            values[d] = 0.0  # day identical to the trailing mean
-            continue
-        try:
-            sol = np.linalg.solve(cov, diff)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                f"singular return covariance at {panel.dates[d]}"
-            ) from None
-        values[d] = max(0.0, float(diff @ sol))
+        cov[diagonal] += (1e-6 * np.trace(cov, axis1=1, axis2=2) / n)[:, None]
+        diff = rets[days] - mu
+        moved = np.flatnonzero(diff.any(axis=1))  # the rest sit on the trailing mean
+        q = np.zeros(len(diff))
+        if moved.size:
+            try:
+                sol = np.linalg.solve(cov[moved], diff[moved, :, None])
+            except np.linalg.LinAlgError:
+                for j in moved:
+                    try:
+                        np.linalg.solve(cov[j], diff[j])
+                    except np.linalg.LinAlgError:
+                        raise NumericalError(
+                            f"singular return covariance at {panel.dates[start + j]}"
+                        ) from None
+                raise
+            q[moved] = np.matmul(diff[moved, None, :], sol)[:, 0, 0]
+        values[days] = np.where(q > 0.0, q, 0.0)
     return TurbulenceSeries(dates=panel.dates, values=values)
 
 

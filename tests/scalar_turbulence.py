@@ -1,9 +1,10 @@
 """Scalar reference for the turbulence index.
 
-One ``np.cov`` call per day: the loop ``semlab.panels.compute_turbulence``
-had before it took the covariance in ``np.cov``'s own operations, without its
-per-call checks. Kept here only as the oracle the index is checked against,
-bit for bit; nothing in ``src/`` calls it.
+One day at a time, with one ``np.cov`` call per day. ``semlab.panels.
+compute_turbulence`` scores a chunk of days per step instead: stacked means,
+covariances in ``np.cov``'s own operations without its per-call checks,
+ridges and solves. Kept here only as the oracle the index is checked
+against, bit for bit, errors included; nothing in ``src/`` calls it.
 """
 
 import numpy as np

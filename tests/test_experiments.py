@@ -453,7 +453,8 @@ class TestDeclaredParams:
 # The config fuzzer's pool: JSON values of every type, at and around the
 # bounds a param can have, and ones no param accepts.
 POOL = [0, -1, 1, 2, 3, 0.5, -0.5, 1.5, 400, 1e308, math.nan, math.inf, -math.inf, "x", "",
-        None, True, {}, [], [0], [-1], [0.5], [1.5], [math.nan], [math.inf], ["x"], [None]]
+        None, True, {}, [], [0], [-1], [0.5], [1.5], [math.nan], [math.inf], ["x"], [None],
+        10**400, -10**400, [10**400]]
 # What the fuzzer knows of the rules, written apart from the table it checks:
 SIGNED = {"level", "tilt_grid"}          # may be negative
 MAY_BE_EMPTY = {"tilt_grid", "periods"}  # empty picks the built-in grid or periods
@@ -478,7 +479,8 @@ def no_data_makes_valid(name, default, value) -> bool:
     that names nothing, or a type that is not the default's."""
     items = value if isinstance(value, list) else [value]
     numbers = [v for v in items if type(v) in (int, float)]
-    return (any(not math.isfinite(v) for v in numbers)
+    # a JSON integer no float can hold counts as infinite
+    return (any(abs(v) > 2**1024 or not math.isfinite(v) for v in numbers)
             or (name not in SIGNED and any(v < 0 for v in numbers))
             or (name in RATES and any(v >= 1 for v in numbers))
             or value == [] and name not in MAY_BE_EMPTY
@@ -527,6 +529,26 @@ class TestConfigFuzz:
             for value in pool_for(default):
                 if no_data_makes_valid(name, default, value):
                     self._run(kind, name, default, value, missing)
+
+
+    @pytest.mark.parametrize("kind, name, value, says", [
+        ("sfp", "k", 10**400, "must fit in a signed 64-bit integer"),
+        ("sfp", "k", 2**63, "must fit in a signed 64-bit integer"),
+        ("sfp", "ridge_strength", 10**400, "must fit in a float"),
+        ("env_eval", "h_max", 10**400, "must fit in a signed 64-bit integer"),
+        ("env_eval", "n_seeds", 10**400, "must fit in a signed 64-bit integer"),
+        ("forecaster", "tilt_grid", [0.5, -10**400], "must fit in a float"),
+    ], ids=["k-1e400", "k-2**63", "ridge_strength-1e400", "h_max-1e400", "n_seeds-1e400",
+            "tilt_grid-item-1e400"])
+    def test_an_oversized_integer_exits_1_before_data_is_read(self, tmp_path, capsys,
+                                                              kind, name, value, says):
+        raw = config_dict(kind, tmp_path / "out", params={name: value})
+        raw["data"] = {"price_panel": str(tmp_path / "missing.csv")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 1
+        assert f"param {name!r} for kind {kind!r} {says}, got an integer of" in (
+            capsys.readouterr().err)
 
 
 class TestRunKinds:
@@ -943,6 +965,16 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         assert cli_main(["run", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["sfp", "subperiod"])
+    def test_run_refuses_a_wealth_path_at_or_below_zero(self, tmp_path, capsys, kind):
+        # a cost of half the notional per trade drives the basket's wealth below zero
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            config_dict(kind, tmp_path / "art", params={"cost_rate": 0.5})))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert "implies non-positive wealth" in capsys.readouterr().err
+        assert not (tmp_path / "art").exists()
 
     def test_validate_command(self, tmp_path):
         prices = tmp_path / "prices.csv"

@@ -5,6 +5,10 @@ per-element arithmetic, so MACD, RSI and the SMAs must match bit for bit.
 The rolling sigma and CCI's mean absolute deviation sum each window in a
 different order, so everything is held to a relative bound of 1e-12, a few
 thousand float64 ulps.
+
+The recursions step every series that shares them at once, and only the
+named indicators' series are stacked; so any subset of names, in any order,
+must give bit for bit the columns of the full block.
 """
 
 import numpy as np
@@ -33,10 +37,24 @@ def assert_matches_oracle(panel: MarketPanel) -> None:
         np.testing.assert_array_equal(got[..., k], want[..., k], err_msg=name)
 
 
+def assert_subsets_match_the_full_block(panel: MarketPanel) -> None:
+    full = compute_indicators(panel).values
+    for k, name in enumerate(INDICATORS_ALL):
+        alone = compute_indicators(panel, (name,)).values
+        assert alone.tobytes() == full[..., k : k + 1].tobytes(), name
+    backwards = compute_indicators(panel, INDICATORS_ALL[::-1]).values
+    assert backwards.tobytes() == full[..., ::-1].tobytes()
+
+
 @pytest.mark.parametrize("tickers,days", [(30, 1500), (100, 2500)], ids=["S", "M"])
 def test_synthetic_panel_matches_oracle(tickers, days):
     panel, _, _ = synth_panel(SyntheticSpec(tickers=tickers, days=days, seed=11))
     assert_matches_oracle(panel)
+
+
+def test_synthetic_subsets_match_the_full_block():
+    panel, _, _ = synth_panel(SyntheticSpec(tickers=30, days=1500, seed=11))
+    assert_subsets_match_the_full_block(panel)
 
 
 @st.composite
@@ -70,3 +88,8 @@ def segmented_panels(draw):
 @given(segmented_panels())
 def test_segmented_panels_match_oracle(panel):
     assert_matches_oracle(panel)
+
+
+@given(segmented_panels())
+def test_segmented_subsets_match_the_full_block(panel):
+    assert_subsets_match_the_full_block(panel)

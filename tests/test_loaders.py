@@ -283,6 +283,16 @@ class TestNotUtf8:
         assert capsys.readouterr().err.startswith(
             f"config error: {path}: not valid JSON: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_a_json_integer_too_long_to_convert_is_a_config_error(self, tmp_path, capsys,
+                                                                 command):
+        path = tmp_path / "in.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+        argv = [command, str(path)] + (["1"] if command == "synth" else [])
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}: not valid JSON: Exceeds the limit")
+
 
 # ---------------------------------------------------------------------------
 # Placement: a complete grid reads back the same whatever the row order

@@ -10,7 +10,13 @@ from semlab.errors import (
     ValidationError,
     WarmupError,
 )
-from semlab.panels import INDICATORS_ALL, TurbulenceSeries, load_price_panel, write_price_panel
+from semlab.panels import (
+    _TURBULENCE_CHUNK,
+    INDICATORS_ALL,
+    TurbulenceSeries,
+    load_price_panel,
+    write_price_panel,
+)
 
 import scalar_turbulence
 from conftest import make_panel
@@ -154,10 +160,11 @@ class TestIndicators:
         # n=3 hand calculation: seed = simple average of the first three
         # moves, then s += (x - s)/n; closes 10, 11, 10.5, 11.5, 12, 11
         # give RSI 80, 84.615..., 50
-        from semlab.panels import _rsi
+        from semlab.panels import _rsi_finish, _rsi_inputs, _wilder
 
-        close = np.array([10.0, 11.0, 10.5, 11.5, 12.0, 11.0])
-        rsi = _rsi(close, 3)
+        close = np.array([10.0, 11.0, 10.5, 11.5, 12.0, 11.0])[:, None]
+        gains, losses = (_wilder(moves, 3)[2:] for moves in _rsi_inputs(close))
+        rsi = _rsi_finish(gains, losses, 3)[:, 0]
         assert np.isnan(rsi[:3]).all()
         assert rsi[3] == pytest.approx(80.0, abs=1e-12)
         assert rsi[4] == pytest.approx(100.0 - 100.0 / 6.5, abs=1e-12)
@@ -285,12 +292,35 @@ class TestTurbulence:
             return type(exc), str(exc)
 
     @pytest.mark.parametrize("case", ["iid-1", "iid-5", "iid-12", "iid-30", "zero-distance",
-                                      "singular"])
+                                      "singular", "scored-1", "scored-chunk",
+                                      "scored-chunk+1", "scored-2chunks+1",
+                                      "singular-mid-chunk", "constant"])
     def test_matches_the_scalar_oracle_bit_for_bit(self, case):
+        chunk = _TURBULENCE_CHUNK
         if case.startswith("iid"):
             n_t = int(case.split("-")[1])
             window = 252 if n_t == 30 else 3 * n_t + 2
             panel = self._iid_panel(n_t, n_t=n_t, n_d=window + 60)
+        elif case.startswith("scored"):
+            # the days scored fill less than a chunk, exactly one, or end a day into the next
+            scored = {"scored-1": 1, "scored-chunk": chunk, "scored-chunk+1": chunk + 1,
+                      "scored-2chunks+1": 2 * chunk + 1}[case]
+            window = 17
+            panel = self._iid_panel(4, n_t=5, n_d=window + 1 + scored)
+        elif case == "singular-mid-chunk":
+            # eight moving days, then flat closes with a jump after each flat
+            # window: two jump days of one chunk meet a zero covariance, and
+            # the chunk's days before them moved against one that is not
+            window = 5
+            singular = window + 1 + chunk // 2
+            factors = np.ones((window + 2 * chunk, 3))
+            factors[:8] = np.random.default_rng(5).choice([0.75, 1.25, 1.5], size=(8, 3))
+            factors[[singular - 1, singular + window]] = 1.5
+            close = 64.0 * np.cumprod(np.vstack([np.ones(3), factors]), axis=0)
+            panel = make_panel(close)
+        elif case == "constant":
+            # every day sits on its trailing mean, against a zero covariance
+            panel, window = make_panel(np.full((20 + 2 * chunk + 5, 3), 64.0)), 20
         else:
             # dyadic growth factors keep the zero-distance day exact; a flat
             # window then a jump leaves a zero covariance that no ridge lifts
@@ -304,6 +334,17 @@ class TestTurbulence:
             assert compute_turbulence(panel, window).values[21] == 0.0
         if case == "singular":
             assert got == (NumericalError, f"singular return covariance at {panel.dates[21]}")
+        if case == "singular-mid-chunk":
+            assert got == (NumericalError,
+                           f"singular return covariance at {panel.dates[singular]}")
+            # the chunk's days before the first jump moved: each was solved and scored above zero
+            before = panel.close[:singular]
+            scored = compute_turbulence(make_panel(before), window).values[window + 1 :]
+            assert len(scored) == chunk // 2 and np.all(scored > 0.0)
+        if case == "constant":
+            values = compute_turbulence(panel, window).values
+            assert np.isnan(values[: window + 1]).all()
+            assert values[window + 1 :].tobytes() == bytes(8 * (2 * chunk + 4))
 
     def test_window_precondition(self):
         panel = self._iid_panel(3, n_t=10, n_d=100)
