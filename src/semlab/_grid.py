@@ -2,9 +2,9 @@
 of the price, signal, feature and score panels and of the equity curve, with
 its one alignment check; calendar lookups; the long-form
 ``date,ticker,<numbers>`` files that fill it, read by ``read_grid`` and
-written by its mirror ``write_grid``; the two formats every other
-artifact is written through, ``write_csv`` and ``write_json``; and
-``read_json`` for the JSON inputs. Files are read and written as UTF-8.
+written by its mirror ``write_grid``; the two formats every artifact is
+written through, ``write_table`` and ``write_json``; and ``read_json`` for
+the JSON inputs. Files are read and written as UTF-8.
 
 Both delimited inputs, the grid files of ``read_grid`` and the article cache
 of ``signals.load_article_scores``, are read by ``read_fields`` in one of two
@@ -27,15 +27,19 @@ reading. Either way the rows are the ones ``records`` yields, in its order,
 so each reader's ``build`` runs once on the fields, and where its message
 names a row's line, ``line_of`` finds that line by reading the file again.
 
-``write_grid`` writes the bytes ``write_csv`` would, but quotes each label
-once and formats a block's numbers with ``orjson``'s shortest round-trip
-formatter (``_float_texts``, one call per column and block), about ten times
-faster than ``repr`` one value at a time. Its text is ``repr``'s for ``0.0``,
-``-0.0`` and every finite number with ``1e-4 <= |x| < 1e16``; ``repr`` writes
-any other value. It holds one block of ``_BLOCK_DATES`` dates at a time:
-taking every column's floats at once raised the peak RSS of writing and
-re-reading a 100 x 2500 panel from about 170 to 189 MiB, and a string table
-over the whole file would hold every string at once.
+Every delimited artifact is written by ``write_table``, byte for byte what
+``csv.writer`` writes for the same fields, from columns: float and int
+arrays, and sequences of str labels. It writes ``_BLOCK_ROWS`` rows at a
+time and holds one block's text at a time. A block's floats are formatted by
+one call of ``orjson``'s shortest round-trip formatter per column
+(``_float_texts``), about ten times faster than ``repr`` one value at a
+time. Its text is ``repr``'s for ``0.0``, ``-0.0`` and every finite number
+with ``1e-4 <= |x| < 1e16``; ``repr`` writes any other value. A block's ints
+are one ``orjson.dumps`` call, and its labels are written as they are unless
+one of them is empty or holds a character csv quotes, when each distinct
+label goes through ``csv.writer`` once (``_label_texts``). ``write_grid``
+expands a (date x ticker) grid's arrays onto the long-form columns of
+``write_table``.
 
 The calendar is a strictly increasing tuple of ISO dates, which sort like
 the dates themselves, so a date range is two binary searches. A grid holds
@@ -53,7 +57,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice
 from typing import ClassVar
 
 import numpy as np
@@ -277,23 +281,13 @@ def _not_utf8(path: str) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text")
 
 
-def write_csv(path: str, header, rows) -> None:
-    """The delimited artifact format: ``csv.writer`` defaults, the header row
-    first, then each row of the iterable ``rows`` as it comes (a generator is
-    written without being held in memory). csv writes each field's ``str``,
-    which for a Python float is its ``repr``, so pass Python floats only
-    (``tolist()``): a numpy scalar or other float subclass writes its own
-    ``str``, and ``np.float32(0.1)`` comes out as ``0.1``, not as the float
-    it holds, ``0.10000000149011612``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-# dates formatted per pass of write_grid; 8, 16, 32 and 64 write a 100 x 2500
-# panel equally fast (about 0.2 s), and the smallest leaves the lowest peak RSS
-_BLOCK_DATES = 8
+# rows formatted per pass of write_table: `semlab synth` at 100 x 2500 peaked
+# at 82.1-82.7 MiB for 256 to 8192 rows, and with a `validate` of its files
+# after it at 90.4-92.7 MiB for 512 to 8192 against 97.1 for 16384; 4096 wrote
+# the price file fastest
+_BLOCK_ROWS = 4096
+# the characters csv.writer quotes a field for, with its default dialect
+_QUOTED = (",", '"', "\r", "\n")
 
 
 def _csv_fields(labels) -> list[str]:
@@ -308,6 +302,20 @@ def _csv_fields(labels) -> list[str]:
         writer.writerow((label, ""))
         fields.append(buf.getvalue()[:-3])  # the empty field's "," and "\r\n"
     return fields
+
+
+def _label_texts(labels, lone: bool = False) -> list[str]:
+    """A block of str labels as ``csv.writer`` writes them: as they are when
+    none holds one of ``_QUOTED`` or is empty, else each distinct label once
+    through ``_csv_fields``. For the ``lone`` field of a one-column row, an
+    empty label is written ``""``, as csv writes a row of one empty field."""
+    joined = "".join(labels)
+    if all(labels) and not any(c in joined for c in _QUOTED):
+        return labels
+    texts = dict.fromkeys(labels)
+    for label, text in zip(texts, _csv_fields(texts)):
+        texts[label] = '""' if lone and not label else text
+    return list(map(texts.__getitem__, labels))
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
@@ -327,35 +335,59 @@ def _float_texts(values: np.ndarray) -> list[str]:
     return text
 
 
+def _number_texts(values: np.ndarray) -> list[str]:
+    """A block of a float or int column as ``str`` writes each number it
+    holds: floats as the float64 ``repr`` (``_float_texts``), ints by one
+    ``orjson.dumps`` call, whose integer text is ``str``'s."""
+    if values.dtype.kind == "f":
+        return _float_texts(np.ascontiguousarray(values, dtype=float))
+    return orjson.dumps(np.ascontiguousarray(values),
+                        option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+
+
+def write_table(path: str, header, columns) -> None:
+    """The delimited artifact format: byte for byte what ``csv.writer``
+    with its defaults writes for the ``header`` row and then one row per
+    index of the equally long ``columns``. A column is a float or int numpy
+    array, written as ``str`` writes each float64 or int it holds, or a
+    sequence of str labels, quoted where csv would quote them.
+
+    Rows are joined and written ``_BLOCK_ROWS`` at a time: a block of labels
+    by ``_label_texts`` and of numbers by ``_number_texts``, one ``orjson``
+    call per column and block. A column whose length is not the first
+    column's, an array that is not one-dimensional and a header of another
+    width are a ValidationError before the file is created."""
+    if len(columns) != len(header):
+        raise ValidationError(f"{len(columns)} columns for a header of {len(header)}")
+    n = len(columns[0]) if columns else 0
+    for name, col in zip(header, columns):
+        if isinstance(col, np.ndarray) and col.ndim != 1:
+            raise ValidationError(f"column {name!r} has shape {col.shape}, expected one axis")
+        if len(col) != n:
+            raise ValidationError(f"column {name!r} has {len(col)} rows, "
+                                  f"column {header[0]!r} has {n}")
+    lone = len(columns) == 1
+    texts = [_number_texts if isinstance(col, np.ndarray) and col.dtype.kind in "fiu"
+             else partial(_label_texts, lone=lone) for col in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_label_texts(header, lone)) + "\r\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            fields = [text(col[lo:lo + _BLOCK_ROWS]) for text, col in zip(texts, columns)]
+            fh.write("\r\n".join([*map(",".join, zip(*fields)), ""]))
+
+
 def write_grid(path: str, header, dates, tickers, columns) -> None:
     """Write the long-form ``date,ticker,<numbers>`` file that ``read_grid``
-    reads: the ``header`` row, then one row per (date, ticker) cell in
-    row-major order, byte for byte what ``write_csv`` writes for the same
-    fields. Each entry of ``columns`` is a (dates, tickers) float array,
-    written by ``repr``, or a string written in every row.
-
-    Each label and string goes through ``csv.writer`` once; a float's
-    ``repr`` never needs quoting. Rows are joined and written ``_BLOCK_DATES``
-    dates at a time; within a block, ``_float_texts`` formats each column's
-    numbers in one ``orjson`` call and leaves to ``repr`` each value other
-    than ``0.0``, ``-0.0`` and finite ``1e-4 <= |x| < 1e16``."""
-    n_t = len(tickers)
-    columns = [_csv_fields([col])[0] if isinstance(col, str) else np.asarray(col, dtype=float)
-               for col in columns]
+    reads by ``write_table``: the ``header`` row, then one row per (date,
+    ticker) cell in row-major order, with a number from each (dates, tickers)
+    float array of ``columns``."""
+    shape = (len(dates), len(tickers))
+    columns = [np.asarray(col, dtype=float) for col in columns]
     for col in columns:
-        if not isinstance(col, str) and col.shape != (len(dates), n_t):
-            raise ValidationError(f"column has shape {col.shape}, expected {(len(dates), n_t)}")
-    date_fields, ticker_fields = _csv_fields(dates), _csv_fields(tickers)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for lo in range(0, len(dates), _BLOCK_DATES):
-            block = date_fields[lo:lo + _BLOCK_DATES]
-            cells = len(block) * n_t
-            fields = [repeat(col, cells) if isinstance(col, str)
-                      else _float_texts(col[lo:lo + len(block)].ravel()) for col in columns]
-            rows = map(",".join, zip([d for d in block for _ in range(n_t)],
-                                     ticker_fields * len(block), *fields))
-            fh.write("\r\n".join([*rows, ""]))
+        if col.shape != shape:
+            raise ValidationError(f"column has shape {col.shape}, expected {shape}")
+    write_table(path, header, [[d for d in dates for _ in tickers], list(tickers) * len(dates),
+                               *(col.ravel() for col in columns)])
 
 
 def read_json(path: str):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._grid import Grid, date_span, write_csv
+from ._grid import Grid, date_span, write_table
 from .errors import LabError, RangeError, ValidationError
 from .factors import CompositeScore, check_temperature, scw_weights
 from .metrics import sharpe_ratio
@@ -74,14 +74,13 @@ class EquityCurve(Grid):
 
 def write_equity_curve(curve: EquityCurve, path: str, holdings_path: str | None = None) -> None:
     """Delimited export: date,wealth,daily_return,cost_paid (+ optional holdings file)."""
-    write_csv(path, ["date", "wealth", "daily_return", "cost_paid"], zip(
-        curve.dates, curve.wealth.tolist(), curve.daily_returns.tolist(),
-        curve.cost_paid.tolist()))
+    write_table(path, ["date", "wealth", "daily_return", "cost_paid"],
+                [curve.dates, curve.wealth, curve.daily_returns, curve.cost_paid])
     if holdings_path is not None:
         ii, jj = np.nonzero(curve.holdings)
-        write_csv(holdings_path, ["date", "ticker", "weight"], (
-            [curve.dates[i], curve.tickers[j], repr(w)] for i, j, w in
-            zip(ii.tolist(), jj.tolist(), curve.holdings[ii, jj].tolist())))
+        write_table(holdings_path, ["date", "ticker", "weight"],
+                    [[curve.dates[i] for i in ii.tolist()], [curve.tickers[j] for j in jj.tolist()],
+                     curve.holdings[ii, jj]])
 
 
 # ---------------------------------------------------------------------------

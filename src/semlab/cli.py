@@ -59,6 +59,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.seed < 0:  # numpy's generators take none
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     spec = SyntheticSpec.from_file(args.spec)
     panel, signals, truth = synth_panel(spec, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -69,8 +71,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     # one article per covered cell, in (date, ticker) order
     ii, jj = np.nonzero(signals.non_neutral)
     articles = ArticleTable(
-        source_ids=np.char.add(np.char.add("synth-", ii.astype(str)),
-                               np.char.add("-", jj.astype(str))).tolist(),
+        source_ids=[f"synth-{i}-{j}" for i, j in zip(ii.tolist(), jj.tolist())],
         tickers=np.asarray(signals.tickers, dtype=object)[jj].tolist(),
         dates=np.asarray(signals.dates, dtype=object)[ii].tolist(),
         scores=signals.values[ii, jj].astype(np.int64),

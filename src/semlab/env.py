@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import frozen, write_csv, write_json
+from ._grid import frozen, write_json, write_table
 from .backtest import EquityCurve
 from .errors import PolicyFaultError, RangeError, ValidationError
 from .panels import FeaturePanel, MarketPanel, TurbulenceSeries
@@ -435,7 +435,9 @@ def run_policy(
 def write_episode_log(infos: list[dict], path: str) -> None:
     """Delimited log: step,date,wealth,peak,reward,penalty,turbulence,gated."""
     header = ["step", "date", "wealth", "peak", "reward", "penalty", "turbulence", "gated"]
-    floats = np.array([[info[name] for name in header[2:7]] for info in infos], dtype=float)
-    write_csv(path, header, (
-        [info["step"], info["date"], *values, int(info["gated"])]
-        for info, values in zip(infos, floats.tolist())))
+    floats = np.array([[info[name] for name in header[2:7]] for info in infos],
+                      dtype=float).reshape(-1, 5)
+    write_table(path, header, [
+        np.array([info["step"] for info in infos], dtype=np.int64),
+        [info["date"] for info in infos], *floats.T,
+        np.array([info["gated"] for info in infos], dtype=np.int64)])

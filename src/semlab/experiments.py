@@ -27,8 +27,8 @@ from ._grid import (
     json_digest,
     read_grid,
     read_json,
-    write_csv,
     write_json,
+    write_table,
 )
 from .backtest import (
     BacktestConfig,
@@ -259,6 +259,11 @@ class ExperimentConfig:
         check_names([self.kind], KINDS, "experiment kind {!r}")
         if type(self.seed) is not int:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:  # numpy's generators take none
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**63:
+            raise ConfigError(f"seed must fit in a signed 64-bit integer, "
+                              f"got an integer of {self.seed.bit_length()} bits")
         named = [("train", self.train), ("validation", self.validation), ("test", self.test)]
         present = [(n, r) for n, r in named if r is not None]
         for (n1, r1), (n2, r2) in zip(present, present[1:]):
@@ -451,7 +456,9 @@ class ArtifactWriter:
             os.rmdir(d)
 
     def write_rows(self, name: str, header: list[str], rows: list[list]) -> None:
-        write_csv(self.path(name), header, rows)
+        """A table of rows of str and int cells, each written as its ``str``."""
+        write_table(self.path(name), header,
+                    [[str(row[k]) for row in rows] for k in range(len(header))])
 
     def write_json(self, name: str, payload: dict) -> None:
         write_json(self.path(name), payload)

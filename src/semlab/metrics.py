@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import write_csv
+from ._grid import write_table
 from .errors import UndefinedMetricError, ValidationError
 
 TRADING_DAYS_PER_YEAR = 252
@@ -151,5 +151,6 @@ def metrics(curve) -> MetricsReport:
 
 def write_report_table(rows: list[dict], path: str) -> None:
     """One row per strategy, fixed column order, deterministic formatting."""
-    write_csv(path, ["strategy", *REPORT_COLUMNS], (
-        [row["strategy"]] + [f"{row[c]:.6f}" for c in REPORT_COLUMNS] for row in rows))
+    write_table(path, ["strategy", *REPORT_COLUMNS], [
+        [row["strategy"] for row in rows],
+        *([f"{row[c]:.6f}" for row in rows] for c in REPORT_COLUMNS)])

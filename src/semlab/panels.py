@@ -164,7 +164,7 @@ def write_price_panel(panel: MarketPanel, path: str) -> None:
         close if panel.high is None else panel.high,
         close if panel.low is None else panel.low,
         close,
-        "0.0" if panel.volume is None else panel.volume,
+        np.zeros_like(close) if panel.volume is None else panel.volume,
     ])
 
 

@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._grid import Grid, check_increasing, frozen, read_fields, write_csv
+from ._grid import Grid, check_increasing, frozen, read_fields, write_table
 from .errors import RankError, ValidationError
 
 AXES = ("sentiment", "risk", "confidence", "volatility_forecast")
@@ -369,8 +369,8 @@ CACHE_HEADER = ("source_id", "ticker", "date") + AXES
 
 def write_article_scores(articles: ArticleTable, path: str) -> None:
     """Write the cache that ``load_article_scores`` reads, one row per article."""
-    write_csv(path, CACHE_HEADER, zip(
-        articles.source_ids, articles.tickers, articles.dates, *articles.scores.T.tolist()))
+    write_table(path, CACHE_HEADER,
+                [articles.source_ids, articles.tickers, articles.dates, *articles.scores.T])
 
 
 def load_article_scores(path: str) -> ArticleTable:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import write_csv
+from ._grid import write_table
 from .errors import (
     DegenerateTestError,
     LabError,
@@ -340,8 +340,9 @@ TEST_RESULT_COLUMNS = (
 
 def write_test_results(rows: list[dict], path: str) -> None:
     """Delimited export with the paired-diagnostics column set."""
-    write_csv(path, TEST_RESULT_COLUMNS, (
-        [row["comparison"], *[f"{row[c]:.6f}" for c in TEST_RESULT_COLUMNS[1:]]] for row in rows))
+    write_table(path, TEST_RESULT_COLUMNS, [
+        [row["comparison"] for row in rows],
+        *([f"{row[c]:.6f}" for row in rows] for c in TEST_RESULT_COLUMNS[1:])])
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,8 @@ class SyntheticSpec:
                 raise ValidationError(f"beta_tickers not in universe: {sorted(unknown)}")
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
+        if self.seed < 0:  # numpy's generators take none
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         try:
             np.datetime64(self.start_date, "D")  # a day of the calendar, not 2015-13-45
             well_formed = is_date(self.start_date)  # in the shape whose string order is the date's

@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from semlab import MarketPanel, SignalPanel, SyntheticSpec, synth_panel
 
@@ -10,6 +10,15 @@ from semlab import MarketPanel, SignalPanel, SyntheticSpec, synth_panel
 # deterministic; no example database is written
 settings.register_profile("semlab", derandomize=True, database=None, deadline=None)
 settings.load_profile("semlab")
+
+
+# the bits of any float64: sign, exponent and mantissa drawn apart, with the
+# all-zero and all-one exponents and the zero mantissa drawn often, so that
+# zeros, subnormals, infinities and NaN payloads all come up
+float_bits = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                       st.integers(0, 1),
+                       st.one_of(st.sampled_from([0, 2047]), st.integers(0, 2047)),
+                       st.one_of(st.just(0), st.integers(0, 2 ** 52 - 1)))
 
 
 def business_days(start: str, count: int) -> tuple[str, ...]:

@@ -209,11 +209,17 @@ class TestDeclaredParams:
          "duplicate block 'price' in param 'blocks'"),
         ("forecaster", {"blocks": ["price", "prices"]},
          "unknown feature block 'prices' (did you mean 'price'?)"),
+        # "seed" is the top-level key, which no kind declares as a param; a
+        # negative one reached numpy's generator, after the study for sfp
+        ("sfp", {"seed": -1}, "seed must be >= 0, got -1"),
+        ("env_eval", {"seed": -1}, "seed must be >= 0, got -1"),
+        ("baselines", {"seed": 2**63}, "seed must fit in a signed 64-bit integer"),
     ])
     def test_value_out_of_range_exits_1(self, tmp_path, capsys, kind, params, named):
         # each used to pass here and fail once the data was read, or, for no
         # costs, to write a sweep.csv of its header alone
-        raw = config_dict(kind, tmp_path / "out", params=params)
+        params = dict(params)
+        raw = config_dict(kind, tmp_path / "out", seed=params.pop("seed", 7), params=params)
         assert self._cli(tmp_path, raw) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
@@ -410,9 +416,12 @@ class TestDeclaredParams:
                     for name, default in params.items()}
 
         def refused(name, value):
-            kind = declared[name][0]
+            if name == "seed":  # the top-level key
+                raw = config_dict("sfp", tmp_path, seed=value)
+            else:
+                raw = config_dict(declared[name][0], tmp_path, params={name: value})
             try:
-                ExperimentConfig.from_dict(config_dict(kind, tmp_path, params={name: value}))
+                ExperimentConfig.from_dict(raw)
             except ConfigError:
                 return True
             return False
@@ -461,8 +470,9 @@ MAY_BE_EMPTY = {"tilt_grid", "periods"}  # empty picks the built-in grid or peri
 DISTINCT = {"blocks", "masks"}           # a repeated item would be run or counted twice
 ASCENDING = {"costs"}
 RATES = {"cost_rate", "costs"}           # below 1: a rate of 1 costs the whole notional
+# and the top-level seed of every kind
 DECLARED = sorted({(kind, name, default) for kind, (_, _, params) in _KINDS.items()
-                   for name, default in params.items()}, key=str)
+                   for name, default in [*params.items(), ("seed", 7)]}, key=str)
 
 
 def pool_for(default):
@@ -501,7 +511,10 @@ class TestConfigFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out")
             raw = config_dict(kind, out)
-            raw["params"][name] = value
+            if name == "seed":
+                raw["seed"] = value
+            else:
+                raw["params"][name] = value
             raw["data"] = data or raw["data"]
             path = os.path.join(tmp, "cfg.json")
             with open(path, "w") as fh:
@@ -933,6 +946,15 @@ class TestCli:
         assert (out / "signals.csv").exists()
         truth = json.loads((out / "truth.json").read_text())
         assert truth["seed"] == 11
+
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    def test_synth_negative_seed_exits_1_before_writing(self, tmp_path, capsys, seed):
+        # numpy's generator refused it with a traceback
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"tickers": 3, "days": 40}))
+        assert cli_main(["synth", str(spec), seed, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: seed must be >= 0, got {seed}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_synth_articles_match_per_cell_scan(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -18,14 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semlab import MarketPanel, _grid, signals
-from semlab._grid import read_grid, write_grid
+from semlab._grid import read_grid, write_grid, write_table
 from semlab.cli import main as cli_main
 from semlab.errors import AlignmentError, ParseError, ValidationError
 from semlab.panels import load_price_panel, write_price_panel
 from semlab.signals import CACHE_HEADER, ArticleTable, load_article_scores, write_article_scores
 
 import scalar_write
-from conftest import business_days
+from conftest import business_days, float_bits
 
 DATES = ("2020-01-02", "2020-01-03")
 TICKERS = ("AA", "BB")
@@ -413,15 +413,6 @@ def test_price_panel_writer_matches_the_scalar_oracle(tmp_path_factory, n_d, lab
         assert loaded.volume.tobytes() == volume.tobytes()
 
 
-# the bits of any float64: sign, exponent and mantissa drawn apart, with the
-# all-zero and all-one exponents and the zero mantissa drawn often, so that
-# zeros, subnormals, infinities and NaN payloads all come up
-float_bits = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
-                       st.integers(0, 1),
-                       st.one_of(st.sampled_from([0, 2047]), st.integers(0, 2047)),
-                       st.one_of(st.just(0), st.integers(0, 2 ** 52 - 1)))
-
-
 @given(st.lists(float_bits, max_size=40))
 def test_float_texts_are_reprs(bits):
     values = np.array(bits, dtype=np.uint64).view(float)
@@ -449,6 +440,21 @@ def test_grid_writer_rejects_a_column_off_the_grid(tmp_path):
     with pytest.raises(ValidationError, match=r"column has shape \(2, 1\), expected \(2, 2\)"):
         write_grid(str(tmp_path / "grid.csv"), ("date", "ticker", "x"), DATES, TICKERS,
                    [np.ones((2, 1))])
+    # a column of another length than the first is refused before the file is made
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValidationError, match=r"^column 'weight' has 3 rows, column 'date' has 2$"):
+        write_table(str(path), ("date", "weight"), [DATES, np.ones(3)])
+    with pytest.raises(ValidationError, match=r"^column 'x' has shape \(2, 2\), expected one axis$"):
+        write_table(str(path), ("date", "x"), [DATES, np.ones((2, 2))])
+    with pytest.raises(ValidationError, match=r"^1 columns for a header of 2$"):
+        write_table(str(path), ("date", "x"), [DATES])
+    assert not path.exists()
+    # a one-column table keeps csv's rule for a row of one empty field: it is
+    # written "", where a row of two empty fields is a lone comma
+    write_table(str(path), ("x",), [["", "a", ",", ""]])
+    assert path.read_bytes() == b'x\r\n""\r\na\r\n","\r\n""\r\n'
+    write_table(str(path), ("x", "y"), [["", "a"], ["", ""]])
+    assert path.read_bytes() == b"x,y\r\n,\r\na,\r\n"
 
 
 # ---------------------------------------------------------------------------

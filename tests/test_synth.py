@@ -149,6 +149,7 @@ BENCH_SPEC = {"tickers": 100, "days": 2500, "start_date": "2015-01-02", "coverag
     ({"days": 300, "start_date": 20150102}, "synthetic-spec key 'start_date' must be str"),
     ({"tickers": 4}, "synthetic spec needs a 'days' field"),
     ({"tickers": ["A", "A"], "days": 50}, "duplicate ticker 'A' in synthetic spec"),
+    ({"tickers": 4, "days": 300, "seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_spec_fault_is_a_config_error_naming_the_key(tmp_path, capsys, spec, message):
     with pytest.raises(ConfigError) as info:
@@ -169,6 +170,7 @@ def test_spec_fault_is_a_config_error_naming_the_key(tmp_path, capsys, spec, mes
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
     assert cli_main(["run", str(tmp_path / "cfg.json")]) == 1
     assert capsys.readouterr().err.startswith("config error: " + message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_spec_form_in_use_still_loads():
