@@ -19,7 +19,7 @@ from ._grid import Grid, date_span, write_table
 from .errors import LabError, RangeError, ValidationError
 from .factors import CompositeScore, check_temperature, scw_weights
 from .metrics import sharpe_ratio
-from .panels import MarketPanel, simple_returns
+from .panels import MarketPanel, _rolling_std, simple_returns
 
 logger = logging.getLogger(__name__)
 
@@ -267,20 +267,16 @@ def baseline(
         return backtest_topk(scores, panel, replace(config, period=period))
 
     if kind == "equal_vol":
-        first = first_in_period()
-        rets = simple_returns(panel)
-        vol = np.full_like(panel.close, np.nan)
-        for d in range(vol_window + 1, panel.n_dates):
-            vol[d] = rets[d - vol_window : d].std(axis=0, ddof=1)
-        if first < vol_window + 1:
+        if first_in_period() < vol_window + 1:
             raise RangeError(
                 f"equal-vol window {vol_window} needs {vol_window + 1} rows before {period[0]}"
             )
+        # row d holds the sample std of the returns of rows d - vol_window .. d - 1
+        vol = np.full_like(panel.close, np.nan)
+        vol[2:] = _rolling_std(simple_returns(panel)[1:], vol_window, ddof=1)[:-1]
         view = panel.slice_dates(*period)
         vol_view = vol[date_span(panel.dates, *period)]
-        if np.any(vol_view <= 0):
-            vol_view = np.where(vol_view <= 0, np.nan, vol_view)
-        inv = 1.0 / vol_view
+        inv = 1.0 / np.where(vol_view <= 0, np.nan, vol_view)
         # a dead (zero-vol) column would break renormalisation; spread equally
         inv = np.where(np.isfinite(inv), inv, 1.0)
         targets = inv / inv.sum(axis=1, keepdims=True)

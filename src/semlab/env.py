@@ -1,7 +1,7 @@
 """Sequential trading environment with drawdown-shaped rewards.
 
 One episode walks the panel day by day. The observation is the flattened
-vector [cash, prices, holdings, indicator block, signal block]; actions in
+vector that ``ObservationLayout`` lays out block by block; actions in
 [-1, 1] per ticker scale to integer share deltas via the max trade size.
 Sells run before buys so proceeds can fund purchases, infeasible buys scale
 down proportionally, and days with turbulence above the threshold disable
@@ -15,11 +15,11 @@ The environment object itself is read-only; episode state travels through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from ._grid import frozen, write_json, write_table
+from ._grid import frozen, write_table
 from .backtest import EquityCurve
 from .errors import PolicyFaultError, RangeError, ValidationError
 from .panels import FeaturePanel, MarketPanel, TurbulenceSeries
@@ -75,11 +75,24 @@ class ObservationLayout:
 
     [cash | prices (per ticker) | holdings (per ticker) |
      one block per indicator (per ticker) | one block per axis (per ticker)]
+
+    ``blocks`` states that order once, as (name, start, length) triples;
+    ``dimension``, ``signal_slice`` and the manifest read it, and
+    ``TradingEnv.observation`` concatenates a state's parts in it.
     """
 
     tickers: tuple[str, ...]
     feature_names: tuple[str, ...]
     axes: tuple[str, ...] = AXES
+    blocks: tuple[tuple[str, int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # cash is one value; each block after it holds one value per ticker
+        n = self.n_tickers
+        names = ("close_prices", "holdings", *(f"indicator:{f}" for f in self.feature_names),
+                 *(f"signal:{axis}" for axis in self.axes))
+        object.__setattr__(self, "blocks", (("cash", 0, 1), *(
+            (name, 1 + i * n, n) for i, name in enumerate(names))))
 
     @property
     def n_tickers(self) -> int:
@@ -87,44 +100,34 @@ class ObservationLayout:
 
     @property
     def dimension(self) -> int:
-        n, k = self.n_tickers, len(self.feature_names)
-        return 1 + 2 * n + (k + len(self.axes)) * n
+        _, start, length = self.blocks[-1]
+        return start + length
 
     def signal_slice(self, axis: str) -> slice:
         if axis not in self.axes:
             raise ValidationError(f"unknown axis {axis!r}")
-        n, k = self.n_tickers, len(self.feature_names)
-        start = 1 + 2 * n + k * n + self.axes.index(axis) * n
-        return slice(start, start + n)
+        _, start, length = next(b for b in self.blocks if b[0] == f"signal:{axis}")
+        return slice(start, start + length)
 
     def to_manifest(self) -> dict:
-        n = self.n_tickers
-        blocks = [
-            {"name": "cash", "start": 0, "length": 1},
-            {"name": "close_prices", "start": 1, "length": n},
-            {"name": "holdings", "start": 1 + n, "length": n},
-        ]
-        offset = 1 + 2 * n
-        for name in self.feature_names:
-            blocks.append({"name": f"indicator:{name}", "start": offset, "length": n})
-            offset += n
-        for axis in self.axes:
-            blocks.append({"name": f"signal:{axis}", "start": offset, "length": n})
-            offset += n
         return {
             "dimension": self.dimension,
             "tickers": list(self.tickers),
-            "blocks": blocks,
+            "blocks": [{"name": name, "start": start, "length": length}
+                       for name, start, length in self.blocks],
         }
-
-
-def write_observation_layout(layout: ObservationLayout, path: str) -> None:
-    write_json(path, layout.to_manifest())
 
 
 @dataclass(frozen=True, slots=True)
 class EnvState:
-    """Snapshot of one episode step; wealth always equals cash + holdings value."""
+    """Snapshot of one episode step.
+
+    ``wealth`` and ``peak_wealth`` are derived, never given: the wealth is
+    ``cash + holdings @ prices`` and the peak the larger of it and
+    ``prior_peak``, the previous step's peak (-inf by default, so a first
+    state's peak is its wealth). A non-finite wealth or peak is a
+    ValidationError.
+    """
 
     date_index: int
     date: str
@@ -133,21 +136,21 @@ class EnvState:
     prices: np.ndarray
     features: np.ndarray  # (tickers, indicators)
     signals: np.ndarray   # (tickers, 4)
-    wealth: float
-    peak_wealth: float
+    prior_peak: InitVar[float] = -math.inf
+    wealth: float = field(init=False)
+    peak_wealth: float = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, prior_peak: float) -> None:
         holdings = frozen(self.holdings, np.int64)
         if (holdings < 0).any():
             raise ValidationError("holdings must be non-negative")
+        wealth = self.cash + float(holdings @ self.prices)
+        peak = max(prior_peak, wealth)
+        if not (math.isfinite(wealth) and math.isfinite(peak)):
+            raise ValidationError(f"wealth {wealth} and peak {peak} must be finite")
         object.__setattr__(self, "holdings", holdings)
-        recomputed = self.cash + float(holdings @ self.prices)
-        if not abs(recomputed - self.wealth) <= 1e-6:  # NaN fails
-            raise ValidationError(
-                f"wealth {self.wealth} inconsistent with cash+positions {recomputed}"
-            )
-        if not self.peak_wealth >= self.wealth - 1e-9:
-            raise ValidationError("peak wealth below current wealth")
+        object.__setattr__(self, "wealth", wealth)
+        object.__setattr__(self, "peak_wealth", peak)
 
 
 class TradingEnv:
@@ -184,20 +187,11 @@ class TradingEnv:
             tickers=panel.tickers, feature_names=features.names
         )
 
-    def _state_at(self, idx: int, cash: float, holdings: np.ndarray, peak: float) -> EnvState:
-        prices = self.panel.close[idx]
-        wealth = cash + float(holdings @ prices)
-        return EnvState(
-            date_index=idx,
-            date=self.panel.dates[idx],
-            cash=cash,
-            holdings=holdings,
-            prices=prices,
-            features=self.features.values[idx],
-            signals=self.signals.values[idx],
-            wealth=wealth,
-            peak_wealth=max(peak, wealth),
-        )
+    def _state_at(self, idx: int, cash: float, holdings: np.ndarray,
+                  prior_peak: float = -math.inf) -> EnvState:
+        return EnvState(date_index=idx, date=self.panel.dates[idx], cash=cash, holdings=holdings,
+                        prices=self.panel.close[idx], features=self.features.values[idx],
+                        signals=self.signals.values[idx], prior_peak=prior_peak)
 
     def reset(self, start_date: str | None = None) -> EnvState:
         idx = self.features.warmup if start_date is None else self.panel.date_index(start_date)
@@ -208,8 +202,8 @@ class TradingEnv:
             )
         if idx >= self.last_index:
             raise RangeError("start date leaves no days to step through")
-        cash = self.config.initial_cash
-        return self._state_at(idx, cash, np.zeros(self.n_tickers, dtype=np.int64), cash)
+        return self._state_at(idx, self.config.initial_cash,
+                              np.zeros(self.n_tickers, dtype=np.int64))
 
     def observation(self, state: EnvState) -> np.ndarray:
         # axis=None flattens each part in C order, so a transposed block

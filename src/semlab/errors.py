@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the one unknown-name check."""
+"""Exception hierarchy shared across the package, the one unknown-name check
+and the one integer-size check of JSON input."""
 
 import difflib
 
@@ -68,3 +69,20 @@ def check_names(given, known, what: str) -> None:
             close = difflib.get_close_matches(str(name), list(known), n=1)
             hint = f"did you mean {close[0]!r}?" if close else "known: " + ", ".join(known)
             raise ConfigError(f"unknown {what.format(name)} ({hint})")
+
+
+def check_int_sizes(where: str, value, int64: bool) -> None:
+    """A ConfigError unless each int in ``value`` (one value or a list of
+    them) fits in a float, and in a signed 64-bit integer where ``int64``:
+    JSON integers have no size limit. ``where`` names the key."""
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if type(v) is not int:
+            continue
+        if int64 and not -2**63 <= v < 2**63:
+            raise ConfigError(f"{where} must fit in a signed 64-bit integer, "
+                              f"got an integer of {v.bit_length()} bits")
+        try:
+            float(v)
+        except OverflowError:
+            raise ConfigError(f"{where} must fit in a float, "
+                              f"got an integer of {v.bit_length()} bits") from None

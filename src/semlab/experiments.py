@@ -46,9 +46,8 @@ from .env import (
     builtin_policies,
     run_policy,
     write_episode_log,
-    write_observation_layout,
 )
-from .errors import ConfigError, LabError, ValidationError, check_names
+from .errors import ConfigError, LabError, ValidationError, check_int_sizes, check_names
 from .factors import (
     DEFAULT_RIDGE,
     LAMBDA_GRID,
@@ -105,25 +104,14 @@ def _conform(where: str, value, default):
     """``value`` checked against the type of ``default``; an int given for a
     float becomes a float. A list becomes a tuple whose items must match the
     default's items when those share one type, but keep their own type:
-    ``_fmt`` prints ``0`` and ``0.0`` differently. JSON integers have no size
-    limit, so an int must fit in 64 bits where ints are declared, and in a
-    float everywhere."""
+    ``_fmt`` prints ``0`` and ``0.0`` differently. An int must fit in 64 bits
+    where ints are declared, and in a float everywhere (``check_int_sizes``)."""
     items = {type(d) for d in default} if isinstance(default, tuple) else set()
     item = items.pop() if len(items) == 1 else None
     if type(value) not in _ACCEPTS[type(default)] or (
             item is not None and not {type(v) for v in value} <= _ACCEPTS[item]):
         raise ConfigError(f"{where} must match the type of its default {default!r}, got {value!r}")
-    for v in value if isinstance(value, (list, tuple)) else [value]:
-        if type(v) is not int:
-            continue
-        if int in (type(default), item) and not -2**63 <= v < 2**63:
-            raise ConfigError(f"{where} must fit in a signed 64-bit integer, "
-                              f"got an integer of {v.bit_length()} bits")
-        try:
-            float(v)
-        except OverflowError:
-            raise ConfigError(f"{where} must fit in a float, "
-                              f"got an integer of {v.bit_length()} bits") from None
+    check_int_sizes(where, value, int in (type(default), item))
     if isinstance(default, float):
         return float(value)
     return tuple(value) if isinstance(value, list) else value
@@ -740,7 +728,7 @@ def _run_env_eval(s: _Study) -> None:
     turb = compute_turbulence(ws.panel, window=p["turbulence_window"])
     env = TradingEnv(ws.panel, features, ws.signals, turb,
                      EnvConfig(**{f.name: p[f.name] for f in fields(EnvConfig)}))
-    write_observation_layout(env.layout, out.path("observation_layout.json"))
+    out.write_json("observation_layout.json", env.layout.to_manifest())
 
     def make_policy(seed: int):
         if p["policy"] == "signal_threshold":

@@ -18,6 +18,7 @@ from ._grid import write_table
 from .errors import UndefinedMetricError, ValidationError
 
 TRADING_DAYS_PER_YEAR = 252
+TAIL = 0.05  # the Rachev and CVaR tail fraction
 
 # Exact column order used by the strategy comparison tables.
 REPORT_COLUMNS = ("cr_pct", "sharpe", "sortino", "mdd_pct", "rachev", "cvar5", "calmar")
@@ -100,15 +101,15 @@ def max_drawdown(wealth: np.ndarray) -> float:
     return float(np.min(w / peaks - 1.0))
 
 
-def _tail_count(n: int, frac: float = 0.05) -> int:
-    return max(1, int(math.floor(frac * n)))
+def _tail_count(n: int) -> int:
+    return max(1, int(math.floor(TAIL * n)))
 
 
-def rachev_ratio(returns: np.ndarray, tail: float = 0.05) -> float:
-    """Mean of the best ``tail`` fraction of daily returns over the absolute
+def rachev_ratio(returns: np.ndarray) -> float:
+    """Mean of the best ``TAIL`` fraction of daily returns over the absolute
     mean of the worst, both tails the same size."""
     r = np.sort(np.asarray(returns, dtype=float))
-    k = _tail_count(r.size, tail)
+    k = _tail_count(r.size)
     worst = float(r[:k].mean())
     best = float(r[-k:].mean())
     if worst == 0.0:
@@ -116,10 +117,10 @@ def rachev_ratio(returns: np.ndarray, tail: float = 0.05) -> float:
     return best / abs(worst)
 
 
-def cvar5(returns: np.ndarray, tail: float = 0.05) -> float:
-    """Signed mean of the worst ``tail`` fraction of daily returns, in percent."""
+def cvar5(returns: np.ndarray) -> float:
+    """Signed mean of the worst ``TAIL`` fraction of daily returns, in percent."""
     r = np.sort(np.asarray(returns, dtype=float))
-    k = _tail_count(r.size, tail)
+    k = _tail_count(r.size)
     return float(r[:k].mean() * 100.0)
 
 

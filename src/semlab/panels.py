@@ -224,8 +224,9 @@ def _rolling_mean(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _rolling_std(x: np.ndarray, n: int) -> np.ndarray:
-    # Population std over the window, two-pass per window: the window mean
+def _rolling_std(x: np.ndarray, n: int, ddof: int = 0) -> np.ndarray:
+    # Std over the window (population by default, divisor n - ddof), two-pass
+    # per window, as ``np.std`` takes it along axis 0: the window mean
     # first, then the squared deviations from it, which keeps it robust to
     # the catastrophic cancellation the cumsum-of-squares shortcut invites.
     # Both passes accumulate over the n window offsets, so no
@@ -233,7 +234,7 @@ def _rolling_std(x: np.ndarray, n: int) -> np.ndarray:
     out = np.full(x.shape, np.nan)
     windows = _windows(x, n)
     mean = sum(windows) / n
-    out[n - 1 :] = np.sqrt(sum((w - mean) ** 2 for w in windows) / n)
+    out[n - 1 :] = np.sqrt(sum((w - mean) ** 2 for w in windows) / (n - ddof))
     return out
 
 

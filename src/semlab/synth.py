@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._grid import check_unique, is_date, read_json
-from .errors import ConfigError, ValidationError, check_names
+from .errors import ConfigError, ValidationError, check_int_sizes, check_names
 from .panels import MarketPanel
 from .signals import (
     AXES,
@@ -113,9 +113,11 @@ class SyntheticSpec:
         if "days" not in raw:
             raise ConfigError("synthetic spec needs a 'days' field")
         for key, value in raw.items():
+            where = f"synthetic-spec key {key!r}"
             if not any(_fits(value, form) for form in _SPEC_FORMS[key]):
                 forms = " or ".join(map(_form_name, _SPEC_FORMS[key]))
-                raise ConfigError(f"synthetic-spec key {key!r} must be {forms}, got {value!r}")
+                raise ConfigError(f"{where} must be {forms}, got {value!r}")
+            check_int_sizes(where, value, int in _SPEC_FORMS[key])
         kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
         try:
             return SyntheticSpec(**{"tickers": 10, **kwargs})

@@ -19,7 +19,7 @@ def state_at(env: TradingEnv, idx: int, cash: float, holdings: np.ndarray,
              peak: float) -> EnvState:
     prices = env.panel.close[idx]
     wealth = cash + float(holdings @ prices)
-    return EnvState(
+    state = EnvState(
         date_index=idx,
         date=env.panel.dates[idx],
         cash=cash,
@@ -27,9 +27,11 @@ def state_at(env: TradingEnv, idx: int, cash: float, holdings: np.ndarray,
         prices=prices,
         features=env.features.values[idx],
         signals=env.signals.values[idx],
-        wealth=wealth,
-        peak_wealth=max(peak, wealth),
+        prior_peak=peak,
     )
+    # the state derives its own wealth and peak; the oracle's must agree bit for bit
+    assert state.wealth == wealth and state.peak_wealth == max(peak, wealth)
+    return state
 
 
 def observation(env: TradingEnv, state: EnvState) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,10 +28,9 @@ from semlab.env import (
     SignalThresholdPolicy,
     UniformRandomPolicy,
     write_episode_log,
-    write_observation_layout,
 )
 from semlab.errors import PolicyFaultError, RangeError, ValidationError
-from semlab.panels import INDICATORS_ALL, compute_indicators, compute_turbulence
+from semlab.panels import INDICATORS_ALL, FeaturePanel, compute_indicators, compute_turbulence
 
 from conftest import make_panel, make_signal_panel
 
@@ -138,16 +138,49 @@ class TestObservation:
         sl = env.layout.signal_slice("sentiment")
         np.testing.assert_array_equal(obs[sl], state.signals[:, 0])
 
-    def test_layout_manifest(self, env_setup, tmp_path):
+    def test_layout_manifest(self, env_setup):
         env = build_env(env_setup)
-        path = tmp_path / "layout.json"
-        write_observation_layout(env.layout, str(path))
-        import json
-        manifest = json.loads(path.read_text())
+        manifest = env.layout.to_manifest()
         assert manifest["dimension"] == env.layout.dimension
         names = [b["name"] for b in manifest["blocks"]]
         assert names[0] == "cash"
         assert "signal:volatility_forecast" in names
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), k=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_tile_the_observation_in_order(self, n, k, seed):
+        """The layout's blocks and ``TradingEnv.observation`` are the two places
+        that know the order; each block of an observation is its part of the state."""
+        rng = np.random.default_rng(seed)
+        panel = make_panel(rng.uniform(1.0, 100.0, (3, n)))
+        names = tuple(f"f{i}" for i in range(k))
+        features = FeaturePanel(dates=panel.dates, tickers=panel.tickers,
+                                values=rng.normal(size=(3, n, k)), names=names, warmup=0)
+        signals = make_signal_panel(rng.uniform(1.0, 5.0, (3, n, 4)))
+        env = TradingEnv(panel, features, signals, None, EnvConfig())
+        layout = env.layout
+        assert [b[0] for b in layout.blocks] == [
+            "cash", "close_prices", "holdings",
+            *(f"indicator:{f}" for f in names), *(f"signal:{a}" for a in AXES)]
+        end = 0
+        for name, start, length in layout.blocks:
+            assert start == end and length == (1 if name == "cash" else n)
+            end = start + length
+        assert end == layout.dimension
+        manifest = {b["name"]: b for b in layout.to_manifest()["blocks"]}
+        for axis in AXES:
+            block = manifest[f"signal:{axis}"]
+            assert layout.signal_slice(axis) == slice(block["start"],
+                                                      block["start"] + block["length"])
+        state = replace(env.reset(), holdings=rng.integers(0, 50, n))
+        parts = {"cash": [state.cash], "close_prices": state.prices,
+                 "holdings": state.holdings,
+                 **{f"indicator:{f}": state.features[:, i] for i, f in enumerate(names)},
+                 **{f"signal:{a}": state.signals[:, j] for j, a in enumerate(AXES)}}
+        obs = env.observation(state)
+        assert obs.shape == (layout.dimension,)
+        for name, start, length in layout.blocks:
+            np.testing.assert_array_equal(obs[start : start + length], parts[name])
 
 
 class TestReset:
@@ -340,23 +373,19 @@ class TestStep:
         with pytest.raises(ValidationError, match="non-negative"):
             replace(state, holdings=holdings, cash=cash)
 
-    def test_state_with_wealth_off_its_positions_rejected(self, env_setup):
+    @pytest.mark.parametrize("where, bad", [
+        ("cash", math.nan), ("cash", math.inf), ("cash", -math.inf),
+        ("price", math.nan), ("price", math.inf), ("price", -math.inf),
+        ("prior_peak", math.nan), ("prior_peak", math.inf)])
+    def test_state_with_nan_wealth_rejected(self, env_setup, where, bad):
+        # the derived wealth and peak must be finite, so NaN or inf never flows through
         state = build_env(env_setup).reset()
-        with pytest.raises(ValidationError, match="inconsistent with cash"):
-            replace(state, cash=state.cash - 1.0)
-
-    def test_state_with_peak_below_wealth_rejected(self, env_setup):
-        state = build_env(env_setup).reset()
-        with pytest.raises(ValidationError, match="peak wealth below"):
-            replace(state, peak_wealth=state.wealth - 1.0)
-
-    @pytest.mark.parametrize("field, match", [("wealth", "inconsistent with cash"),
-                                              ("peak_wealth", "peak wealth below")])
-    def test_state_with_nan_wealth_rejected(self, env_setup, field, match):
-        # NaN fails a comparison that asks for the wanted value
-        state = build_env(env_setup).reset()
-        with pytest.raises(ValidationError, match=match):
-            replace(state, **{field: float("nan")})
+        prices = state.prices.copy()
+        prices[0] = bad
+        change = {"cash": {"cash": bad}, "price": {"prices": prices},
+                  "prior_peak": {"prior_peak": bad}}[where]
+        with pytest.raises(ValidationError, match="must be finite"):
+            replace(state, holdings=np.ones_like(state.holdings), **change)
 
 
 class TestPolicies:

@@ -150,6 +150,17 @@ BENCH_SPEC = {"tickers": 100, "days": 2500, "start_date": "2015-01-02", "coverag
     ({"tickers": 4}, "synthetic spec needs a 'days' field"),
     ({"tickers": ["A", "A"], "days": 50}, "duplicate ticker 'A' in synthetic spec"),
     ({"tickers": 4, "days": 300, "seed": -1}, "seed must be >= 0, got -1"),
+    # JSON integers have no size limit; these once ended in a traceback
+    ({"tickers": 4, "days": 10**20},
+     "synthetic-spec key 'days' must fit in a signed 64-bit integer, got an integer of 67 bits"),
+    ({"tickers": 4, "days": 300, "seed": 2**63},
+     "synthetic-spec key 'seed' must fit in a signed 64-bit integer, got an integer of 64 bits"),
+    ({"tickers": 4, "days": 300, "initial_price": 10**400},
+     "synthetic-spec key 'initial_price' must fit in a float, got an integer of 1329 bits"),
+    ({"tickers": 4, "days": 300, "volatility": 10**400},
+     "synthetic-spec key 'volatility' must fit in a float"),
+    ({"tickers": 4, "days": 300, "beta": [0, 10**400, 0, 0]},
+     "synthetic-spec key 'beta' must fit in a float"),
 ])
 def test_spec_fault_is_a_config_error_naming_the_key(tmp_path, capsys, spec, message):
     with pytest.raises(ConfigError) as info:
