@@ -75,7 +75,13 @@ from .errors import (
 
 def frozen(arr, dtype=float) -> np.ndarray:
     """A read-only C-ordered copy of ``arr`` as ``dtype``, so a grid's row
-    reductions round alike however its arrays were cut."""
+    reductions round alike however its arrays were cut; or ``arr`` itself if
+    it is a read-only C-contiguous ``dtype`` view of a read-only ndarray, such
+    as a date slice of a frozen grid."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == dtype and not arr.flags.writeable
+            and arr.flags.c_contiguous and isinstance(arr.base, np.ndarray)
+            and not arr.base.flags.writeable):
+        return arr
     out = np.array(arr, dtype=dtype, copy=True, order="C")
     out.flags.writeable = False
     return out
@@ -121,7 +127,8 @@ class Grid:
     shape after the two grid axes, None for any) and its float series of
     shape (dates,) in ``SERIES`` (field names), and adds its value rules in
     ``__post_init__`` after calling this one. Each array and series is frozen
-    as a copy; one that is None is absent. ``WHAT`` names the grid in messages.
+    as a copy, unless ``frozen`` finds it frozen already (a date slice of a
+    grid); one that is None is absent. ``WHAT`` names the grid in messages.
     """
 
     ARRAYS: ClassVar[dict[str, tuple[type, tuple[int, ...] | None]]] = {}

@@ -57,13 +57,17 @@ class EquityCurve(Grid):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if abs(self.wealth[0] - 1.0) > 1e-12:
-            raise ValidationError("wealth must start at 1.0")
         # each comparison is written so that NaN fails it
-        if not np.all(self.cost_paid >= 0):
+        if not abs(self.wealth[0] - 1.0) <= 1e-12:
+            raise ValidationError("wealth must start at 1.0")
+        for name in ("wealth", "daily_returns"):
+            finite = np.isfinite(getattr(self, name))
+            if not finite.all():
+                raise ValidationError(f"non-finite {name} at {self.dates[np.argmin(finite)]}")
+        if not self.cost_paid.min(initial=0.0) >= 0:
             raise ValidationError("cost_paid must be non-negative")
-        if not (np.all(self.holdings >= -1e-12)
-                and np.all(self.holdings.sum(axis=1) <= 1.0 + 1e-9)):
+        if not (self.holdings.min(initial=0.0) >= -1e-12
+                and self.holdings.sum(axis=1).max(initial=0.0) <= 1.0 + 1e-9):
             raise ValidationError("holdings must be long-only weights summing to <= 1")
 
     def restrict(self, tickers):

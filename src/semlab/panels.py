@@ -63,6 +63,10 @@ class MarketPanel(Grid):
             arr = getattr(self, name)
             if arr is None:
                 continue
+            # NaN fails both comparisons, so only a clean array skips the search
+            least = arr.min(initial=np.inf)
+            if (least >= 0 if name == "volume" else least > 0) and arr.max(initial=0.0) < np.inf:
+                continue
             finite = np.isfinite(arr)
             bad = ~finite | (arr < 0 if name == "volume" else arr <= 0)
             if bad.any():

@@ -122,7 +122,7 @@ class SignalPanel(Grid):
                 f"signal value {float(values[d, t, a])} outside [1, 5] at "
                 f"({self.dates[d]}, {self.tickers[t]}, {AXES[a]})"
             )
-        if not np.all(values[~self.non_neutral] == NEUTRAL):
+        if ((values != NEUTRAL) & ~self.non_neutral[:, :, None]).any():
             raise ValidationError("neutral cells must hold the neutral default exactly")
         bad = self.masked_axes - set(AXES)
         if bad:

@@ -169,7 +169,7 @@ def _business_days(start: str, count: int) -> tuple[str, ...]:
     if not np.is_busday(start64):
         start64 = np.busday_offset(start64, 0, roll="forward")
     days = np.busday_offset(start64, np.arange(count), roll="forward")
-    return tuple(str(d) for d in days)
+    return tuple(days.astype(str).tolist())
 
 
 def synth_panel(spec: SyntheticSpec, seed: int | None = None) -> tuple[MarketPanel, SignalPanel, PlantedTruth]:
@@ -191,14 +191,15 @@ def synth_panel(spec: SyntheticSpec, seed: int | None = None) -> tuple[MarketPan
     # a last threshold a round-off below 1.0 cannot make a level 6. Each
     # threshold is repeated along the tickers: a comparison then runs over
     # whole (tickers, 4) rows of u instead of broadcasting over its last axis.
+    # Levels are counted in uint8 and made floats once, by the panel's freeze.
     present = rng.random((n_d, n_t)) < np.asarray(spec.coverage)[None, :]
     probs = np.stack([DEFAULT_SCORE_DISTRIBUTIONS[a] for a in AXES])  # (4, 5)
     cdf = np.cumsum(probs, axis=1)
     u = rng.random((n_d, n_t, 4))
-    values = np.ones_like(u)
+    values = np.ones(u.shape, dtype=np.uint8)
     for thresholds in np.repeat(cdf.T[:4, None, :], n_t, axis=1):  # (4, n_t, 4)
         values += u >= thresholds
-    values[~present] = NEUTRAL
+    np.copyto(values, np.uint8(NEUTRAL), where=~present[:, :, None])
     sig = SignalPanel(dates=dates, tickers=spec.tickers, values=values, non_neutral=present)
     # the panel holds its own copy; freeing the draws before the prices are
     # built lowers the peak RSS of a semlab synth run
@@ -223,7 +224,10 @@ def synth_panel(spec: SyntheticSpec, seed: int | None = None) -> tuple[MarketPan
             break
         log_rets[lag - 1 :, :] += per_day[:src_hi, :]
 
-    close = np.zeros((n_d, n_t))  # log prices, then prices in place
+    # the prices are rows of one block, frozen once built, so the panel keeps them
+    prices = np.empty((5, n_d, n_t))
+    close, volume, open_, high, low = prices
+    close[0] = 0.0  # log prices, then prices in place
     np.cumsum(log_rets, axis=0, out=close[1:])
     np.exp(close, out=close)
     close *= spec.initial_price
@@ -235,20 +239,17 @@ def synth_panel(spec: SyntheticSpec, seed: int | None = None) -> tuple[MarketPan
     spread *= 0.3
     spread *= vol[None, :, None]
     spread += 1.0
-    high = close * spread[:, :, 0]
-    low = close / spread[:, :, 1]
-    open_ = np.concatenate([close[:1], close[:-1]], axis=0)
+    np.multiply(close, spread[:, :, 0], out=high)
+    np.divide(close, spread[:, :, 1], out=low)
+    open_[0], open_[1:] = close[0], close[:-1]
     for price in (open_, close):
         np.maximum(high, price, out=high)
         np.minimum(low, price, out=low)
     del spread
-    volume = rng.normal(12.0, 0.5, size=(n_d, n_t))
-    np.exp(volume, out=volume)
+    np.exp(rng.normal(12.0, 0.5, size=(n_d, n_t)), out=volume)
+    prices.flags.writeable = False
 
-    mkt = MarketPanel(
-        dates=dates, tickers=spec.tickers, close=close,
-        volume=volume, open=open_, high=high, low=low,
-    )
+    mkt = MarketPanel(dates, spec.tickers, *prices)  # read-only rows, in field order
     truth = PlantedTruth(
         beta=spec.beta,
         beta_tickers=tuple(t for t, m in zip(spec.tickers, beta_mask) if m),

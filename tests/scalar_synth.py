@@ -1,19 +1,28 @@
 """Reference body of the synthetic panel generator.
 
-The ``synth_panel`` body before its signal levels were counted into one float
-array and its price range was built in place: a (days, tickers, 4, 5)
-threshold comparison, an integer level clipped with ``np.minimum``, a
-``np.where`` neutral fill and a fresh array for every step. It draws the same
-random numbers in the same order, so both must give the same panels bit for
-bit. Kept here only as the oracle ``semlab.synth.synth_panel`` is checked
-against; nothing in ``src/`` calls it.
+The ``synth_panel`` body before its signal levels were counted in place in
+one uint8 array, its price range was built in place and its calendar was
+formatted by one ``astype``: a (days, tickers, 4, 5) threshold comparison, an
+integer level clipped with ``np.minimum``, a ``np.where`` neutral fill into
+floats, a fresh array for every step and one ``str`` call per business day.
+It draws the same random numbers in the same order, so both must give the
+same panels bit for bit. Kept here only as the oracle
+``semlab.synth.synth_panel`` is checked against; nothing in ``src/`` calls it.
 """
 
 import numpy as np
 
 from semlab.panels import MarketPanel
 from semlab.signals import AXES, DEFAULT_SCORE_DISTRIBUTIONS, NEUTRAL, SignalPanel
-from semlab.synth import PlantedTruth, SyntheticSpec, _business_days
+from semlab.synth import PlantedTruth, SyntheticSpec
+
+
+def _business_days(start: str, count: int) -> tuple[str, ...]:
+    start64 = np.datetime64(start, "D")
+    if not np.is_busday(start64):
+        start64 = np.busday_offset(start64, 0, roll="forward")
+    days = np.busday_offset(start64, np.arange(count), roll="forward")
+    return tuple(str(d) for d in days)
 
 
 def synth_panel(spec: SyntheticSpec, seed: int | None = None):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -23,10 +24,11 @@ from semlab import (
     validate_inputs,
 )
 from semlab._grid import date_span, read_grid
-from semlab.cli import main as cli_main
+from semlab.cli import EXIT_DATA, main as cli_main
 from semlab.errors import AlignmentError, ConfigError, LabError, ParseError, ValidationError
 from semlab.env import HoldPolicy, SignalThresholdPolicy, run_policy
 from semlab.experiments import _KINDS, _PARAMS, KINDS
+from semlab.panels import write_price_panel
 from semlab.signals import AXES, load_article_scores, mask_axes
 
 from conftest import business_days, read_rows, study_config
@@ -832,6 +834,19 @@ class TestDeterminism:
             for name in files_a:
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_a_price_panel_without_a_signal_cache_gives_neutral_signals(self, tmp_path):
+        # README: "without it every signal is neutral"
+        market, _, _ = synth_panel(SyntheticSpec.from_dict(SYNTH))
+        write_price_panel(market, str(tmp_path / "prices.csv"))
+        raw = config_dict("sfp", tmp_path / "x")
+        raw["data"] = {"price_panel": str(tmp_path / "prices.csv")}
+        ws = experiments.load_workspace(ExperimentConfig.from_dict(raw))
+        signals = ws.signals
+        assert (signals.dates, signals.tickers) == (ws.panel.dates, ws.panel.tickers)
+        assert signals.values.shape == (ws.panel.n_dates, ws.panel.n_tickers, 4)
+        assert np.all(signals.values == 3.0) and not signals.non_neutral.any()
+        assert sorted(ws.input_hashes) == ["panel", "price_panel", "signal_panel"]
+
     def test_workspace_is_read_only(self, tmp_path):
         # no runner may change what a later study on the same inputs sees
         ws = experiments.load_workspace(ExperimentConfig.from_dict(config_dict("sfp", tmp_path)))
@@ -997,6 +1012,27 @@ class TestCli:
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "implies non-positive wealth" in capsys.readouterr().err
         assert not (tmp_path / "art").exists()
+
+    def test_validate_a_missing_path_fails_with_a_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert cli_main(["validate", str(missing)]) == EXIT_DATA
+        assert capsys.readouterr().out == f"[FAIL] {missing}: no such file\n"
+
+    def test_run_hashes_a_synthetic_spec_given_as_a_file(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SYNTH, indent=2))
+        manifests = []
+        for name, synthetic in (("file", str(spec)), ("inline", SYNTH)):
+            raw = config_dict("baselines", tmp_path / name)
+            raw["data"] = {"synthetic": synthetic}
+            (tmp_path / "cfg.json").write_text(json.dumps(raw))
+            assert cli_main(["run", str(tmp_path / "cfg.json")]) == 0
+            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        from_file, inline = (m["input_hashes"] for m in manifests)
+        assert from_file["synthetic_spec"] == hashlib.sha256(spec.read_bytes()).hexdigest()
+        assert from_file["synthetic_spec"] != inline["synthetic_spec"]
+        assert from_file["panel"] == inline["panel"]
+        assert from_file["signal_panel"] == inline["signal_panel"]
 
     def test_validate_command(self, tmp_path):
         prices = tmp_path / "prices.csv"

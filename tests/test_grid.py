@@ -26,7 +26,7 @@ from semlab import (
     mask_axes,
     subperiod_report,
 )
-from semlab._grid import date_span
+from semlab._grid import date_span, frozen
 from semlab.errors import AlignmentError, LabError, RangeError, ValidationError
 from semlab.factors import ForecasterModel
 from semlab.metrics import sharpe_ratio
@@ -317,3 +317,174 @@ def test_subperiod_benchmark_may_hold_another_universe():
     rows = subperiod_report(_curve(BASE, TICKERS), _curve(BASE, ("ZZ",)),
                             [("all", BASE[0], BASE[-1])])
     assert [(r["period"], r["days"], r["benchmark_cr"]) for r in rows] == [("all", 5, 0.0)]
+
+
+# Freezing: a date slice of a grid keeps its parent's read-only memory; any
+# other array a grid is given is copied, so what its caller still holds
+# cannot change the grid.
+
+def _grids(dates):
+    """One grid of each type, every array and series present."""
+    n = len(dates)
+    curve = EquityCurve(dates=dates, tickers=TICKERS, holdings=np.full((n, len(TICKERS)), 0.25),
+                        wealth=np.linspace(1.0, 2.0, n), daily_returns=np.zeros(n),
+                        cost_paid=np.zeros(n))
+    return (*_panels(dates, 0), curve)
+
+
+GRID_IDS = ["MarketPanel", "SignalPanel", "CompositeScore", "FeaturePanel", "EquityCurve"]
+
+
+def _stored(grid):
+    return {name: getattr(grid, name) for name in (*grid.ARRAYS, *grid.SERIES)
+            if getattr(grid, name) is not None}
+
+
+@pytest.mark.parametrize("index", range(5), ids=GRID_IDS)
+def test_a_date_slice_shares_its_parents_memory_and_stays_read_only(index):
+    grid = _grids(BASE)[index]
+    start = 0 if isinstance(grid, EquityCurve) else 1  # a curve's wealth starts at 1.0
+    sub = grid.slice_dates(BASE[start], BASE[4])
+    subsub = sub.slice_dates(BASE[start], BASE[3])
+    parent = _stored(grid)
+    for cut in (sub, subsub):
+        for name, arr in _stored(cut).items():
+            assert np.shares_memory(arr, parent[name]), name
+            assert not arr.flags.writeable and arr.flags.c_contiguous, name
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+
+@pytest.mark.parametrize("index", range(4), ids=GRID_IDS[:4])
+def test_a_restriction_copies(index):
+    grid = _grids(BASE)[index]
+    parent = _stored(grid)
+    for keep in (TICKERS, TICKERS[::-1], TICKERS[1:3]):
+        for name, arr in _stored(grid.restrict(list(keep))).items():
+            assert not np.shares_memory(arr, parent[name]), name
+            assert not arr.flags.writeable, name
+
+
+def _writable():
+    arr = np.full((6, 4), 2.0)
+    return arr, arr
+
+
+def _read_only_view_of_a_writable_base():
+    base = np.full((6, 4), 2.0)
+    view = base[:]
+    view.flags.writeable = False
+    return view, base
+
+
+def _read_only_strided_view():
+    base = np.full((6, 8), 2.0)
+    base.flags.writeable = False
+    return base[:, ::2], base
+
+
+def _read_only_view_of_another_dtype():
+    base = np.full((6, 4), 2.0, dtype=np.float32)
+    base.flags.writeable = False
+    return base[:], base
+
+
+@pytest.mark.parametrize("given", [_writable, _read_only_view_of_a_writable_base,
+                                   _read_only_strided_view, _read_only_view_of_another_dtype])
+def test_an_array_not_frozen_already_is_copied(given):
+    arr, owner = given()
+    panel = MarketPanel(dates=BASE, tickers=TICKERS, close=arr)
+    assert not np.shares_memory(panel.close, owner)
+    assert panel.close.dtype == np.float64 and panel.close.flags.c_contiguous
+    assert not panel.close.flags.writeable
+    owner.flags.writeable = True  # the caller owns this memory and may write to it later
+    owner[...] = 7.0
+    assert np.all(panel.close == 2.0)
+
+
+def test_frozen_returns_a_view_of_a_frozen_array_as_it_is():
+    parent = frozen(np.arange(24.0).reshape(6, 4))
+    view = parent[1:4]
+    assert frozen(view) is view
+    # an array that owns its memory can be made writable again, so it is copied
+    assert frozen(parent) is not parent
+    assert frozen(view, np.int64) is not view
+
+
+# Value rules: each fault is named by its first cell in row-major order. A
+# RuntimeWarning from a check is an error under pyproject's filter, so each
+# case also shows that the check raises none.
+
+PRICE_NAMES = ("close", "open", "high", "low")
+
+
+def _prices_with(name, bad):
+    arrays = {n: np.full((6, 4), 10.0) for n in (*PRICE_NAMES, "volume")}
+    arrays[name][1, 1] = bad
+    arrays[name][2, 0] = bad
+    return arrays
+
+
+# +inf in a price array and NaN in volume are pinned by
+# test_panels.py::TestPanelInvariants::test_non_finite_prices_rejected, and
+# -1 in volume by test_panels.py::TestPanelInvariants::test_negative_volume_rejected
+@pytest.mark.parametrize("name, bad, fault", [
+    *((n, b, f) for n in PRICE_NAMES for b, f in (
+        (np.nan, "non-finite"), (-np.inf, "non-finite"), (0.0, "non-positive"),
+        (-1.0, "non-positive"))),
+    ("volume", np.inf, "non-finite"),
+])
+def test_a_market_panel_names_its_first_bad_cell(name, bad, fault):
+    with pytest.raises(ValidationError) as info:
+        MarketPanel(dates=BASE, tickers=TICKERS, **_prices_with(name, bad))
+    assert str(info.value) == f"{fault} {name} at ({BASE[1]}, BB)"
+
+
+# NaN, 0.5 and 5.5 on a flagged cell are pinned by
+# test_signals.py::TestSignalPanelValues::test_bad_flagged_value_names_the_cell
+@pytest.mark.parametrize("bad, message", [
+    (4.0, "neutral cells must hold the neutral default exactly"),
+    (np.nan, f"signal value nan outside [1, 5] at ({BASE[1]}, BB, confidence)"),
+])
+def test_a_signal_panel_refuses_content_on_an_unflagged_cell(bad, message):
+    flags = np.ones((6, 4), dtype=bool)
+    flags[1, 1] = flags[2, 0] = False
+    values = np.where(flags[:, :, None], 5.0, np.full((6, 4, 4), 3.0))
+    SignalPanel(dates=BASE, tickers=TICKERS, values=values, non_neutral=flags)
+    values[1, 1, 2] = values[2, 0, 0] = bad
+    with pytest.raises(ValidationError) as info:
+        SignalPanel(dates=BASE, tickers=TICKERS, values=values, non_neutral=flags)
+    assert str(info.value) == message
+
+
+# NaN in either is also refused by
+# test_backtest.py::TestLedger::test_curve_with_a_nan_row_rejected
+@pytest.mark.parametrize("name, message", [
+    ("cost_paid", "cost_paid must be non-negative"),
+    ("holdings", "holdings must be long-only weights summing to <= 1"),
+])
+@pytest.mark.parametrize("bad", [np.nan, -0.5])
+def test_an_equity_curve_refuses_a_negative_or_nan_cost_or_weight(name, message, bad):
+    curve = _grids(BASE)[4]
+    arr = getattr(curve, name).copy()
+    arr[2] = bad
+    with pytest.raises(ValidationError) as info:
+        replace(curve, **{name: arr})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name, at, bad, message", [
+    ("wealth", 0, np.nan, "wealth must start at 1.0"),
+    ("wealth", 2, np.nan, f"non-finite wealth at {BASE[2]}"),
+    ("wealth", 3, np.inf, f"non-finite wealth at {BASE[3]}"),
+    ("daily_returns", 1, -np.inf, f"non-finite daily_returns at {BASE[1]}"),
+    ("daily_returns", 4, np.nan, f"non-finite daily_returns at {BASE[4]}"),
+])
+def test_an_equity_curve_refuses_a_non_finite_wealth_path(name, at, bad, message):
+    curve = _grids(BASE)[4]
+    arr = getattr(curve, name).copy()
+    arr[at] = bad
+    arr[5] = bad
+    with pytest.raises(ValidationError) as info:
+        replace(curve, **{name: arr})
+    assert str(info.value) == message

@@ -48,6 +48,14 @@ def test_start_date_validated(start):
         SyntheticSpec(tickers=3, days=50, start_date=start)
 
 
+@pytest.mark.parametrize("start", ["2016-01-02", "2016-01-03", "2016-01-04"])
+def test_a_weekend_start_rolls_to_the_monday(start):
+    market, signals, _ = synth_panel(SyntheticSpec(tickers=2, days=6, start_date=start))
+    want = ("2016-01-04", "2016-01-05", "2016-01-06", "2016-01-07", "2016-01-08", "2016-01-11")
+    assert market.dates == signals.dates == want
+    assert all(type(d) is str for d in market.dates)
+
+
 def test_planted_truth_recovery_within_three_se():
     # least squares on 10k stock-days recovers the planted coefficients
     spec = SyntheticSpec(
@@ -226,7 +234,8 @@ def test_nan_literal_in_a_spec_file_names_its_key(tmp_path):
 @st.composite
 def synthetic_specs(draw):
     """Specs over the generator's edges: one ticker, two days, a horizon past
-    the last day, coverage 0 and 1, zero drift and planted subsets."""
+    the last day, coverage 0 and 1, zero drift, planted subsets and start
+    dates on a weekend."""
     n_t = draw(st.integers(1, 12))
     tickers = tuple(f"T{j}" for j in range(n_t))
 
@@ -238,6 +247,9 @@ def synthetic_specs(draw):
     return SyntheticSpec(
         tickers=tickers,
         days=draw(st.integers(2, 60)),
+        # the default Friday, the Saturday and Sunday after it, and any day of a decade
+        start_date=draw(st.sampled_from(("2015-01-02", "2015-01-03", "2015-01-04"))
+                        | st.integers(0, 3652).map(lambda n: str(np.datetime64("2015-01-01") + n))),
         coverage=scalar_or_per_ticker((0.0, 1.0)),
         volatility=scalar_or_per_ticker((0.001, 1.0)),
         drift=scalar_or_per_ticker((-1.0, 0.0, 1.0)),
